@@ -9,26 +9,23 @@ Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
+import sys
 import time
 from itertools import permutations
 
-from votelace import domains, kernels
+from votelace import kernels
 from votelace.domains import is_enriched_group_separable, is_single_peaked
-from votelace.elections import _pair_perm_values, _rank_vector
+from votelace.elections import _rank_vector
 from votelace.enumeration import brute_force_count
 
 
 def clear_caches():
-    for fn in (
-        _rank_vector,
-        _pair_perm_values,
-        domains._middles,
-        domains._pair_avoids,
-        domains._peak_mask,
-        domains._recursive_ok,
-        domains._ends_and_mids,
-    ):
-        fn.cache_clear()
+    """Clear every functools cache in the loaded votelace modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "votelace" or name.startswith("votelace."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 def bench_contains_pattern():

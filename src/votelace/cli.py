@@ -2,8 +2,9 @@
 
 Subcommands: check, count, contains, verify, bound.  Reports go to standard
 output, diagnostics to standard error.  Exit codes: 0 = holds/success,
-1 = property fails, 2 = usage or input error.  The VOTELACE_GUARD environment
-variable overrides the brute-force call guard.
+1 = property fails, 2 = usage or input error (an arithmetic failure
+included).  The VOTELACE_GUARD environment variable overrides the brute-force
+call guard.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, GuardExceeded, ValueError, OSError) as exc:
+    except (ParseError, GuardExceeded, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

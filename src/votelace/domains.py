@@ -6,9 +6,24 @@ characterization, ...), so the formulations can be tested against each other.
 Recognizers are exponential-time by design: subset, axis, and voter-order
 exhaustion at desk scale, guarded by a hard cap.
 
+Where a condition is a union over candidate subsets of per-voter facts, a
+recognizer splits into a per-ranking integer signature, cached on the ranking,
+and a cheap combine step over the voters:
+
+* medium: three masks over the triples, one per middle-element position; an
+  election fails iff the AND of their ORs is nonzero;
+* em: {top, bottom} and middle-pair masks over (4-subset, pair) slots; an
+  election fails iff the OR of the first meets the OR of the second;
+* group-separable (direct): per subset size, one segment per subset holding
+  the bipartitions the ranking keeps apart; the AND over the voters leaves a
+  segment empty exactly for a subset no split serves;
+* single-peaked: masks of the axes a ranking fits; an election holds iff
+  their AND is nonzero.
+
 A failing verdict carries a witness naming voters (1-based) and candidates
 whose induced sub-election still violates the domain condition; witnesses are
-computed lazily so that bulk counting only pays for the boolean.
+read from the same signatures in a fixed scan order, lazily where that costs
+more than the boolean, so bulk counting only pays for the verdict.
 """
 
 from __future__ import annotations
@@ -127,50 +142,55 @@ def _guard(e: Election) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _subsets(m: int, size: int) -> tuple[tuple[int, ...], ...]:
+    # the candidate subsets of this size, in the order the signatures index them
+    return tuple(combinations(range(1, m + 1), size))
+
+
 # ---------------------------------------------------------------------------
 # medium restriction
 
 
 @lru_cache(maxsize=None)
-def _triples(m: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(combinations(range(1, m + 1), 3))
-
-
-@lru_cache(maxsize=None)
-def _middles(order: tuple[int, ...]) -> tuple[int, ...]:
-    # per candidate triple (in _triples order), the middle candidate of this ranking
+def _middle_masks(order: tuple[int, ...]) -> tuple[int, int, int]:
+    # bit t of mask k: the middle of triple t (in _subsets order) is its k-th member
     ranks = _rank_vector(order)
-    out = []
-    for a, b, c in _triples(len(order)):
+    masks = [0, 0, 0]
+    for t, (a, b, c) in enumerate(_subsets(len(order), 3)):
         ra, rb, rc = ranks[a - 1], ranks[b - 1], ranks[c - 1]
         if ra < rb:
-            mid = b if rb < rc else (c if ra < rc else a)
+            k = 1 if rb < rc else (2 if ra < rc else 0)
         else:
-            mid = a if ra < rc else (c if rb < rc else b)
-        out.append(mid)
-    return tuple(out)
+            k = 0 if ra < rc else (2 if rb < rc else 1)
+        masks[k] |= 1 << t
+    return masks[0], masks[1], masks[2]
 
 
 def is_medium_restricted(e: Election) -> DomainVerdict:
     """No candidate triple has three voters each placing a different member in the middle."""
     _guard(e)
-    if e.num_voters <= 2 or e.num_candidates <= 2:
+    any0 = any1 = any2 = 0
+    for r in e.preferences:
+        m0, m1, m2 = _middle_masks(r.order)
+        any0 |= m0
+        any1 |= m1
+        any2 |= m2
+    bad = any0 & any1 & any2
+    if not bad:
         return DomainVerdict(True)
-    rows = [_middles(r.order) for r in e.preferences]
-    for t in range(len(rows[0])):
-        if len({row[t] for row in rows}) == 3:
-            return DomainVerdict(False, finder=lambda t=t, rows=tuple(rows): _medium_witness(e, t, rows))
-    return DomainVerdict(True)
+    t = (bad & -bad).bit_length() - 1
+    return DomainVerdict(False, finder=lambda: _medium_witness(e, t))
 
 
-def _medium_witness(e: Election, t: int, rows) -> Witness:
-    triple = _triples(e.num_candidates)[t]
+def _medium_witness(e: Election, t: int) -> Witness:
     first_voter_for = {}
-    for v, row in enumerate(rows, start=1):
-        first_voter_for.setdefault(row[t], v)
+    for v, r in enumerate(e.preferences, start=1):
+        masks = _middle_masks(r.order)
+        first_voter_for.setdefault(next(k for k in range(3) if masks[k] >> t & 1), v)
         if len(first_voter_for) == 3:
             break
-    return Witness(tuple(sorted(first_voter_for.values())), triple)
+    return Witness(tuple(sorted(first_voter_for.values())), _subsets(e.num_candidates, 3)[t])
 
 
 # ---------------------------------------------------------------------------
@@ -181,41 +201,63 @@ def is_group_separable_direct(e: Election) -> DomainVerdict:
     """Every candidate subset of size >= 2 splits into two blocks that each
     voter ranks entirely above or entirely below one another."""
     _guard(e)
-    bad = _unsplittable_subset(e)
-    if bad is None:
-        return DomainVerdict(True)
-    voters = tuple(range(1, e.num_voters + 1))
-    return DomainVerdict(False, witness=Witness(voters, bad))
-
-
-def _unsplittable_subset(e: Election) -> Optional[tuple[int, ...]]:
     m = e.num_candidates
-    ranks = e.rank_vectors()
-    for size in range(2, m + 1):
-        for subset in combinations(range(1, m + 1), size):
-            pivot, rest = subset[0], subset[1:]
-            # unordered bipartitions, pinning the pivot to block A; skip the
-            # pick that would leave block B empty
-            for pick in range(2 ** len(rest)):
-                block_a = [pivot] + [c for i, c in enumerate(rest) if pick >> i & 1]
-                if len(block_a) == size:
-                    continue
-                block_b = [c for c in rest if c not in block_a]
-                if all(_split_ok(r, block_a, block_b) for r in ranks):
-                    break
+    orders = [r.order for r in e.preferences]
+    # every 2-subset splits, so the scan starts at size 3; sizes go up one at
+    # a time so that a failing election stops at the first size that fails
+    for size in range(3, m + 1):
+        common = -1
+        for order in orders:
+            common &= _split_mask(order, size)
+        # fold each segment's bits down onto its lowest bit
+        width = 1 << (size - 1)
+        shift = 1
+        while shift < width:
+            common |= common >> shift
+            shift <<= 1
+        empty = _segment_lows(m, size) & ~common
+        if empty:
+            j = ((empty & -empty).bit_length() - 1) >> (size - 1)
+            voters = tuple(range(1, e.num_voters + 1))
+            return DomainVerdict(False, witness=Witness(voters, _subsets(m, size)[j]))
+    return DomainVerdict(True)
+
+
+@lru_cache(maxsize=None)
+def _segment_lows(m: int, size: int) -> int:
+    # the lowest bit of every subset's segment in a _split_mask
+    width = 1 << (size - 1)
+    return sum(1 << (j * width) for j in range(len(_subsets(m, size))))
+
+
+@lru_cache(maxsize=None)
+def _split_mask(order: tuple[int, ...], size: int) -> int:
+    """The bipartitions of each candidate subset of this size that this
+    ranking keeps apart: those cut at a proper prefix of the ranking
+    restricted to the subset.
+
+    Subset j (in _subsets order) owns the 2^(size-1) bits from j * 2^(size-1)
+    on.  An unordered bipartition is keyed by the members other than the
+    subset's smallest (bit i for subset[i + 1]) that share that member's
+    block, so the all-ones key (an empty second block) never occurs.
+    """
+    ranks = _rank_vector(order)
+    width = 1 << (size - 1)
+    full = width - 1
+    mask = 0
+    for j, subset in enumerate(_subsets(len(order), size)):
+        r = [ranks[c - 1] for c in subset]
+        by_rank = sorted(range(size), key=r.__getitem__)
+        base = j * width
+        prefix = 0
+        pivot_in_prefix = False
+        for i in by_rank[:-1]:
+            if i:
+                prefix |= 1 << (i - 1)
             else:
-                return subset
-    return None
-
-
-def _split_ok(ranks: tuple[int, ...], block_a, block_b) -> bool:
-    max_a = max(ranks[c - 1] for c in block_a)
-    min_b = min(ranks[c - 1] for c in block_b)
-    if max_a < min_b:
-        return True
-    min_a = min(ranks[c - 1] for c in block_a)
-    max_b = max(ranks[c - 1] for c in block_b)
-    return max_b < min_a
+                pivot_in_prefix = True
+            mask |= 1 << (base + (prefix if pivot_in_prefix else full ^ prefix))
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +368,25 @@ def _recursive_ok(prefs: tuple[tuple[int, ...], ...]) -> bool:
 # extremes-vs-middles condition
 
 
-@lru_cache(maxsize=None)
-def _quads(m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(1, m + 1), 4))
+#: slot of each pair of positions within a 4-subset, keyed both ways round;
+#: pair slots p and 5 - p are complementary
+_QUAD_PAIRS = {
+    key: p for p, (i, j) in enumerate(combinations(range(4), 2)) for key in ((i, j), (j, i))
+}
 
 
 @lru_cache(maxsize=None)
-def _ends_and_mids(order: tuple[int, ...]):
-    # per 4-subset (in _quads order): ({top, bottom}, middle pair) of this ranking
+def _em_masks(order: tuple[int, ...]) -> tuple[int, int]:
+    # bit 6s+p of ends (mids): pair p of 4-subset s (in _subsets order) is this
+    # ranking's {top, bottom} (middle pair) within the subset
     ranks = _rank_vector(order)
-    ends = []
-    mids = []
-    for quad in _quads(len(order)):
-        by_rank = sorted(quad, key=lambda c: ranks[c - 1])
-        ends.append(frozenset((by_rank[0], by_rank[3])))
-        mids.append(frozenset((by_rank[1], by_rank[2])))
-    return tuple(ends), tuple(mids)
+    ends = mids = 0
+    for s, (a, b, c, d) in enumerate(_subsets(len(order), 4)):
+        r = (ranks[a - 1], ranks[b - 1], ranks[c - 1], ranks[d - 1])
+        p = _QUAD_PAIRS[r.index(min(r)), r.index(max(r))]
+        ends |= 1 << (6 * s + p)
+        mids |= 1 << (6 * s + 5 - p)
+    return ends, mids
 
 
 def em_condition(e: Election) -> DomainVerdict:
@@ -349,22 +394,26 @@ def em_condition(e: Election) -> DomainVerdict:
     differs from the other's middle pair.  Equivalent to avoiding the four
     enriched forbidden configurations (without medium-restriction)."""
     _guard(e)
-    if e.num_candidates < 4:
+    any_ends = any_mids = 0
+    for r in e.preferences:
+        ends, mids = _em_masks(r.order)
+        any_ends |= ends
+        any_mids |= mids
+    if not any_ends & any_mids:
         return DomainVerdict(True)
-    tables = [_ends_and_mids(r.order) for r in e.preferences]
-    n = e.num_voters
-    quads = _quads(e.num_candidates)
-    for gamma in range(n):
-        ends = tables[gamma][0]
-        for delta in range(n):
-            mids = tables[delta][1]
-            for s in range(len(quads)):
-                if ends[s] == mids[s]:
-                    return DomainVerdict(
-                        False,
-                        witness=Witness(tuple(sorted({gamma + 1, delta + 1})), quads[s]),
-                    )
-    return DomainVerdict(True)
+    return DomainVerdict(False, finder=lambda: _em_witness(e))
+
+
+def _em_witness(e: Election) -> Witness:
+    # the first (gamma, delta, 4-subset) in scan order whose ends and mids meet
+    tables = [_em_masks(r.order) for r in e.preferences]
+    for gamma, (ends, _) in enumerate(tables):
+        for delta, (_, mids) in enumerate(tables):
+            bad = ends & mids
+            if bad:
+                s = ((bad & -bad).bit_length() - 1) // 6
+                return Witness(tuple(sorted({gamma + 1, delta + 1})), _subsets(e.num_candidates, 4)[s])
+    raise AssertionError("em witness requested for a holding election")
 
 
 # ---------------------------------------------------------------------------

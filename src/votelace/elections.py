@@ -232,6 +232,23 @@ def pair_permutation(reference: Ranking, other: Ranking) -> Permutation:
     return Permutation(_pair_perm_values(reference.order, other.order))
 
 
+def _unchecked_election(m: int, prefs: tuple[Ranking, ...]) -> Election:
+    # an Election built without __post_init__, for rankings already checked
+    # to be permutations of 1..m
+    e = object.__new__(Election)
+    fields = e.__dict__
+    fields["num_candidates"] = m
+    fields["preferences"] = prefs
+    return e
+
+
+def _checked_rankings(m: int, n: int) -> list[Ranking]:
+    # the m! rankings, checked once for the whole enumeration
+    if m < 1 or n < 1:
+        raise ValueError("an election needs at least one candidate and one voter")
+    return [Ranking(v) for v in _itertools_permutations(range(1, m + 1))]
+
+
 def all_elections(m: int, n: int, limit: Optional[int] = None) -> Iterator[Election]:
     """Every ordered tuple of n rankings over [m], in lexicographic order."""
     if limit is None:
@@ -239,9 +256,9 @@ def all_elections(m: int, n: int, limit: Optional[int] = None) -> Iterator[Elect
     total = math.factorial(m) ** n
     if total > limit:
         raise GuardExceeded(f"(m!)^n = {total} elections at (m,n)=({m},{n}) exceeds the guard {limit}")
-    rankings = [Ranking(v) for v in _itertools_permutations(range(1, m + 1))]
+    rankings = _checked_rankings(m, n)
     for prefs in product(rankings, repeat=n):
-        yield Election(m, prefs)
+        yield _unchecked_election(m, prefs)
 
 
 def elections_with_first(m: int, n: int, first: Ranking) -> Iterator[Election]:
@@ -250,9 +267,8 @@ def elections_with_first(m: int, n: int, first: Ranking) -> Iterator[Election]:
     This is the splitting point for parallel consumption: slices are disjoint,
     cover everything, and merge deterministically in first-ranking order.
     """
-    rankings = [Ranking(v) for v in _itertools_permutations(range(1, m + 1))]
-    if n == 1:
-        yield Election(m, (first,))
-        return
+    rankings = _checked_rankings(m, n)
+    if first.ids != frozenset(range(1, m + 1)):
+        raise ValueError(f"ranking {first.order} is not a permutation of 1..{m}")
     for rest in product(rankings, repeat=n - 1):
-        yield Election(m, (first, *rest))
+        yield _unchecked_election(m, (first, *rest))

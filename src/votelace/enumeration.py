@@ -1,8 +1,8 @@
 """Exact counting: brute-force counters, recurrences, closed forms, and bounds.
 
 All counts are exact arbitrary-precision integers; floating point appears only
-in closed-form evaluation, which is validated against the integer recurrences
-(the recurrences are canonical).
+in :func:`reduced_enriched_count_closed`, which is validated against the
+integer recurrences (the recurrences are canonical).
 """
 
 from __future__ import annotations
@@ -159,8 +159,7 @@ def enriched_count_formula(which: str, index: int) -> int:
 
     ``m3``/``m4``/``m5`` take the number of voters n and count elections with
     3, 4, 5 candidates; ``n2`` takes the number of candidates m and counts
-    2-voter elections (evaluated in floating point and rounded, after checking
-    the value is within 1e-6 relative of an integer).
+    2-voter elections (evaluated exactly in Z[sqrt(2)]).
     """
     if which == "m3":
         _require(index >= 1, "m3 needs n >= 1")
@@ -173,16 +172,12 @@ def enriched_count_formula(which: str, index: int) -> int:
         return 120 * 4 ** (index - 1) * (2 ** (2 * index + 1) - 2 ** (index + 2) + 1)
     if which == "n2":
         _require(index >= 0, "n2 needs m >= 0")
-        root2 = math.sqrt(2.0)
-        value = (
-            math.factorial(index)
-            / 4.0
-            * ((2 + root2) * (2 - root2) ** index + (2 - root2) * (2 + root2) ** index)
-        )
-        nearest = math.floor(value + 0.5)  # half away from zero; value is positive
-        if abs(value - nearest) > 1e-6 * max(abs(value), 1.0):
-            raise ArithmeticError(f"n2 formula drifted from an integer at m={index}: {value}")
-        return nearest
+        # m!/4 ((2+r)(2-r)^m + (2-r)(2+r)^m) with r = sqrt(2), exactly: with
+        # (2+r)^m = a + b r, the r parts cancel and the bracket is 4(a - b)
+        a, b = 1, 0
+        for _ in range(index):
+            a, b = 2 * a + 2 * b, a + 2 * b
+        return math.factorial(index) * (a - b)
     raise ValueError(f"unknown formula selector {which!r}; have {_FORMULAS}")
 
 

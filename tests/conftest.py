@@ -1,0 +1,8 @@
+from votelace import kernels
+
+
+def pytest_report_header(config):
+    return (
+        f"votelace kernel backend: {kernels.active_backend()} "
+        f"(available: {', '.join(kernels.available_backends())})"
+    )

@@ -253,3 +253,26 @@ class TestAllElections:
         for first in [Ranking(p.values) for p in symmetric_group(3)]:
             split.extend(tuple(r.order for r in e.preferences) for e in elections_with_first(3, 2, first))
         assert whole == split
+
+
+class TestEnumerationChecks:
+    """The enumerators check their rankings once, before the first election."""
+
+    def test_sizes_below_one_are_rejected(self):
+        for m, n in ((0, 1), (1, 0), (3, 0)):
+            with pytest.raises(ValueError):
+                next(all_elections(m, n))
+            with pytest.raises(ValueError):
+                next(elections_with_first(m, n, Ranking(tuple(range(1, m + 1)))))
+
+    def test_first_ranking_must_cover_the_candidates(self):
+        with pytest.raises(ValueError):
+            next(elections_with_first(3, 2, Ranking((1, 2))))
+        with pytest.raises(ValueError):
+            next(elections_with_first(2, 2, Ranking((1, 3))))
+
+    def test_enumerated_elections_equal_checked_ones(self):
+        for e in all_elections(3, 2):
+            checked = Election(3, e.preferences)
+            assert e == checked and hash(e) == hash(checked)
+            assert e.rank_vectors() == checked.rank_vectors()
