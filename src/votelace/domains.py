@@ -6,30 +6,44 @@ characterization, ...), so the formulations can be tested against each other.
 Recognizers are exponential-time by design: subset, axis, and voter-order
 exhaustion at desk scale, guarded by a hard cap.
 
-Where a condition is a union over candidate subsets of per-voter facts, a
-recognizer splits into a per-ranking integer signature, cached on the ranking,
-and a cheap combine step over the voters:
+Every recognizer is a per-ranking ``signature(order)`` plus an
+``accepts(sigs)`` combine over the voters' signatures, both attached to the
+recognizer function.  The recognizer checks the cap, runs ``accepts`` on its
+voters' signatures and, when that fails, returns a verdict with a lazy
+witness; exhaustive counting computes the m! signatures once and runs
+``accepts`` on tuples of them, building no election.  Signatures that cost
+more than a lookup are cached on the ranking.
 
 * medium: three masks over the triples, one per middle-element position; an
   election fails iff the AND of their ORs is nonzero;
 * em: {top, bottom} and middle-pair masks over (4-subset, pair) slots; an
   election fails iff the OR of the first meets the OR of the second;
-* group-separable (direct): per subset size, one segment per subset holding
-  the bipartitions the ranking keeps apart; the AND over the voters leaves a
-  segment empty exactly for a subset no split serves;
+* group-separable (direct): the signature is the ranking; per subset size,
+  one segment per subset holds the bipartitions a ranking keeps apart, and
+  the AND over the voters leaves a segment empty exactly for a subset no
+  split serves;
+* group-separable-bh, enriched: the three medium masks, then the ranking; the
+  medium combine, then every unordered voter pair avoids the forbidden patterns
+  (both pattern sets are closed under inversion, so a pair avoids them one
+  way round iff it avoids them the other way);
+* enriched-recursive: the signature is the ranking; the combine is the
+  recursive characterization of the tuple of rankings;
 * single-peaked: masks of the axes a ranking fits; an election holds iff
-  their AND is nonzero.
+  their AND is nonzero;
+* single-crossing: one bit per candidate pair, set when the ranking puts the
+  smaller candidate first; a voter ordering works iff the XORs of consecutive
+  voters' bits are pairwise disjoint.
 
 A failing verdict carries a witness naming voters (1-based) and candidates
 whose induced sub-election still violates the domain condition; witnesses are
-read from the same signatures in a fixed scan order, lazily where that costs
-more than the boolean, so bulk counting only pays for the verdict.
+read in a fixed scan order when first asked for, so bulk counting only pays
+for the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, permutations
 from typing import Callable, Optional
 
@@ -134,12 +148,41 @@ def replay_witness(recognizer: Callable[[Election], DomainVerdict], e: Election,
     return not recognizer(sub_election(e, w.voters, w.candidates)).holds
 
 
-def _guard(e: Election) -> None:
-    if e.num_candidates > MAX_CANDIDATES or e.num_voters > MAX_VOTERS:
+def check_cap(m: int, n: int) -> None:
+    """Raise GuardExceeded unless (m, n) is within the recognizers' cap."""
+    if m > MAX_CANDIDATES or n > MAX_VOTERS:
         raise GuardExceeded(
-            f"recognizers are capped at m <= {MAX_CANDIDATES}, n <= {MAX_VOTERS}; "
-            f"got (m,n)=({e.num_candidates},{e.num_voters})"
+            f"recognizers are capped at m <= {MAX_CANDIDATES}, n <= {MAX_VOTERS}; got (m,n)=({m},{n})"
         )
+
+
+def _recognizer(signature: Callable, accepts: Callable[..., bool]):
+    """Decorator turning a witness finder into the recognizer whose verdict is
+    ``accepts`` on the voters' signatures.
+
+    The decorated function maps an election that ``accepts`` rejects to its
+    witness; it runs when the witness is first read.  ``accepts`` takes an
+    iterable of signatures in voter order and may stop before consuming it.
+    """
+
+    def build(find_witness: Callable[[Election], Witness]) -> Callable[[Election], DomainVerdict]:
+        @wraps(find_witness, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
+        def recognize(e: Election) -> DomainVerdict:
+            check_cap(e.num_candidates, e.num_voters)
+            if accepts(map(signature, [r.order for r in e.preferences])):
+                return DomainVerdict(True)
+            return DomainVerdict(False, finder=lambda: find_witness(e))
+
+        recognize.signature = signature
+        recognize.accepts = accepts
+        return recognize
+
+    return build
+
+
+def _order(order: tuple[int, ...]) -> tuple[int, ...]:
+    # the signature of the domains that combine the rankings themselves
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -167,44 +210,50 @@ def _middle_masks(order: tuple[int, ...]) -> tuple[int, int, int]:
     return masks[0], masks[1], masks[2]
 
 
-def is_medium_restricted(e: Election) -> DomainVerdict:
-    """No candidate triple has three voters each placing a different member in the middle."""
-    _guard(e)
+def _medium_conflicts(sigs) -> int:
+    # the triples (as bits) whose middle takes all three positions over the
+    # voters, from signatures that open with the three _middle_masks
     any0 = any1 = any2 = 0
-    for r in e.preferences:
-        m0, m1, m2 = _middle_masks(r.order)
-        any0 |= m0
-        any1 |= m1
-        any2 |= m2
-    bad = any0 & any1 & any2
-    if not bad:
-        return DomainVerdict(True)
+    for s in sigs:
+        any0 |= s[0]
+        any1 |= s[1]
+        any2 |= s[2]
+    return any0 & any1 & any2
+
+
+def _medium_accepts(sigs) -> bool:
+    return not _medium_conflicts(sigs)
+
+
+def _medium_witness(e: Election) -> Witness:
+    # the first conflicting triple, with the first voter for each middle
+    table = [_middle_masks(r.order) for r in e.preferences]
+    bad = _medium_conflicts(table)
     t = (bad & -bad).bit_length() - 1
-    return DomainVerdict(False, finder=lambda: _medium_witness(e, t))
-
-
-def _medium_witness(e: Election, t: int) -> Witness:
     first_voter_for = {}
-    for v, r in enumerate(e.preferences, start=1):
-        masks = _middle_masks(r.order)
+    for v, masks in enumerate(table, start=1):
         first_voter_for.setdefault(next(k for k in range(3) if masks[k] >> t & 1), v)
         if len(first_voter_for) == 3:
             break
     return Witness(tuple(sorted(first_voter_for.values())), _subsets(e.num_candidates, 3)[t])
 
 
+@_recognizer(_middle_masks, _medium_accepts)
+def is_medium_restricted(e: Election) -> Witness:
+    """No candidate triple has three voters each placing a different member in the middle."""
+    return _medium_witness(e)
+
+
 # ---------------------------------------------------------------------------
 # group-separability, direct definition
 
 
-def is_group_separable_direct(e: Election) -> DomainVerdict:
-    """Every candidate subset of size >= 2 splits into two blocks that each
-    voter ranks entirely above or entirely below one another."""
-    _guard(e)
-    m = e.num_candidates
-    orders = [r.order for r in e.preferences]
-    # every 2-subset splits, so the scan starts at size 3; sizes go up one at
-    # a time so that a failing election stops at the first size that fails
+def _first_unsplit(orders: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, int]]:
+    # (size, j): the first subset, in scan order, that no bipartition splits
+    # for every voter.  Every 2-subset splits, so the scan starts at size 3;
+    # sizes go up one at a time so that a failing election stops at the
+    # first size that fails
+    m = len(orders[0])
     for size in range(3, m + 1):
         common = -1
         for order in orders:
@@ -217,10 +266,20 @@ def is_group_separable_direct(e: Election) -> DomainVerdict:
             shift <<= 1
         empty = _segment_lows(m, size) & ~common
         if empty:
-            j = ((empty & -empty).bit_length() - 1) >> (size - 1)
-            voters = tuple(range(1, e.num_voters + 1))
-            return DomainVerdict(False, witness=Witness(voters, _subsets(m, size)[j]))
-    return DomainVerdict(True)
+            return size, ((empty & -empty).bit_length() - 1) >> (size - 1)
+    return None
+
+
+def _group_separable_accepts(orders) -> bool:
+    return _first_unsplit(tuple(orders)) is None
+
+
+@_recognizer(_order, _group_separable_accepts)
+def is_group_separable_direct(e: Election) -> Witness:
+    """Every candidate subset of size >= 2 splits into two blocks that each
+    voter ranks entirely above or entirely below one another."""
+    size, j = _first_unsplit(tuple(r.order for r in e.preferences))
+    return Witness(tuple(range(1, e.num_voters + 1)), _subsets(e.num_candidates, size)[j])
 
 
 @lru_cache(maxsize=None)
@@ -271,22 +330,47 @@ def _pair_avoids(ref: tuple[int, ...], other: tuple[int, ...], pats: tuple) -> b
     return not any(kernels.contains_pattern(perm, pat) for pat in pats)
 
 
-def _first_bad_pair(e: Election, pats: tuple) -> Optional[tuple[int, int]]:
+def _masks_and_order(order: tuple[int, ...]) -> tuple:
+    # the three _middle_masks, then the ranking itself
+    return (*_middle_masks(order), order)
+
+
+def _medium_and_pairs_accepts(pats: tuple) -> Callable[..., bool]:
+    """The combine of medium-restriction plus pairwise avoidance of ``pats``,
+    over ``_masks_and_order`` signatures.  ``pats`` must be closed under
+    inversion: then each unordered voter pair needs one check."""
+
+    def accepts(sigs) -> bool:
+        sigs = tuple(sigs)
+        if _medium_conflicts(sigs):
+            return False
+        for a, b in combinations(sigs, 2):
+            if not _pair_avoids(a[3], b[3], pats):
+                return False
+        return True
+
+    return accepts
+
+
+def _first_bad_pair(e: Election, pats: tuple) -> tuple[int, int]:
+    # the first ordered voter pair (1-based) whose permutation contains a pattern
     orders = [r.order for r in e.preferences]
     n = len(orders)
     for i in range(n):
         for j in range(n):
             if i != j and not _pair_avoids(orders[i], orders[j], pats):
                 return (i + 1, j + 1)
-    return None
+    raise AssertionError("pair witness requested for a clean election")
 
 
-def _pair_witness(e: Election, i: int, j: int, pats: tuple) -> Witness:
+def _medium_and_pairs_witness(e: Election, pats: tuple) -> Witness:
     from votelace.perms import occurrences
 
-    ref = e.preferences[i - 1]
+    if _medium_conflicts([_middle_masks(r.order) for r in e.preferences]):
+        return _medium_witness(e)
+    i, j = _first_bad_pair(e, pats)
     other = e.preferences[j - 1]
-    ranks = _rank_vector(ref.order)
+    ranks = _rank_vector(e.preferences[i - 1].order)
     perm = Permutation(tuple(ranks[c - 1] + 1 for c in other.order))
     for pat in pats:
         for occ in occurrences(Permutation(pat), perm):
@@ -295,38 +379,31 @@ def _pair_witness(e: Election, i: int, j: int, pats: tuple) -> Witness:
     raise AssertionError("pair witness requested for a clean pair")
 
 
-def is_group_separable_bh(e: Election) -> DomainVerdict:
+@_recognizer(_masks_and_order, _medium_and_pairs_accepts(_GS_PATS))
+def is_group_separable_bh(e: Election) -> Witness:
     """Group-separability via medium-restriction plus the forbidden 2-voter,
     4-candidate configuration (pairwise voter permutations avoiding 2413/3142)."""
-    medium = is_medium_restricted(e)
-    if not medium.holds:
-        return medium
-    bad = _first_bad_pair(e, _GS_PATS)
-    if bad is None:
-        return DomainVerdict(True)
-    i, j = bad
-    return DomainVerdict(False, finder=lambda: _pair_witness(e, i, j, _GS_PATS))
+    return _medium_and_pairs_witness(e, _GS_PATS)
 
 
-def is_enriched_group_separable(e: Election) -> DomainVerdict:
+@_recognizer(_masks_and_order, _medium_and_pairs_accepts(_ENRICHED_PATS))
+def is_enriched_group_separable(e: Election) -> Witness:
     """Group-separable and additionally avoiding the two extra 2-voter
     configurations: pairwise voter permutations avoid all four forbidden
     patterns, and the election stays medium-restricted."""
-    medium = is_medium_restricted(e)
-    if not medium.holds:
-        return medium
-    bad = _first_bad_pair(e, _ENRICHED_PATS)
-    if bad is None:
-        return DomainVerdict(True)
-    i, j = bad
-    return DomainVerdict(False, finder=lambda: _pair_witness(e, i, j, _ENRICHED_PATS))
+    return _medium_and_pairs_witness(e, _ENRICHED_PATS)
 
 
 # ---------------------------------------------------------------------------
 # enriched domain, recursive characterization
 
 
-def is_enriched_recursive(e: Election) -> DomainVerdict:
+def _recursive_accepts(orders) -> bool:
+    return _recursive_ok(tuple(orders))
+
+
+@_recognizer(_order, _recursive_accepts)
+def is_enriched_recursive(e: Election) -> Witness:
     """Recursive characterization of the enriched domain.
 
     After relabeling candidates so the first preference is the identity, some
@@ -334,10 +411,7 @@ def is_enriched_recursive(e: Election) -> DomainVerdict:
     reverse-identity block or one of two branch shapes (fixed prefix or fixed
     suffix), with the restriction to the free candidates again enriched.
     """
-    _guard(e)
-    if _recursive_ok(tuple(r.order for r in e.preferences)):
-        return DomainVerdict(True)
-    return DomainVerdict(False, finder=lambda: _minimized_witness(e, is_enriched_recursive))
+    return _minimized_witness(e, is_enriched_recursive)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -389,22 +463,19 @@ def _em_masks(order: tuple[int, ...]) -> tuple[int, int]:
     return ends, mids
 
 
-def em_condition(e: Election) -> DomainVerdict:
+def _em_accepts(sigs) -> bool:
+    any_ends = any_mids = 0
+    for ends, mids in sigs:
+        any_ends |= ends
+        any_mids |= mids
+    return not any_ends & any_mids
+
+
+@_recognizer(_em_masks, _em_accepts)
+def em_condition(e: Election) -> Witness:
     """For every 4-subset and ordered voter pair, one voter's {top, bottom}
     differs from the other's middle pair.  Equivalent to avoiding the four
     enriched forbidden configurations (without medium-restriction)."""
-    _guard(e)
-    any_ends = any_mids = 0
-    for r in e.preferences:
-        ends, mids = _em_masks(r.order)
-        any_ends |= ends
-        any_mids |= mids
-    if not any_ends & any_mids:
-        return DomainVerdict(True)
-    return DomainVerdict(False, finder=lambda: _em_witness(e))
-
-
-def _em_witness(e: Election) -> Witness:
     # the first (gamma, delta, 4-subset) in scan order whose ends and mids meet
     tables = [_em_masks(r.order) for r in e.preferences]
     for gamma, (ends, _) in enumerate(tables):
@@ -445,52 +516,61 @@ def _peak_mask(order: tuple[int, ...]) -> int:
     return mask
 
 
-def is_single_peaked(e: Election) -> DomainVerdict:
+def _single_peaked_accepts(masks) -> bool:
+    # stops at the first voter that leaves no axis, so later masks are never computed
+    common = -1
+    for mask in masks:
+        common &= mask
+        if not common:
+            return False
+    return True
+
+
+@_recognizer(_peak_mask, _single_peaked_accepts)
+def is_single_peaked(e: Election) -> Witness:
     """Some candidate axis exists on which every prefix of every voter's
     ranking is an interval.  Exhaustive over the m!/2 axes."""
-    _guard(e)
-    mask = -1
-    for r in e.preferences:
-        mask &= _peak_mask(r.order)
-        if mask == 0:
-            return DomainVerdict(False, finder=lambda: _minimized_witness(e, is_single_peaked))
-    return DomainVerdict(True)
+    return _minimized_witness(e, is_single_peaked)
 
 
 # ---------------------------------------------------------------------------
 # single-crossing
 
 
-def is_single_crossing(e: Election) -> DomainVerdict:
+@lru_cache(maxsize=None)
+def _pair_bits(order: tuple[int, ...]) -> int:
+    # bit t: the ranking puts the smaller candidate of pair t (in _subsets order) first
+    ranks = _rank_vector(order)
+    bits = 0
+    for t, (a, b) in enumerate(_subsets(len(order), 2)):
+        if ranks[a - 1] < ranks[b - 1]:
+            bits |= 1 << t
+    return bits
+
+
+def _single_crossing_accepts(sigs) -> bool:
+    # a voter ordering works iff no pair flips at two of its steps: the XORs
+    # of consecutive voters' bits are pairwise disjoint
+    sigs = tuple(sigs)
+    if len(sigs) <= 2:
+        return True
+    for line in permutations(sigs):
+        flipped = 0
+        for a, b in zip(line, line[1:]):
+            flips = a ^ b
+            if flips & flipped:
+                break
+            flipped |= flips
+        else:
+            return True
+    return False
+
+
+@_recognizer(_pair_bits, _single_crossing_accepts)
+def is_single_crossing(e: Election) -> Witness:
     """Some ordering of the voter tuple makes every candidate pair switch at
     most once.  Exhaustive over the n! voter orderings."""
-    _guard(e)
-    n = e.num_voters
-    if n <= 2:
-        return DomainVerdict(True)
-    ranks = e.rank_vectors()
-    m = e.num_candidates
-    prefer_first = [
-        tuple(r[a - 1] < r[b - 1] for r in ranks)
-        for a, b in combinations(range(1, m + 1), 2)
-    ]
-    for order in permutations(range(n)):
-        if all(_switches_at_most_once(bits, order) for bits in prefer_first):
-            return DomainVerdict(True)
-    return DomainVerdict(False, finder=lambda: _minimized_witness(e, is_single_crossing))
-
-
-def _switches_at_most_once(bits: tuple[bool, ...], order: tuple[int, ...]) -> bool:
-    switches = 0
-    prev = bits[order[0]]
-    for t in order[1:]:
-        cur = bits[t]
-        if cur != prev:
-            switches += 1
-            if switches > 1:
-                return False
-            prev = cur
-    return True
+    return _minimized_witness(e, is_single_crossing)
 
 
 # ---------------------------------------------------------------------------

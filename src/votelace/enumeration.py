@@ -1,8 +1,8 @@
 """Exact counting: brute-force counters, recurrences, closed forms, and bounds.
 
-All counts are exact arbitrary-precision integers; floating point appears only
-in :func:`reduced_enriched_count_closed`, which is validated against the
-integer recurrences (the recurrences are canonical).
+All counts are exact arbitrary-precision integers; closed forms with
+irrational roots are evaluated in the matching quadratic integer ring and
+validated against the integer recurrences (the recurrences are canonical).
 """
 
 from __future__ import annotations
@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations as _itertools_permutations
+from itertools import permutations as _itertools_permutations, product
 from typing import Callable, Optional
 
-from votelace.elections import Election, Ranking, all_elections, elections_with_first
+from votelace.domains import check_cap
+from votelace.elections import Election
 from votelace.errors import GuardExceeded
 from votelace.guards import brute_call_guard
 from votelace.pairs import PairPattern, PairPatternSet, count_pair_avoiders
@@ -50,26 +51,6 @@ class CountReport:
         return cls(raw["m"], raw["n"], raw["label"], int(raw["count"]), raw["method"])
 
 
-@dataclass(frozen=True)
-class CharacteristicRoot:
-    """The square root of 2^(n-1) * (2^(n-1) - 1), the discriminant root of
-    the enriched-count recurrence's characteristic polynomial."""
-
-    n: int
-    value: float
-
-    def __post_init__(self):
-        target = 2 ** (self.n - 1) * (2 ** (self.n - 1) - 1)
-        if abs(self.value**2 - target) > 1e-12 * max(target, 1):
-            raise ValueError(f"inconsistent root {self.value} for n={self.n}")
-
-    @classmethod
-    def for_voters(cls, n: int) -> "CharacteristicRoot":
-        if n < 1:
-            raise ValueError("need at least one voter")
-        return cls(n, math.sqrt(2 ** (n - 1) * (2 ** (n - 1) - 1)))
-
-
 def brute_force_count(
     m: int,
     n: int,
@@ -80,35 +61,45 @@ def brute_force_count(
 ) -> CountReport:
     """Count the (m,n)-elections accepted by ``recognizer``, exhaustively.
 
-    The recognizer is called once per election; its result is interpreted as a
-    boolean (DomainVerdict supports this directly).  With ``jobs > 1`` the
-    enumeration is partitioned by the first voter's ranking and partial counts
-    merge by addition, so the result is independent of the worker count.
+    ``recognizer`` is one of :data:`votelace.domains.DOMAINS` (or a
+    ``functools.wraps`` wrapper of one): its ``signature`` is computed once
+    per ranking, and its ``accepts`` combine runs on every one of the (m!)^n
+    tuples of signatures, in the lexicographic order of
+    :func:`votelace.elections.all_elections`, without building the elections.
+    With ``jobs > 1`` the tuples are partitioned by the first voter's ranking
+    and partial counts merge by addition, so the result is independent of the
+    worker count.
     """
+    if label is None:
+        label = getattr(recognizer, "__name__", "recognizer")
+    if not (callable(getattr(recognizer, "signature", None)) and callable(getattr(recognizer, "accepts", None))):
+        raise TypeError(f"{label} has no signature and accepts combine; pass a recognizer from DOMAINS")
+    if m < 1 or n < 1:
+        raise ValueError("an election needs at least one candidate and one voter")
     if guard is None:
         guard = brute_call_guard()
     total = math.factorial(m) ** n
     if total > guard:
         raise GuardExceeded(f"(m!)^n = {total} recognizer calls at (m,n)=({m},{n}) exceeds the guard {guard}")
-    if label is None:
-        label = getattr(recognizer, "__name__", "recognizer")
+    check_cap(m, n)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        firsts = [Ranking(v) for v in _itertools_permutations(range(1, m + 1))]
+        firsts = _itertools_permutations(range(1, m + 1))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _count_with_first, ((m, n, first, recognizer) for first in firsts)
-            )
-            count = sum(parts)
+            count = sum(pool.map(_count_slice, ((m, n, recognizer, first) for first in firsts)))
     else:
-        count = sum(1 for e in all_elections(m, n, limit=guard) if recognizer(e))
+        count = _count_slice((m, n, recognizer, None))
     return CountReport(m, n, label, count, "brute-force")
 
 
-def _count_with_first(args):
-    m, n, first, recognizer = args
-    return sum(1 for e in elections_with_first(m, n, first) if recognizer(e))
+def _count_slice(args) -> int:
+    # the accepted tuples whose first ranking is ``first`` (every tuple when None)
+    m, n, recognizer, first = args
+    signature = recognizer.signature
+    table = [signature(order) for order in _itertools_permutations(range(1, m + 1))]
+    heads = table if first is None else [signature(first)]
+    return sum(map(recognizer.accepts, product(heads, *[table] * (n - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +124,25 @@ def enriched_count(m: int, n: int) -> int:
     return math.factorial(m) * reduced_enriched_count(m, n)
 
 
-def reduced_enriched_count_closed(m: int, n: int) -> float:
-    """Closed form of :func:`reduced_enriched_count` in floating point.
+def reduced_enriched_count_closed(m: int, n: int) -> int:
+    """Closed form of :func:`reduced_enriched_count`, evaluated exactly.
 
-    The two characteristic roots are 2^(n-1) +- r with r the discriminant
-    root.  At n = 1 the roots coincide (r = 0) and both coefficients
-    degenerate to 1/2, so the value is exactly 1 for every m.
+    With h = 2^(n-1) the characteristic roots are h +- r, r^2 = D = h(h-1),
+    and f(m) = c+ (h+r)^m + c- (h-r)^m with c+- = (r +- (1-h)) / 2r.  Writing
+    (h+r)^m = a + b r in Z[sqrt D], so that (h-r)^m = a - b r, the r parts
+    cancel and f(m) = a + (1-h) b.  At n = 1 the roots coincide (D = 0) and
+    the value is 1 for every m.
     """
     if n < 1:
         raise ValueError("need at least one voter")
-    root = CharacteristicRoot.for_voters(n).value
-    half = 2.0 ** (n - 1)
-    if root == 0.0:
-        return 0.5 * (half**m) + 0.5 * (half**m)
-    coeff_plus = (root + (1.0 - half)) / (2.0 * root)
-    coeff_minus = (root - (1.0 - half)) / (2.0 * root)
-    return coeff_plus * (half + root) ** m + coeff_minus * (half - root) ** m
+    if m < 0:
+        raise ValueError("sizes are nonnegative")
+    h = 2 ** (n - 1)
+    d = h * (h - 1)
+    a, b = 1, 0
+    for _ in range(m):
+        a, b = h * a + d * b, a + h * b
+    return a + (1 - h) * b
 
 
 _FORMULAS = ("m3", "m4", "m5", "n2")
@@ -267,15 +261,6 @@ def upper_bound_3config(m: int, n: int, pi_set: PairPatternSet, max_m: int = 6, 
 
 
 def single_crossing_pair_patterns() -> PairPatternSet:
-    """The six pair patterns every single-crossing election must avoid
-    (via its known forbidden configuration with three voters)."""
-    return PairPatternSet(
-        [
-            PairPattern.of((4, 2, 3, 1), (4, 1, 3, 2)),
-            PairPattern.of((4, 1, 3, 2), (4, 2, 3, 1)),
-            PairPattern.of((4, 2, 3, 1), (1, 4, 3, 2)),
-            PairPattern.of((1, 4, 3, 2), (4, 2, 3, 1)),
-            PairPattern.of((2, 4, 3, 1), (1, 4, 3, 2)),
-            PairPattern.of((1, 4, 3, 2), (2, 4, 3, 1)),
-        ]
-    )
+    """The six pair patterns every single-crossing election must avoid:
+    those of its forbidden 3-voter configuration (id, 1432, 2431)."""
+    return three_voter_pattern_set(Permutation((1, 4, 3, 2)), Permutation((2, 4, 3, 1)))

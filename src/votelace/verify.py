@@ -184,9 +184,8 @@ def suite_closed_forms(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     for m in range(0, 11):
         for n in range(1, 9):
             exact = reduced_enriched_count(m, n)
-            approx = reduced_enriched_count_closed(m, n)
-            rel = abs(approx - exact) / exact
-            res.check(rel <= 1e-9, f"closed form at (m,n)=({m},{n}): {approx} vs {exact} (rel {rel:.2e})")
+            closed = reduced_enriched_count_closed(m, n)
+            res.check(closed == exact, f"closed form at (m,n)=({m},{n}): {closed} vs {exact}")
     for selector, size in (("m3", 3), ("m4", 4), ("m5", 5)):
         for n in range(1, 11):
             formula = enriched_count_formula(selector, n)

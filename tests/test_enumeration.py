@@ -8,7 +8,6 @@ from helpers import perm, symmetric_group
 from votelace.domains import is_enriched_group_separable, is_single_peaked
 from votelace.elections import Election, contains_configuration
 from votelace.enumeration import (
-    CharacteristicRoot,
     CountReport,
     brute_force_count,
     contains_3voter,
@@ -82,16 +81,6 @@ class TestClosedForm:
             for n in range(1, 9):
                 exact = reduced_enriched_count(m, n)
                 assert abs(reduced_enriched_count_closed(m, n) - exact) <= 1e-9 * exact
-
-    def test_characteristic_root(self):
-        for n in range(1, 11):
-            root = CharacteristicRoot.for_voters(n)
-            target = 2 ** (n - 1) * (2 ** (n - 1) - 1)
-            assert abs(root.value**2 - target) <= 1e-12 * max(target, 1)
-        with pytest.raises(ValueError):
-            CharacteristicRoot(3, 1.0)
-        with pytest.raises(ValueError):
-            CharacteristicRoot.for_voters(0)
 
 
 class TestFormulas:
@@ -245,6 +234,17 @@ class TestSingleCrossingPatterns:
         assert len(pi_set) == 6
         assert PairPattern(perm("4231"), perm("4132")) in pi_set
         assert all(len(q) == 4 for q in pi_set)
+
+    def test_derived_set_equals_the_literal_pairs(self):
+        literal = [
+            ((1, 4, 3, 2), (2, 4, 3, 1)),
+            ((1, 4, 3, 2), (4, 2, 3, 1)),
+            ((2, 4, 3, 1), (1, 4, 3, 2)),
+            ((4, 1, 3, 2), (4, 2, 3, 1)),
+            ((4, 2, 3, 1), (1, 4, 3, 2)),
+            ((4, 2, 3, 1), (4, 1, 3, 2)),
+        ]
+        assert [(q.first.values, q.second.values) for q in single_crossing_pair_patterns()] == literal
 
 
 def test_single_peaked_coincidence_at_four_candidates():
