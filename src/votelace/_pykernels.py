@@ -1,33 +1,33 @@
-"""Pure-Python containment kernels.
+"""Pure-Python containment kernels: one search per containment kind.
 
-These are the hot inner loops of every exhaustive count in the package:
-classical pattern containment, strong containment of pair patterns, generic
-configuration containment, and the axis-interval check behind single-peaked
-recognition.  ``votelace._ckernels`` is a compiled drop-in replacement; both
-backends must return identical results on identical inputs (see
-tests/test_kernels.py).
+Each search is a depth-first generator over plain tuples of ints that yields
+every witness in a fixed order: :func:`pattern_occurrences`,
+:func:`strong_occurrences` and :func:`configuration_embeddings`.  The boolean
+kernels are "the stream yields something"; ``perms``, ``pairs`` and
+``elections`` wrap the streams for their witnesses.  ``votelace._ckernels``
+is a compiled drop-in replacement for the four boolean kernels; both backends
+must return identical results on identical inputs (see tests/test_kernels.py).
 
-All arguments are plain tuples of ints.  Permutations are in one-line
-notation with values 1..n; rank vectors are 0-based positions indexed by
-candidate-1.
+Permutations are in one-line notation with values 1..n; rank vectors are
+0-based positions indexed by candidate-1.
 """
 
 from itertools import permutations
 
 
-def contains_pattern(host, pattern):
-    """True iff some index-increasing subsequence of ``host`` is order-isomorphic to ``pattern``."""
+def pattern_occurrences(host, pattern):
+    """Yield every index-increasing tuple of 0-based ``host`` positions whose
+    values are order-isomorphic to ``pattern``, in lexicographic order."""
     k = len(pattern)
     n = len(host)
-    if k == 0:
-        return True
     if k > n:
-        return False
+        return
     chosen = [0] * k
 
     def extend(depth, start):
         if depth == k:
-            return True
+            yield tuple(chosen)
+            return
         # not enough host entries left for the remaining pattern entries
         for i in range(start, n - (k - depth) + 1):
             v = host[i]
@@ -38,22 +38,22 @@ def contains_pattern(host, pattern):
                     break
             if ok:
                 chosen[depth] = i
-                if extend(depth + 1, i + 1):
-                    return True
-        return False
+                yield from extend(depth + 1, i + 1)
 
-    return extend(0, 0)
+    yield from extend(0, 0)
 
 
-def strong_contains(big_first, big_second, small_first, small_second):
-    """True iff one set of values realizes ``small_first`` in ``big_first``
-    and ``small_second`` in ``big_second`` simultaneously."""
+def strong_occurrences(big_first, big_second, small_first, small_second):
+    """Yield every increasing tuple of values that realizes ``small_first``
+    in ``big_first`` and ``small_second`` in ``big_second`` simultaneously,
+    in lexicographic order."""
     h = len(small_first)
     n = len(big_first)
     if h == 0:
-        return True
+        yield ()
+        return
     if h > n:
-        return False
+        return
     # pos*[v-1] = position of value v in the host permutation
     pos1 = [0] * n
     pos2 = [0] * n
@@ -71,7 +71,8 @@ def strong_contains(big_first, big_second, small_first, small_second):
 
     def extend(depth, start):
         if depth == h:
-            return True
+            yield tuple(chosen)
+            return
         for v in range(start, n - (h - depth) + 2):
             p1 = pos1[v - 1]
             p2 = pos2[v - 1]
@@ -86,38 +87,37 @@ def strong_contains(big_first, big_second, small_first, small_second):
                     break
             if ok:
                 chosen[depth] = v
-                if extend(depth + 1, v + 1):
-                    return True
-        return False
+                yield from extend(depth + 1, v + 1)
 
-    return extend(0, 1)
+    yield from extend(0, 1)
 
 
-def contains_configuration(host_ranks, cfg_ranks):
-    """Generic configuration containment via exhaustive injections.
+def configuration_embeddings(host_ranks, cfg_ranks):
+    """Yield every pair of injective maps (f, g) that embeds a configuration.
 
     ``host_ranks``/``cfg_ranks`` are tuples of rank vectors, one per voter:
     ranks[v][c-1] is the position of candidate c in voter v's ranking.
-    Searches an injective voter map f and an injective candidate map g such
-    that every preference stated by the configuration is preserved.
+    ``f[i]`` is the 0-based host voter for configuration voter i+1 and
+    ``g[s]`` the host candidate for configuration candidate s+1.  Voter maps
+    come in ``itertools.permutations`` order, then candidate maps in
+    lexicographic order.
     """
     n = len(host_ranks)
     l = len(cfg_ranks)
     if l > n:
-        return False
+        return
     m = len(host_ranks[0]) if n else 0
     h = len(cfg_ranks[0]) if l else 0
     if h > m:
-        return False
-    if l == 0 or h == 0:
-        return True
+        return
 
     assigned = [0] * h  # assigned[s] = host candidate (1-based) for cfg candidate s+1
     used = [False] * m
 
     def place(f, depth):
         if depth == h:
-            return True
+            yield tuple(assigned)
+            return
         for c in range(1, m + 1):
             if used[c - 1]:
                 continue
@@ -134,15 +134,34 @@ def contains_configuration(host_ranks, cfg_ranks):
             if ok:
                 assigned[depth] = c
                 used[c - 1] = True
-                if place(f, depth + 1):
-                    used[c - 1] = False
-                    return True
+                yield from place(f, depth + 1)
                 used[c - 1] = False
-        return False
 
     for f in permutations(range(n), l):
-        if place(f, 0):
-            return True
+        for g in place(f, 0):
+            yield f, g
+
+
+def contains_pattern(host, pattern):
+    """True iff some index-increasing subsequence of ``host`` is order-isomorphic to ``pattern``."""
+    for _ in pattern_occurrences(host, pattern):
+        return True
+    return False
+
+
+def strong_contains(big_first, big_second, small_first, small_second):
+    """True iff one set of values realizes ``small_first`` in ``big_first``
+    and ``small_second`` in ``big_second`` simultaneously."""
+    for _ in strong_occurrences(big_first, big_second, small_first, small_second):
+        return True
+    return False
+
+
+def contains_configuration(host_ranks, cfg_ranks):
+    """True iff some injective voter and candidate maps embed ``cfg_ranks``
+    in ``host_ranks`` (see :func:`configuration_embeddings`)."""
+    for _ in configuration_embeddings(host_ranks, cfg_ranks):
+        return True
     return False
 
 

@@ -5,7 +5,8 @@ strict rankings (best-to-worst).  A configuration is a small election used as
 a forbidden sub-structure: an election contains it when injective voter and
 candidate maps preserve every stated preference.  Voters are significant as
 tuple positions; elections with equal ranking multisets in different orders
-are distinct objects.
+are distinct objects.  The search is ``_pykernels.configuration_embeddings``;
+:func:`find_embedding` takes its first embedding, voters made 1-based.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from itertools import permutations as _itertools_permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from votelace import kernels
+from votelace import _pykernels, kernels
 from votelace.errors import GuardExceeded, ParseError
 from votelace.guards import brute_call_guard
 from votelace.perms import Permutation
@@ -169,48 +170,8 @@ def find_embedding(
     Returns (f, g): f[i] is the 1-based election voter hosting configuration
     voter i+1, g[s] the election candidate hosting configuration candidate s+1.
     """
-    host = e.rank_vectors()
-    cfgr = cfg.rank_vectors()
-    n, l = len(host), len(cfgr)
-    if l > n:
-        return None
-    m, h = e.num_candidates, cfg.num_candidates
-    if h > m:
-        return None
-
-    assigned: list[int] = []
-    used = [False] * m
-
-    def place(f: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        depth = len(assigned)
-        if depth == h:
-            return tuple(assigned)
-        for c in range(1, m + 1):
-            if used[c - 1]:
-                continue
-            ok = True
-            for t, ct in enumerate(assigned):
-                for i in range(l):
-                    hr = host[f[i]]
-                    if (cfgr[i][t] < cfgr[i][depth]) != (hr[ct - 1] < hr[c - 1]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                assigned.append(c)
-                used[c - 1] = True
-                found = place(f)
-                assigned.pop()
-                used[c - 1] = False
-                if found is not None:
-                    return found
-        return None
-
-    for f in _itertools_permutations(range(n), l):
-        g = place(f)
-        if g is not None:
-            return tuple(i + 1 for i in f), g
+    for f, g in _pykernels.configuration_embeddings(e.rank_vectors(), cfg.rank_vectors()):
+        return tuple(i + 1 for i in f), g
     return None
 
 

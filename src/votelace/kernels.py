@@ -1,65 +1,33 @@
-"""Backend selection for the containment kernels.
+"""The containment kernels, bound once at import.
 
-At import time the compiled extension (``votelace._ckernels``) is preferred;
-if it is missing the pure-Python twin is used.  Set ``VOTELACE_BACKEND`` to
-``python`` or ``c`` to force a backend, or call :func:`use_backend` at
-runtime (the benchmark does this to compare the two).
+The compiled extension (``votelace._ckernels``) is used when it imports,
+the pure-Python ``votelace._pykernels`` otherwise.  Set ``VOTELACE_BACKEND``
+to ``python`` or ``c`` to force a backend; any other value, or ``c`` without
+the extension, raises ``ValueError`` on import.  There is no runtime switch:
+the four kernels below are the chosen backend's own functions.
 """
 
 import os
 
 from votelace import _pykernels
 
-_BACKENDS = {"python": _pykernels}
-
 try:
     from votelace import _ckernels
-
-    _BACKENDS["c"] = _ckernels
 except ImportError:
     _ckernels = None
 
-_impl = None
-_active = None
+_BACKENDS = {"python": _pykernels, "c": _ckernels}
+_active = os.environ.get("VOTELACE_BACKEND") or ("python" if _ckernels is None else "c")
+_impl = _BACKENDS.get(_active)
+if _impl is None:
+    built = ", ".join(name for name, module in _BACKENDS.items() if module is not None)
+    raise ValueError(f"unknown kernel backend {_active!r}; have {built}")
 
-
-def available_backends():
-    return tuple(sorted(_BACKENDS))
+contains_pattern = _impl.contains_pattern
+strong_contains = _impl.strong_contains
+contains_configuration = _impl.contains_configuration
+fits_axis = _impl.fits_axis
 
 
 def active_backend():
     return _active
-
-
-def use_backend(name):
-    """Switch the kernel implementation; returns the previously active name."""
-    global _impl, _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; have {available_backends()}")
-    previous = _active
-    _impl = _BACKENDS[name]
-    _active = name
-    return previous
-
-
-def contains_pattern(host, pattern):
-    return _impl.contains_pattern(host, pattern)
-
-
-def strong_contains(big_first, big_second, small_first, small_second):
-    return _impl.strong_contains(big_first, big_second, small_first, small_second)
-
-
-def contains_configuration(host_ranks, cfg_ranks):
-    return _impl.contains_configuration(host_ranks, cfg_ranks)
-
-
-def fits_axis(order, axis_pos):
-    return _impl.fits_axis(order, axis_pos)
-
-
-_requested = os.environ.get("VOTELACE_BACKEND")
-if _requested:
-    use_backend(_requested)
-else:
-    use_backend("c" if "c" in _BACKENDS else "python")

@@ -4,7 +4,8 @@ A pair pattern [small.first, small.second] is strongly contained in
 [big.first, big.second] when one common set of values realizes the first
 component inside big.first and the second component inside big.second.
 Witnesses are therefore reported as value sets, not index tuples: the same
-values sit at different positions in the two host permutations.
+values sit at different positions in the two host permutations.  The search
+is ``_pykernels.strong_occurrences``; :func:`strong_occurrences` only makes sets.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator
 
-from votelace import kernels
+from votelace import _pykernels, kernels
 from votelace.errors import GuardExceeded, ParseError
 from votelace.perms import Permutation
 
@@ -109,36 +110,10 @@ def strong_occurrences(small: PairPattern, big: PairPattern) -> Iterator[frozens
 
     The stream is empty iff :func:`strong_contains` is false.
     """
-    h = len(small)
-    n = len(big)
-    if h > n:
-        return
-    if h == 0:
-        yield frozenset()
-        return
-    pos1 = {v: i for i, v in enumerate(big.first.values)}
-    pos2 = {v: i for i, v in enumerate(big.second.values)}
-    q1 = small.first.inverse().values
-    q2 = small.second.inverse().values
-    chosen: list[int] = []
-
-    def extend(start: int) -> Iterator[frozenset[int]]:
-        depth = len(chosen)
-        if depth == h:
-            yield frozenset(chosen)
-            return
-        for v in range(start, n - (h - depth) + 2):
-            ok = all(
-                (pos1[w] < pos1[v]) == (q1[t] < q1[depth])
-                and (pos2[w] < pos2[v]) == (q2[t] < q2[depth])
-                for t, w in enumerate(chosen)
-            )
-            if ok:
-                chosen.append(v)
-                yield from extend(v + 1)
-                chosen.pop()
-
-    yield from extend(1)
+    for values in _pykernels.strong_occurrences(
+        big.first.values, big.second.values, small.first.values, small.second.values
+    ):
+        yield frozenset(values)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A permutation of length n is stored as the tuple of its values at positions
 1..n; the empty permutation is legal and is a pattern of everything.
-Values and positions are 1-indexed throughout.
+Values and positions are 1-indexed throughout.  The search is
+``_pykernels.pattern_occurrences``; :func:`occurrences` only shifts its indices.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator
 
-from votelace import kernels
+from votelace import _pykernels, kernels
 from votelace.errors import GuardExceeded, ParseError
 
 #: default exhaustive-generation cap: 9! permutations enumerate instantly,
@@ -108,39 +109,14 @@ def contains_pattern(pattern: Permutation, host: Permutation) -> bool:
     return kernels.contains_pattern(host.values, pattern.values)
 
 
-def avoids_all(host: Permutation, forbidden: "PatternSet") -> bool:
-    """True iff ``host`` contains none of the forbidden patterns."""
-    hv = host.values
-    return not any(kernels.contains_pattern(hv, p.values) for p in forbidden)
-
-
 def occurrences(pattern: Permutation, host: Permutation) -> Iterator[tuple[int, ...]]:
     """Yield every strictly increasing index tuple (1-based) whose values
     are order-isomorphic to ``pattern``, in lexicographic order.
 
     The stream is empty iff :func:`contains_pattern` is false.
     """
-    pat = pattern.values
-    hv = host.values
-    k = len(pat)
-    n = len(hv)
-    if k > n:
-        return
-    chosen: list[int] = []
-
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        depth = len(chosen)
-        if depth == k:
-            yield tuple(i + 1 for i in chosen)
-            return
-        for i in range(start, n - (k - depth) + 1):
-            v = hv[i]
-            if all((pat[t] < pat[depth]) == (hv[chosen[t]] < v) for t in range(depth)):
-                chosen.append(i)
-                yield from extend(i + 1)
-                chosen.pop()
-
-    yield from extend(0)
+    for occ in _pykernels.pattern_occurrences(host.values, pattern.values):
+        yield tuple(i + 1 for i in occ)
 
 
 class PatternSet:

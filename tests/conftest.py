@@ -2,7 +2,4 @@ from votelace import kernels
 
 
 def pytest_report_header(config):
-    return (
-        f"votelace kernel backend: {kernels.active_backend()} "
-        f"(available: {', '.join(kernels.available_backends())})"
-    )
+    return f"votelace kernel backend: {kernels.active_backend()}"

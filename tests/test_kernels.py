@@ -1,13 +1,17 @@
 """The compiled kernels must agree with the pure-Python twins everywhere."""
 
+import importlib.util
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
 
-from votelace import _pykernels, kernels
+from votelace import _pykernels
 
-has_c = "c" in kernels.available_backends()
+has_c = importlib.util.find_spec("votelace._ckernels") is not None
 needs_c = pytest.mark.skipif(not has_c, reason="compiled kernels not built")
 
 
@@ -64,36 +68,25 @@ def test_fits_axis_agrees_exhaustively():
             assert ck.fits_axis(order, axis) == _pykernels.fits_axis(order, axis)
 
 
-def test_backend_switching_round_trip():
-    start = kernels.active_backend()
-    try:
-        for name in kernels.available_backends():
-            kernels.use_backend(name)
-            assert kernels.active_backend() == name
-            assert kernels.contains_pattern((5, 2, 6, 1, 4, 3), (3, 1, 2))
-            assert not kernels.contains_pattern((5, 2, 6, 1, 4, 3), (1, 2, 3))
-    finally:
-        kernels.use_backend(start)
+def _import_kernels(backend):
+    probe = "from votelace import kernels; print(kernels.active_backend())"
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "VOTELACE_BACKEND": backend},
+        capture_output=True,
+        text=True,
+    )
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.use_backend("fortran")
+    out = _import_kernels("fortran")
+    assert out.returncode != 0
+    assert "ValueError" in out.stderr and "fortran" in out.stderr
 
 
 def test_backend_env_var_honored():
-    import os
-    import subprocess
-    import sys
-
-    probe = "from votelace import kernels; print(kernels.active_backend())"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "VOTELACE_BACKEND": "python"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    out = _import_kernels("python")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "python"
 
 
