@@ -1,11 +1,13 @@
 """Build script for the optional compiled containment kernels.
 
-The extension is a pure speedup: if Cython or a C compiler is missing, the
-build degrades to the pure-Python kernels and the package stays fully
-functional (``votelace.kernels`` picks the backend at import time).
+The extension is compiled from the tracked ``src/votelace/_ckernels.c``, so
+building needs only a C compiler.  That file is generated from
+``_ckernels.pyx`` and committed with it (see README).  The extension is a
+pure speedup: without a C compiler the build degrades to the pure-Python
+kernels and the package stays fully functional (``votelace.kernels`` picks
+the backend at import time).
 """
 
-import os
 import sys
 
 from setuptools import Extension, setup
@@ -28,19 +30,6 @@ class OptionalBuildExt(build_ext):
             print(f"warning: could not build {ext.name} ({exc})", file=sys.stderr)
 
 
-def extensions():
-    if os.environ.get("VOTELACE_NO_EXT") == "1":
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "votelace._ckernels",
-        ["src/votelace/_ckernels.pyx"],
-        extra_compile_args=["-O3"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
+CKERNELS = Extension("votelace._ckernels", ["src/votelace/_ckernels.c"], extra_compile_args=["-O3"])
 
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[CKERNELS], cmdclass={"build_ext": OptionalBuildExt})

@@ -3,8 +3,8 @@
 Each restriction the package knows about is implemented in every formulation
 available for it (direct definition, forbidden configurations, recursive
 characterization, ...), so the formulations can be tested against each other.
-Recognizers are exponential-time by design: subset, axis, and voter-order
-exhaustion at desk scale, guarded by a hard cap.
+Recognizers are exponential-time by design: subset and axis exhaustion at
+desk scale, guarded by a hard cap.
 
 Every recognizer is a per-ranking ``signature(order)`` plus an
 ``accepts(sigs)`` combine over the voters' signatures, both attached to the
@@ -31,8 +31,9 @@ more than a lookup are cached on the ranking.
 * single-peaked: masks of the axes a ranking fits; an election holds iff
   their AND is nonzero;
 * single-crossing: one bit per candidate pair, set when the ranking puts the
-  smaller candidate first; a voter ordering works iff the XORs of consecutive
-  voters' bits are pairwise disjoint.
+  smaller candidate first; the election holds iff the XORs of the voters'
+  bits with a voter farthest (most bits apart) from the first voter form a
+  chain under inclusion.
 
 A failing verdict carries a witness naming voters (1-based) and candidates
 whose induced sub-election still violates the domain condition; witnesses are
@@ -43,7 +44,7 @@ for the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from itertools import combinations, permutations
 from typing import Callable, Optional
 
@@ -77,10 +78,6 @@ ENRICHED_FORBIDDEN_CONFIGURATIONS = (
     Election.from_rows([(1, 3, 2, 4), (2, 1, 4, 3)]),
     Election.from_rows([(1, 3, 2, 4), (2, 4, 1, 3)]),
 )
-
-#: the 2-voter, 4-candidate configuration whose avoidance (on top of
-#: medium-restriction) defines group-separability
-GROUP_SEPARABLE_FORBIDDEN_CONFIGURATION = Election.from_rows([(1, 2, 3, 4), (2, 4, 1, 3)])
 
 _GS_PATS = tuple(p.values for p in GROUP_SEPARABLE_FORBIDDEN)
 _ENRICHED_PATS = tuple(p.values for p in ENRICHED_FORBIDDEN)
@@ -335,21 +332,18 @@ def _masks_and_order(order: tuple[int, ...]) -> tuple:
     return (*_middle_masks(order), order)
 
 
-def _medium_and_pairs_accepts(pats: tuple) -> Callable[..., bool]:
+def _medium_and_pairs_accepts(pats: tuple, sigs) -> bool:
     """The combine of medium-restriction plus pairwise avoidance of ``pats``,
     over ``_masks_and_order`` signatures.  ``pats`` must be closed under
-    inversion: then each unordered voter pair needs one check."""
-
-    def accepts(sigs) -> bool:
-        sigs = tuple(sigs)
-        if _medium_conflicts(sigs):
+    inversion: then each unordered voter pair needs one check.  Recognizers
+    bind ``pats`` with ``functools.partial``, which pickles for ``--jobs``."""
+    sigs = tuple(sigs)
+    if _medium_conflicts(sigs):
+        return False
+    for a, b in combinations(sigs, 2):
+        if not _pair_avoids(a[3], b[3], pats):
             return False
-        for a, b in combinations(sigs, 2):
-            if not _pair_avoids(a[3], b[3], pats):
-                return False
-        return True
-
-    return accepts
+    return True
 
 
 def _first_bad_pair(e: Election, pats: tuple) -> tuple[int, int]:
@@ -379,14 +373,14 @@ def _medium_and_pairs_witness(e: Election, pats: tuple) -> Witness:
     raise AssertionError("pair witness requested for a clean pair")
 
 
-@_recognizer(_masks_and_order, _medium_and_pairs_accepts(_GS_PATS))
+@_recognizer(_masks_and_order, partial(_medium_and_pairs_accepts, _GS_PATS))
 def is_group_separable_bh(e: Election) -> Witness:
     """Group-separability via medium-restriction plus the forbidden 2-voter,
     4-candidate configuration (pairwise voter permutations avoiding 2413/3142)."""
     return _medium_and_pairs_witness(e, _GS_PATS)
 
 
-@_recognizer(_masks_and_order, _medium_and_pairs_accepts(_ENRICHED_PATS))
+@_recognizer(_masks_and_order, partial(_medium_and_pairs_accepts, _ENRICHED_PATS))
 def is_enriched_group_separable(e: Election) -> Witness:
     """Group-separable and additionally avoiding the two extra 2-voter
     configurations: pairwise voter permutations avoid all four forbidden
@@ -549,27 +543,34 @@ def _pair_bits(order: tuple[int, ...]) -> int:
 
 
 def _single_crossing_accepts(sigs) -> bool:
-    # a voter ordering works iff no pair flips at two of its steps: the XORs
-    # of consecutive voters' bits are pairwise disjoint
+    # the election is single-crossing iff its disagreement sets with a voter
+    # farthest from the first voter, ordered by size, are nested.  Along a
+    # valid voter ordering the disagreement of two voters is the disjoint
+    # union of the flips between them, so such a voter ranks like an end of
+    # the line, and the sets seen from an end grow along it; conversely,
+    # nested sets ordered by size flip every pair at most once
     sigs = tuple(sigs)
     if len(sigs) <= 2:
         return True
-    for line in permutations(sigs):
-        flipped = 0
-        for a, b in zip(line, line[1:]):
-            flips = a ^ b
-            if flips & flipped:
-                break
-            flipped |= flips
-        else:
-            return True
-    return False
+    first = far = sigs[0]
+    most = 0
+    for s in sigs:
+        d = (s ^ first).bit_count()
+        if d > most:
+            far, most = s, d
+    inner = 0
+    for d in sorted([s ^ far for s in sigs], key=int.bit_count):
+        if inner & ~d:
+            return False
+        inner = d
+    return True
 
 
 @_recognizer(_pair_bits, _single_crossing_accepts)
 def is_single_crossing(e: Election) -> Witness:
     """Some ordering of the voter tuple makes every candidate pair switch at
-    most once.  Exhaustive over the n! voter orderings."""
+    most once.  Decided without trying orderings: the voters' disagreement
+    sets with a voter farthest from the first one must be nested."""
     return _minimized_witness(e, is_single_crossing)
 
 

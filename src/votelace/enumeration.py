@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations as _itertools_permutations, product
 from typing import Callable, Optional
 
 from votelace.domains import check_cap
@@ -18,7 +17,7 @@ from votelace.elections import Election
 from votelace.errors import GuardExceeded
 from votelace.guards import brute_call_guard
 from votelace.pairs import PairPattern, PairPatternSet, count_pair_avoiders
-from votelace.perms import Permutation, compose
+from votelace.perms import Permutation, compose, count_accepted
 
 METHODS = ("brute-force", "recurrence", "closed-form", "formula")
 
@@ -62,13 +61,12 @@ def brute_force_count(
     """Count the (m,n)-elections accepted by ``recognizer``, exhaustively.
 
     ``recognizer`` is one of :data:`votelace.domains.DOMAINS` (or a
-    ``functools.wraps`` wrapper of one): its ``signature`` is computed once
-    per ranking, and its ``accepts`` combine runs on every one of the (m!)^n
-    tuples of signatures, in the lexicographic order of
-    :func:`votelace.elections.all_elections`, without building the elections.
-    With ``jobs > 1`` the tuples are partitioned by the first voter's ranking
-    and partial counts merge by addition, so the result is independent of the
-    worker count.
+    ``functools.wraps`` wrapper of one).  :func:`votelace.perms.count_accepted`
+    computes its ``signature`` once per ranking and runs its ``accepts``
+    combine on every one of the (m!)^n tuples of signatures, in the
+    lexicographic order of :func:`votelace.elections.all_elections`, without
+    building the elections; with ``jobs > 1`` it partitions the tuples by the
+    first voter's ranking, so the result is independent of the worker count.
     """
     if label is None:
         label = getattr(recognizer, "__name__", "recognizer")
@@ -82,24 +80,8 @@ def brute_force_count(
     if total > guard:
         raise GuardExceeded(f"(m!)^n = {total} recognizer calls at (m,n)=({m},{n}) exceeds the guard {guard}")
     check_cap(m, n)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        firsts = _itertools_permutations(range(1, m + 1))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            count = sum(pool.map(_count_slice, ((m, n, recognizer, first) for first in firsts)))
-    else:
-        count = _count_slice((m, n, recognizer, None))
+    count = count_accepted(m, n, recognizer.signature, recognizer.accepts, jobs)
     return CountReport(m, n, label, count, "brute-force")
-
-
-def _count_slice(args) -> int:
-    # the accepted tuples whose first ranking is ``first`` (every tuple when None)
-    m, n, recognizer, first = args
-    signature = recognizer.signature
-    table = [signature(order) for order in _itertools_permutations(range(1, m + 1))]
-    heads = table if first is None else [signature(first)]
-    return sum(map(recognizer.accepts, product(heads, *[table] * (n - 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ is ``_pykernels.strong_occurrences``; :func:`strong_occurrences` only makes sets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _itertools_permutations
+from functools import partial
 from typing import Iterable, Iterator
 
 from votelace import _pykernels, kernels
 from votelace.errors import GuardExceeded, ParseError
-from votelace.perms import Permutation
+from votelace.perms import Permutation, count_accepted
 
 #: default cap for pair enumeration: (6!)^2 pairs is comfortable, m = 7 is
 #: tens of millions of matching calls and needs an explicit opt-in
@@ -169,29 +169,22 @@ def count_pair_avoiders(
 ) -> int:
     """Number of pairs (pi, rho) in S_m x S_m avoiding every forbidden pair pattern.
 
-    Enumeration is partitioned by the first permutation; partial counts merge
-    by addition, so the result is independent of ``jobs``.
+    :func:`votelace.perms.count_accepted` runs the strong-containment check
+    on every pair; with ``jobs > 1`` it partitions the pairs by the first
+    permutation, so the result is independent of ``jobs``.
     """
     if m > max_m:
         raise GuardExceeded(f"refusing to enumerate (m!)^2 pairs at m={m} (cap {max_m})")
-    pats = [
-        (q.first.values, q.second.values) for q in forbidden if len(q) <= m
-    ]
-    firsts = list(_itertools_permutations(range(1, m + 1)))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_count_avoiding_seconds, ((first, pats, m) for first in firsts))
-            return sum(parts)
-    return sum(_count_avoiding_seconds((first, pats, m)) for first in firsts)
+    pats = tuple((q.first.values, q.second.values) for q in forbidden if len(q) <= m)
+    # each permutation is its own signature (tuple() returns a tuple unchanged)
+    return count_accepted(m, 2, tuple, partial(_avoids_all, pats), jobs)
 
 
-def _count_avoiding_seconds(args):
-    first, pats, m = args
+def _avoids_all(pats: tuple, pair: tuple) -> bool:
+    # the pair (first, second) strongly contains none of ``pats``
+    first, second = pair
     sc = kernels.strong_contains
-    count = 0
-    for second in _itertools_permutations(range(1, m + 1)):
-        if not any(sc(first, second, sf, ss) for sf, ss in pats):
-            count += 1
-    return count
+    for sf, ss in pats:
+        if sc(first, second, sf, ss):
+            return False
+    return True

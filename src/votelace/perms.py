@@ -9,8 +9,8 @@ Values and positions are 1-indexed throughout.  The search is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _itertools_permutations
-from typing import Iterable, Iterator
+from itertools import permutations as _itertools_permutations, product
+from typing import Callable, Iterable, Iterator
 
 from votelace import _pykernels, kernels
 from votelace.errors import GuardExceeded, ParseError
@@ -174,3 +174,34 @@ def count_avoiders(n: int, forbidden: PatternSet, max_n: int = DEFAULT_MAX_N) ->
         if not any(ck(values, pat) for pat in pats):
             count += 1
     return count
+
+
+def count_accepted(m: int, n: int, signature: Callable, accepts: Callable[..., bool], jobs: int = 1) -> int:
+    """Number of n-tuples of permutations of 1..m whose signatures ``accepts`` takes.
+
+    ``signature`` maps a permutation (a tuple of values) to what ``accepts``
+    combines; it runs once per permutation, and ``accepts`` runs on every one
+    of the (m!)^n tuples of signatures, in lexicographic order.  With
+    ``jobs > 1`` the tuples are partitioned by their first permutation, one
+    pool task each, and partial counts merge by addition, so the result is
+    independent of the worker count; both callables must then pickle.  The
+    callers guard the size.
+
+    >>> count_accepted(3, 2, tuple, lambda pair: pair[0] < pair[1])
+    15
+    """
+    if jobs > 1:
+        import concurrent.futures
+
+        firsts = _itertools_permutations(range(1, m + 1))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return sum(pool.map(_count_slice, ((m, n, signature, accepts, first) for first in firsts)))
+    return _count_slice((m, n, signature, accepts, None))
+
+
+def _count_slice(args) -> int:
+    # the accepted tuples whose first permutation is ``first`` (every tuple when None)
+    m, n, signature, accepts, first = args
+    table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
+    heads = table if first is None else [signature(first)]
+    return sum(map(accepts, product(heads, *[table] * (n - 1))))

@@ -1,3 +1,7 @@
+import math
+import random
+from itertools import permutations, product
+
 import pytest
 
 from helpers import election
@@ -16,7 +20,8 @@ from votelace.domains import (
     is_single_peaked,
     replay_witness,
 )
-from votelace.elections import all_elections
+from votelace.domains import _pair_bits
+from votelace.elections import Election, all_elections
 from votelace.errors import GuardExceeded
 
 
@@ -154,6 +159,61 @@ class TestSingleCrossing:
 
     def test_condorcet_cycle_is_not_single_crossing(self):
         assert not is_single_crossing(election("123", "231", "312")).holds
+
+    def test_agrees_with_the_ordering_search_exhaustively(self):
+        cells = [(m, n) for m in range(2, 6) for n in range(1, 7) if math.factorial(m) ** n <= 20_000]
+        for m, n in cells:
+            for e in all_elections(m, n):
+                assert is_single_crossing(e).holds == _orderable(e), e.to_text()
+
+    def test_agrees_with_the_ordering_search_on_samples(self):
+        rng = random.Random(20130704)
+        for m, n in product(range(2, 9), range(1, 7)):
+            seen = set()
+            for _ in range(60):
+                e = _near_single_crossing(rng, m, n)
+                expected = _orderable(e)
+                assert is_single_crossing(e).holds == expected, e.to_text()
+                seen.add(expected)
+            assert seen == ({True, False} if min(m, n) >= 3 else {True}), (m, n)
+
+
+def _orderable(e: Election) -> bool:
+    """The definition, by search: some ordering of the voters flips every
+    candidate pair at most once, i.e. the XORs of consecutive voters'
+    ``_pair_bits`` are pairwise disjoint."""
+    bits = [_pair_bits(r.order) for r in e.preferences]
+    for line in permutations(bits):
+        flipped = 0
+        for a, b in zip(line, line[1:]):
+            if (a ^ b) & flipped:
+                break
+            flipped |= a ^ b
+        else:
+            return True
+    return False
+
+
+def _near_single_crossing(rng: random.Random, m: int, n: int) -> Election:
+    """Voters read off a walk of adjacent swaps that each undo no earlier swap
+    (single-crossing in walk order), shuffled; half the time one voter also
+    makes one arbitrary adjacent swap, which may break the property."""
+    row = rng.sample(range(1, m + 1), m)
+    start = {c: i for i, c in enumerate(row)}
+    rows = []
+    for _ in range(n):
+        for _ in range(rng.randrange(3)):
+            forward = [i for i in range(m - 1) if start[row[i]] < start[row[i + 1]]]
+            if forward:
+                i = rng.choice(forward)
+                row[i], row[i + 1] = row[i + 1], row[i]
+        rows.append(list(row))
+    if rng.random() < 0.5:
+        bent = rng.choice(rows)
+        i = rng.randrange(m - 1)
+        bent[i], bent[i + 1] = bent[i + 1], bent[i]
+    rng.shuffle(rows)
+    return Election.from_rows(rows)
 
 
 class TestVerdicts:

@@ -1,4 +1,8 @@
-"""The compiled kernels must agree with the pure-Python twins everywhere."""
+"""The compiled kernels must agree with the pure-Python twins everywhere.
+
+The compiled kernels come from the ``ckernels`` fixture, which builds the
+tracked ``_ckernels.c``; their tests skip only when no C compiler is on PATH.
+"""
 
 import importlib.util
 import os
@@ -11,19 +15,27 @@ import pytest
 
 from votelace import _pykernels
 
-has_c = importlib.util.find_spec("votelace._ckernels") is not None
-needs_c = pytest.mark.skipif(not has_c, reason="compiled kernels not built")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _ckernels():
-    from votelace import _ckernels
+@pytest.fixture
+def ck(ckernels):
+    if ckernels is None:
+        pytest.skip("no C compiler on PATH")
+    return ckernels
 
-    return _ckernels
+
+def test_c_source_quotes_the_current_pyx():
+    # the benchmark's own staleness check: _ckernels.c quotes every .pyx line
+    # it was generated from, and a .pyx edit without regenerating the C shows
+    spec = importlib.util.spec_from_file_location("perfbench_program", os.path.join(ROOT, "perfbench", "program.py"))
+    program = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(program)
+    with open(program.C_SOURCE, encoding="utf-8") as c, open(program.PYX_SOURCE, encoding="utf-8") as pyx:
+        assert program.stale_lines(c.read(), pyx.read()) == []
 
 
-@needs_c
-def test_contains_pattern_agrees_exhaustively():
-    ck = _ckernels()
+def test_contains_pattern_agrees_exhaustively(ck):
     hosts = [p for n in range(6) for p in permutations(range(1, n + 1))]
     pats = [p for k in range(4) for p in permutations(range(1, k + 1))]
     for host in hosts:
@@ -31,9 +43,7 @@ def test_contains_pattern_agrees_exhaustively():
             assert ck.contains_pattern(host, pat) == _pykernels.contains_pattern(host, pat)
 
 
-@needs_c
-def test_strong_contains_agrees_exhaustively():
-    ck = _ckernels()
+def test_strong_contains_agrees_exhaustively(ck):
     bigs = [(b1, b2) for b1 in permutations((1, 2, 3, 4)) for b2 in permutations((1, 2, 3, 4))]
     smalls = [(s1, s2) for s1 in permutations((1, 2)) for s2 in permutations((1, 2))]
     smalls += [((1, 2, 3), (3, 1, 2)), ((2, 1, 3), (1, 3, 2))]
@@ -42,9 +52,7 @@ def test_strong_contains_agrees_exhaustively():
             assert ck.strong_contains(b1, b2, s1, s2) == _pykernels.strong_contains(b1, b2, s1, s2)
 
 
-@needs_c
-def test_contains_configuration_agrees_on_random_cases():
-    ck = _ckernels()
+def test_contains_configuration_agrees_on_random_cases(ck):
     rng = random.Random(99)
 
     def ranks(m):
@@ -60,9 +68,7 @@ def test_contains_configuration_agrees_on_random_cases():
         assert ck.contains_configuration(host, cfg) == _pykernels.contains_configuration(host, cfg)
 
 
-@needs_c
-def test_fits_axis_agrees_exhaustively():
-    ck = _ckernels()
+def test_fits_axis_agrees_exhaustively(ck):
     for order in permutations((1, 2, 3, 4)):
         for axis in permutations(range(4)):
             assert ck.fits_axis(order, axis) == _pykernels.fits_axis(order, axis)
@@ -90,9 +96,7 @@ def test_backend_env_var_honored():
     assert out.stdout.strip() == "python"
 
 
-@needs_c
-def test_compiled_kernels_reject_oversized_input():
-    ck = _ckernels()
+def test_compiled_kernels_reject_oversized_input(ck):
     big = tuple(range(1, 40))
     with pytest.raises(ValueError):
         ck.contains_pattern(big, (1, 2))

@@ -4,6 +4,9 @@ Each generator must yield exactly the witnesses of its definition, in the
 definition's order, and the active backend's boolean kernel must say whether
 that stream is empty.  The definitions enumerate candidate witnesses with
 ``itertools`` and test each one from scratch: no shared state, no pruning.
+The random tests also hold the compiled kernels (the ``ckernels`` fixture,
+when a C compiler is on PATH) to the same streams; their inputs are
+well-formed, as the compiled kernels check only lengths.
 """
 
 from collections import defaultdict
@@ -72,21 +75,27 @@ def brute_embeddings(host_ranks, l, h):
     return found
 
 
-def _check_pattern(host, pattern):
-    stream = _pykernels.pattern_occurrences(host, pattern)
-    assert kernels.contains_pattern(host, pattern) == (next(stream, None) is not None)
+def _check_pattern(host, pattern, compiled=None):
+    found = next(_pykernels.pattern_occurrences(host, pattern), None) is not None
+    assert kernels.contains_pattern(host, pattern) == found
+    if compiled is not None:
+        assert compiled.contains_pattern(host, pattern) == found
     assert list(_pykernels.pattern_occurrences(host, pattern)) == brute_pattern(host, pattern)
 
 
-def _check_strong(b1, b2, s1, s2):
-    stream = _pykernels.strong_occurrences(b1, b2, s1, s2)
-    assert kernels.strong_contains(b1, b2, s1, s2) == (next(stream, None) is not None)
+def _check_strong(b1, b2, s1, s2, compiled=None):
+    found = next(_pykernels.strong_occurrences(b1, b2, s1, s2), None) is not None
+    assert kernels.strong_contains(b1, b2, s1, s2) == found
+    if compiled is not None:
+        assert compiled.strong_contains(b1, b2, s1, s2) == found
     assert list(_pykernels.strong_occurrences(b1, b2, s1, s2)) == brute_strong(b1, b2, s1, s2)
 
 
-def _check_embeddings(host, cfg, expected):
-    stream = _pykernels.configuration_embeddings(host, cfg)
-    assert kernels.contains_configuration(host, cfg) == (next(stream, None) is not None)
+def _check_embeddings(host, cfg, expected, compiled=None):
+    found = next(_pykernels.configuration_embeddings(host, cfg), None) is not None
+    assert kernels.contains_configuration(host, cfg) == found
+    if compiled is not None:
+        assert compiled.contains_configuration(host, cfg) == found
     assert list(_pykernels.configuration_embeddings(host, cfg)) == expected.get(cfg, [])
 
 
@@ -141,18 +150,18 @@ def _rank_vectors(draw, voters, candidates):
 
 @settings(max_examples=150, deadline=None)
 @given(_permutation(0, 9), _permutation(0, 5))
-def test_pattern_occurrences_random(host, pattern):
-    _check_pattern(host, pattern)
+def test_pattern_occurrences_random(ckernels, host, pattern):
+    _check_pattern(host, pattern, ckernels)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_strong_occurrences_random(data):
+def test_strong_occurrences_random(ckernels, data):
     m = data.draw(st.integers(0, 7))
     h = data.draw(st.integers(0, 5))
     b1, b2 = (tuple(data.draw(st.permutations(range(1, m + 1)))) for _ in range(2))
     s1, s2 = (tuple(data.draw(st.permutations(range(1, h + 1)))) for _ in range(2))
-    _check_strong(b1, b2, s1, s2)
+    _check_strong(b1, b2, s1, s2, ckernels)
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,5 +169,5 @@ def test_strong_occurrences_random(data):
     _rank_vectors(st.integers(1, 4), st.integers(1, 5)),
     _rank_vectors(st.integers(1, 3), st.integers(1, 4)),
 )
-def test_configuration_embeddings_random(host, cfg):
-    _check_embeddings(host, cfg, brute_embeddings(host, len(cfg), len(cfg[0])))
+def test_configuration_embeddings_random(ckernels, host, cfg):
+    _check_embeddings(host, cfg, brute_embeddings(host, len(cfg), len(cfg[0])), ckernels)

@@ -1,9 +1,14 @@
-"""Witnesses of failing medium, em and group-separable verdicts are pinned.
+"""Witnesses of failing verdicts are pinned.
 
-Every election at (m,n) = (4,3), plus a seeded sample at (8,4), is checked;
-the witnesses of the failing verdicts are digested and compared with digests
-taken from the table-scanning recognizers these replaced, so any change in
-which triple, 4-subset, subset or voters a witness names shows up here.
+Every election at (m,n) = (4,3), plus a seeded sample, is checked; the
+witnesses of the failing verdicts are digested and compared with digests
+taken from earlier implementations, so any change in which triple, 4-subset,
+subset, voters or candidates a witness names shows up here.  Medium, em and
+group-separable are pinned against the table-scanning recognizers their
+bitmask combines replaced, on a sample at (8,4).  Single-crossing and
+single-peaked are pinned against the voter-ordering search and the axis scan
+(minimized witnesses, so every sub-election the minimizer tries counts), on
+samples at (8,6) and (6,4).
 """
 
 import hashlib
@@ -22,6 +27,10 @@ PINNED = {
     ("medium", "8x4"): (160, "6536f3ad9d7a6880419575138391bff99657bd4c3c7a80238cf243e91aa21b57"),
     ("em", "8x4"): (266, "0884d795bd79695eae037de88d6b55082c51982e9151d30a3478803ad889c7cc"),
     ("group-separable", "8x4"): (231, "120e9f81f2755a8b0731f019b7850338ebbd94c195c8999b96bdb835be8fbc9f"),
+    ("single-crossing", "4x3"): (4656, "319a1b9a089d0c2f03ec3ccad92c00b0a7349cb5e15292429ccc33f41f03d4c5"),
+    ("single-crossing", "8x6"): (181, "7a69315dbb29ff93f428de31c7de4f83fa55b2f203a0aa311c0ec0bed92734c0"),
+    ("single-peaked", "4x3"): (8832, "933d09d4afcb32bbc081a44f00500ef773df5b89e52b0014e343f2cf5c83722b"),
+    ("single-peaked", "6x4"): (238, "2711858f0481635ba84362024753053930c3190263d1bc1d9e259f0f288d67ee"),
 }
 
 
@@ -55,6 +64,8 @@ def _cells():
     return {
         "4x3": lambda: all_elections(4, 3),
         "8x4": lambda: _sample(8, 4, 300, seed=20190625),
+        "8x6": lambda: _sample(8, 6, 300, seed=20190625),
+        "6x4": lambda: _sample(6, 4, 300, seed=20190625),
     }
 
 
@@ -71,7 +82,6 @@ def _digest(domain: str, elections) -> tuple[int, str]:
     return failing, h.hexdigest()
 
 
-@pytest.mark.parametrize("domain", ["medium", "em", "group-separable"])
-@pytest.mark.parametrize("cell", ["4x3", "8x4"])
+@pytest.mark.parametrize("cell, domain", sorted((cell, domain) for domain, cell in PINNED))
 def test_witnesses_match_pins(domain, cell):
     assert _digest(domain, _cells()[cell]()) == PINNED[domain, cell]
