@@ -22,14 +22,20 @@ more than a lookup are cached on the ranking.
   one segment per subset holds the bipartitions a ranking keeps apart, and
   the AND over the voters leaves a segment empty exactly for a subset no
   split serves;
-* group-separable-bh, enriched: the three medium masks, then the ranking; the
-  medium combine, then every unordered voter pair avoids the forbidden patterns
-  (both pattern sets are closed under inversion, so a pair avoids them one
-  way round iff it avoids them the other way);
+* group-separable-bh: the three medium masks, then a mask with one bit per
+  4-subset for the order (of 24) the ranking gives it and a mask of the orders
+  that would form 2413/3142 with that order (one 24x24 table, built at
+  import); an election fails iff the medium combine fails or the OR of the
+  first meets the OR of the second;
+* enriched: the three medium masks, then the em masks; medium-restriction
+  plus the em condition, which is pairwise avoidance of the four enriched
+  patterns;
 * enriched-recursive: the signature is the ranking; the combine is the
   recursive characterization of the tuple of rankings;
-* single-peaked: masks of the axes a ranking fits; an election holds iff
-  their AND is nonzero;
+* single-peaked: a mask over the m! oriented axes, indexed by lexicographic
+  rank, of the 2^(m-1) axes a ranking fits, built from the ranking by putting
+  each candidate at one end of the interval above it; an election holds iff
+  the AND of the masks is nonzero;
 * single-crossing: one bit per candidate pair, set when the ranking puts the
   smaller candidate first; the election holds iff the XORs of the voters'
   bits with a voter farthest (most bits apart) from the first voter form a
@@ -44,14 +50,13 @@ for the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from itertools import combinations, permutations
 from typing import Callable, Optional
 
-from votelace import kernels
 from votelace.elections import Election, _rank_vector, sub_election
 from votelace.errors import GuardExceeded
-from votelace.perms import PatternSet, Permutation
+from votelace.perms import PatternSet, Permutation, occurrences
 
 MAX_CANDIDATES = 8
 MAX_VOTERS = 6
@@ -320,49 +325,74 @@ def _split_mask(order: tuple[int, ...], size: int) -> int:
 # forbidden-configuration formulations (pairwise voter permutations)
 
 
-@lru_cache(maxsize=1 << 17)
-def _pair_avoids(ref: tuple[int, ...], other: tuple[int, ...], pats: tuple) -> bool:
-    ranks = _rank_vector(ref)
-    perm = tuple(ranks[c - 1] + 1 for c in other)
-    return not any(kernels.contains_pattern(perm, pat) for pat in pats)
+#: the relative ranks a ranking gives a 4-subset's members (smallest candidate
+#: first), in the order the 24 slots of a subset's segment index them
+_QUAD_ORDERS = tuple(permutations(range(4)))
 
 
-def _masks_and_order(order: tuple[int, ...]) -> tuple:
-    # the three _middle_masks, then the ranking itself
-    return (*_middle_masks(order), order)
+#: row o: the orders that form 2413/3142 with order o, as the pair permutation
+#: of two voters on a 4-subset.  For pattern p, the other voter's k-th member
+#: is the one this voter ranks p[k] - 1, so a member of rank r comes at
+#: position p.index(r + 1); the pattern set is closed under inversion, so the
+#: rows do not depend on which voter is the reference
+_GS_CLASH_ROWS = tuple(
+    sum(1 << _QUAD_ORDERS.index(tuple(p.index(r + 1) for r in qa)) for p in _GS_PATS)
+    for qa in _QUAD_ORDERS
+)
 
 
-def _medium_and_pairs_accepts(pats: tuple, sigs) -> bool:
-    """The combine of medium-restriction plus pairwise avoidance of ``pats``,
-    over ``_masks_and_order`` signatures.  ``pats`` must be closed under
-    inversion: then each unordered voter pair needs one check.  Recognizers
-    bind ``pats`` with ``functools.partial``, which pickles for ``--jobs``."""
-    sigs = tuple(sigs)
-    if _medium_conflicts(sigs):
-        return False
-    for a, b in combinations(sigs, 2):
-        if not _pair_avoids(a[3], b[3], pats):
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _quad_masks(order: tuple[int, ...]) -> tuple[int, int]:
+    # bit 24s+o of seen: the ranking gives 4-subset s (in _subsets order) order o;
+    # bit 24s+o of clash: order o on subset s would form 2413/3142 with it
+    ranks = _rank_vector(order)
+    seen = clash = 0
+    for s, (a, b, c, d) in enumerate(_subsets(len(order), 4)):
+        ra, rb, rc, rd = ranks[a - 1], ranks[b - 1], ranks[c - 1], ranks[d - 1]
+        o = 6 * ((rb < ra) + (rc < ra) + (rd < ra)) + 2 * ((rc < rb) + (rd < rb)) + (rd < rc)
+        seen |= 1 << (24 * s + o)
+        clash |= _GS_CLASH_ROWS[o] << (24 * s)
+    return seen, clash
 
 
-def _first_bad_pair(e: Election, pats: tuple) -> tuple[int, int]:
+def _bh_masks(order: tuple[int, ...]) -> tuple:
+    return (*_middle_masks(order), *_quad_masks(order))
+
+
+def _enriched_masks(order: tuple[int, ...]) -> tuple:
+    return (*_middle_masks(order), *_em_masks(order))
+
+
+def _medium_and_clash_accepts(sigs) -> bool:
+    """The combine of medium-restriction plus a pairwise condition, over
+    signatures that open with the three ``_middle_masks``: no voter's fourth
+    mask may meet any voter's fifth.  Both pairwise conditions are symmetric
+    in the two voters, and a ranking never clashes with itself."""
+    any0 = any1 = any2 = any3 = any4 = 0
+    for m0, m1, m2, m3, m4 in sigs:
+        any0 |= m0
+        any1 |= m1
+        any2 |= m2
+        any3 |= m3
+        any4 |= m4
+    return not (any0 & any1 & any2 or any3 & any4)
+
+
+def _first_bad_pair(sigs: list) -> tuple[int, int]:
     # the first ordered voter pair (1-based) whose permutation contains a pattern
-    orders = [r.order for r in e.preferences]
-    n = len(orders)
+    n = len(sigs)
     for i in range(n):
         for j in range(n):
-            if i != j and not _pair_avoids(orders[i], orders[j], pats):
+            if i != j and sigs[i][3] & sigs[j][4]:
                 return (i + 1, j + 1)
     raise AssertionError("pair witness requested for a clean election")
 
 
-def _medium_and_pairs_witness(e: Election, pats: tuple) -> Witness:
-    from votelace.perms import occurrences
-
-    if _medium_conflicts([_middle_masks(r.order) for r in e.preferences]):
+def _medium_and_pairs_witness(e: Election, signature: Callable, pats: tuple) -> Witness:
+    sigs = [signature(r.order) for r in e.preferences]
+    if _medium_conflicts(sigs):
         return _medium_witness(e)
-    i, j = _first_bad_pair(e, pats)
+    i, j = _first_bad_pair(sigs)
     other = e.preferences[j - 1]
     ranks = _rank_vector(e.preferences[i - 1].order)
     perm = Permutation(tuple(ranks[c - 1] + 1 for c in other.order))
@@ -373,19 +403,20 @@ def _medium_and_pairs_witness(e: Election, pats: tuple) -> Witness:
     raise AssertionError("pair witness requested for a clean pair")
 
 
-@_recognizer(_masks_and_order, partial(_medium_and_pairs_accepts, _GS_PATS))
+@_recognizer(_bh_masks, _medium_and_clash_accepts)
 def is_group_separable_bh(e: Election) -> Witness:
     """Group-separability via medium-restriction plus the forbidden 2-voter,
     4-candidate configuration (pairwise voter permutations avoiding 2413/3142)."""
-    return _medium_and_pairs_witness(e, _GS_PATS)
+    return _medium_and_pairs_witness(e, _bh_masks, _GS_PATS)
 
 
-@_recognizer(_masks_and_order, partial(_medium_and_pairs_accepts, _ENRICHED_PATS))
+@_recognizer(_enriched_masks, _medium_and_clash_accepts)
 def is_enriched_group_separable(e: Election) -> Witness:
     """Group-separable and additionally avoiding the two extra 2-voter
     configurations: pairwise voter permutations avoid all four forbidden
-    patterns, and the election stays medium-restricted."""
-    return _medium_and_pairs_witness(e, _ENRICHED_PATS)
+    patterns, and the election stays medium-restricted.  Decided as medium
+    plus the em condition, which is the same pairwise condition."""
+    return _medium_and_pairs_witness(e, _enriched_masks, _ENRICHED_PATS)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +424,11 @@ def is_enriched_group_separable(e: Election) -> Witness:
 
 
 def _recursive_accepts(orders) -> bool:
-    return _recursive_ok(tuple(orders))
+    # relabel the candidates once so that the first preference is the identity;
+    # every restriction _recursive_ok makes keeps it the identity
+    orders = tuple(orders)
+    ranks = _rank_vector(orders[0])
+    return _recursive_ok(tuple(tuple(ranks[c - 1] + 1 for c in p) for p in orders))
 
 
 @_recognizer(_order, _recursive_accepts)
@@ -409,12 +444,11 @@ def is_enriched_recursive(e: Election) -> Witness:
 
 
 @lru_cache(maxsize=1 << 17)
-def _recursive_ok(prefs: tuple[tuple[int, ...], ...]) -> bool:
-    m = len(prefs[0])
+def _recursive_ok(normalized: tuple[tuple[int, ...], ...]) -> bool:
+    # normalized[0] is the identity
+    m = len(normalized[0])
     if m <= 1:
         return True
-    ranks = _rank_vector(prefs[0])
-    normalized = tuple(tuple(ranks[c - 1] + 1 for c in p) for p in prefs)
     ident = tuple(range(1, m + 1))
     rev = ident[::-1]
     moving = [p for p in normalized if p != ident and p != rev]
@@ -486,27 +520,24 @@ def em_condition(e: Election) -> Witness:
 
 
 @lru_cache(maxsize=None)
-def _axis_positions(m: int) -> tuple[tuple[int, ...], ...]:
-    # one entry per axis (reversals identified): positions indexed by candidate-1
-    if m <= 1:
-        return ((0,) * max(m, 1),)
-    out = []
-    for axis in permutations(range(1, m + 1)):
-        if axis[0] > axis[-1]:
-            continue
-        pos = [0] * m
-        for i, c in enumerate(axis):
-            pos[c - 1] = i
-        out.append(tuple(pos))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _peak_mask(order: tuple[int, ...]) -> int:
+    # bit r: the oriented axis of lexicographic rank r among the orderings of
+    # the candidates fits the ranking (every prefix of the ranking is an
+    # interval on it).  Those axes are built by reading the ranking from the
+    # top and putting each candidate at the left or the right end of the
+    # interval so far: 2^(m-1) of them, each unoriented axis both ways round
+    axes = [order[:1]]
+    for c in order[1:]:
+        axes = [x for a in axes for x in ((c, *a), (*a, c))]
+    m = len(order)
     mask = 0
-    for i, pos in enumerate(_axis_positions(len(order))):
-        if kernels.fits_axis(order, pos):
-            mask |= 1 << i
+    for axis in axes:
+        rank = 0
+        unplaced = (1 << (m + 1)) - 2
+        for i, c in enumerate(axis):
+            rank = rank * (m - i) + (unplaced & ((1 << c) - 1)).bit_count()
+            unplaced ^= 1 << c
+        mask |= 1 << rank
     return mask
 
 
@@ -523,7 +554,7 @@ def _single_peaked_accepts(masks) -> bool:
 @_recognizer(_peak_mask, _single_peaked_accepts)
 def is_single_peaked(e: Election) -> Witness:
     """Some candidate axis exists on which every prefix of every voter's
-    ranking is an interval.  Exhaustive over the m!/2 axes."""
+    ranking is an interval.  Exhaustive over the 2^(m-1) axes each ranking fits."""
     return _minimized_witness(e, is_single_peaked)
 
 

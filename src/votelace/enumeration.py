@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
+from votelace import kernels
 from votelace.domains import check_cap
 from votelace.elections import Election
 from votelace.errors import GuardExceeded
@@ -178,6 +180,7 @@ def enriched_pair_avoider_count(n: int) -> int:
 # three-voter configurations and the strong order
 
 
+@lru_cache(maxsize=None)
 def three_voter_pattern_set(tau: Permutation, sigma: Permutation) -> PairPatternSet:
     """The six pair patterns whose strong containment in [pi, rho]
     characterizes containment of the 3-voter configuration (id, tau, sigma)
@@ -208,8 +211,6 @@ def contains_3voter(pi: Permutation, rho: Permutation, tau: Permutation, sigma: 
         raise ValueError(f"election lengths differ: {len(pi)} vs {len(rho)}")
     if len(tau) > len(pi):
         raise ValueError("configuration is larger than the election")
-    from votelace import kernels
-
     pv, rv = pi.values, rho.values
     return any(
         kernels.strong_contains(pv, rv, q.first.values, q.second.values)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 from itertools import permutations, product
@@ -5,8 +7,11 @@ from itertools import permutations, product
 import pytest
 
 from helpers import election
+from votelace import domains, kernels
 from votelace.domains import (
     DOMAINS,
+    ENRICHED_FORBIDDEN,
+    GROUP_SEPARABLE_FORBIDDEN,
     DomainVerdict,
     Witness,
     em_condition,
@@ -20,9 +25,18 @@ from votelace.domains import (
     is_single_peaked,
     replay_witness,
 )
-from votelace.domains import _pair_bits
+from votelace.domains import _em_masks, _pair_bits, _peak_mask, _quad_masks
 from votelace.elections import Election, all_elections
 from votelace.errors import GuardExceeded
+from votelace.perms import Permutation
+
+
+def _positions(axis):
+    # axis positions indexed by candidate - 1, the form kernels.fits_axis reads
+    pos = [0] * len(axis)
+    for i, c in enumerate(axis):
+        pos[c - 1] = i
+    return tuple(pos)
 
 
 class TestMediumRestricted:
@@ -75,6 +89,31 @@ class TestEnriched:
         assert is_enriched_group_separable(election("12345", "54321")).holds
 
 
+class TestPairMasks:
+    """The mask clashes that decide group-separable-bh and enriched, held to
+    pattern search on the pair permutation."""
+
+    @pytest.mark.parametrize(
+        "masks, pats", [(_quad_masks, GROUP_SEPARABLE_FORBIDDEN), (_em_masks, ENRICHED_FORBIDDEN)]
+    )
+    def test_clash_is_pattern_containment(self, masks, pats):
+        for m in range(1, 6):
+            orders = list(permutations(range(1, m + 1)))
+            for a in orders:
+                ranks = {c: i + 1 for i, c in enumerate(a)}
+                first = masks(a)[0]
+                for b in orders:
+                    perm = tuple(ranks[c] for c in b)
+                    expected = any(kernels.contains_pattern(perm, p.values) for p in pats)
+                    assert bool(first & masks(b)[1]) == expected, (a, b)
+
+    def test_ends_meeting_mids_is_an_enriched_pattern(self):
+        for a in permutations(range(1, 5)):
+            for b in permutations(range(1, 5)):
+                perm = Permutation(tuple(a.index(c) + 1 for c in b))
+                assert ({a[0], a[3]} == {b[1], b[2]}) == (perm in ENRICHED_FORBIDDEN), (a, b)
+
+
 class TestEnrichedRecursive:
     def test_identity_and_reverse_block_only(self):
         assert is_enriched_recursive(election("123", "321")).holds
@@ -117,10 +156,6 @@ class TestSinglePeaked:
     def test_axis_fit_matches_interval_oracle(self):
         # independent route: each preference prefix must be a contiguous run
         # of axis positions
-        from itertools import permutations
-
-        from votelace import kernels
-
         def oracle(order, axis_pos):
             for k in range(1, len(order) + 1):
                 positions = sorted(axis_pos[c - 1] for c in order[:k])
@@ -128,16 +163,21 @@ class TestSinglePeaked:
                     return False
             return True
 
-        def positions(axis):
-            pos = [0] * len(axis)
-            for i, c in enumerate(axis):
-                pos[c - 1] = i
-            return tuple(pos)
-
-        axes = [positions(a) for a in permutations(range(1, 6))]
+        axes = [_positions(a) for a in permutations(range(1, 6))]
         for order in permutations(range(1, 6)):
             for axis_pos in axes[:40]:
                 assert kernels.fits_axis(order, axis_pos) == oracle(order, axis_pos)
+
+    def test_peak_mask_is_the_axes_that_fit(self):
+        # bit r stands for the r-th ordering of the candidates, as an axis
+        for m in range(1, 7):
+            axes = [_positions(a) for a in permutations(range(1, m + 1))]
+            for order in permutations(range(1, m + 1)):
+                mask = _peak_mask(order)
+                assert mask >> len(axes) == 0
+                assert [mask >> r & 1 == 1 for r in range(len(axes))] == [
+                    kernels.fits_axis(order, pos) for pos in axes
+                ], order
 
     def test_axis_exists(self):
         assert is_single_peaked(election("2134", "3421")).holds
@@ -287,3 +327,13 @@ class TestGenericProperties:
         for recognizer in DOMAINS.values():
             with pytest.raises(GuardExceeded):
                 recognizer(big)
+
+
+def test_domains_do_not_import_the_kernels():
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(domains))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("kernels" in name for name in imported)
