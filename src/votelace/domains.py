@@ -6,18 +6,26 @@ characterization, ...), so the formulations can be tested against each other.
 Recognizers are exponential-time by design: subset and axis exhaustion at
 desk scale, guarded by a hard cap.
 
-Every recognizer is a per-ranking ``signature(order)`` plus an
-``accepts(sigs)`` combine over the voters' signatures, both attached to the
-recognizer function.  The recognizer checks the cap, runs ``accepts`` on its
-voters' signatures and, when that fails, returns a verdict with a lazy
-witness; exhaustive counting computes the m! signatures once and runs
-``accepts`` on tuples of them, building no election.  Signatures that cost
-more than a lookup are cached on the ranking.
+Every recognizer is a per-ranking ``signature(order)`` plus a test over the
+voters' signatures, both attached to the recognizer function.  Five domains
+fold over their voters: the signature is one int, and ``rule(m)`` is a
+:class:`votelace.perms.FoldRule` that folds all voters but the last with one
+bitwise op and tests the last signature against a mask of the fold.  The
+others carry an ``accepts(sigs)`` combine.  The recognizer checks the cap,
+runs the test on its voters' signatures and, when that fails, returns a
+verdict with a lazy witness; exhaustive counting computes the m! signatures
+once and, building no election, folds each (n-1)-voter prefix once and
+decides each of its m! completions with one mask AND (a fold rule) or runs
+``accepts`` on every tuple.  Per-ranking masks that cost more than a lookup
+are cached on the ranking.
 
-* medium: three masks over the triples, one per middle-element position; an
-  election fails iff the AND of their ORs is nonzero;
-* em: {top, bottom} and middle-pair masks over (4-subset, pair) slots; an
-  election fails iff the OR of the first meets the OR of the second;
+* medium: three masks over the triples, one per middle-element position,
+  side by side; an election fails iff the AND of their ORs is nonzero.  The
+  OR fold of a prefix forbids a triple's middle position wherever the other
+  two are set;
+* em: {top, bottom} and middle-pair masks over (4-subset, pair) slots, side
+  by side; an election fails iff the OR of the first meets the OR of the
+  second, so a prefix forbids each field where the other is set;
 * group-separable (direct): the signature is the ranking; per subset size,
   one segment per subset holds the bipartitions a ranking keeps apart, and
   the AND over the voters leaves a segment empty exactly for a subset no
@@ -25,17 +33,18 @@ more than a lookup are cached on the ranking.
 * group-separable-bh: the three medium masks, then a mask with one bit per
   4-subset for the order (of 24) the ranking gives it and a mask of the orders
   that would form 2413/3142 with that order (one 24x24 table, built at
-  import); an election fails iff the medium combine fails or the OR of the
-  first meets the OR of the second;
+  import); an election fails iff the medium part fails or the OR of the
+  first pair field meets the OR of the second;
 * enriched: the three medium masks, then the em masks; medium-restriction
   plus the em condition, which is pairwise avoidance of the four enriched
   patterns;
 * enriched-recursive: the signature is the ranking; the combine is the
   recursive characterization of the tuple of rankings;
 * single-peaked: a mask over the m! oriented axes, indexed by lexicographic
-  rank, of the 2^(m-1) axes a ranking fits, built from the ranking by putting
-  each candidate at one end of the interval above it; an election holds iff
-  the AND of the masks is nonzero;
+  rank, of the 2^(m-1) axes a ranking fits, built by peeling the ranking
+  from the bottom onto the two ends of the axis; an election holds iff the
+  AND of the masks is nonzero, so the last mask must meet the AND of the
+  others;
 * single-crossing: one bit per candidate pair, set when the ranking puts the
   smaller candidate first; the election holds iff the XORs of the voters'
   bits with a voter farthest (most bits apart) from the first voter form a
@@ -50,13 +59,15 @@ for the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from itertools import combinations, permutations
+from math import comb, factorial
+from operator import and_, or_
 from typing import Callable, Optional
 
 from votelace.elections import Election, _rank_vector, sub_election
 from votelace.errors import GuardExceeded
-from votelace.perms import PatternSet, Permutation, occurrences
+from votelace.perms import FoldRule, PatternSet, Permutation, occurrences
 
 MAX_CANDIDATES = 8
 MAX_VOTERS = 6
@@ -158,12 +169,18 @@ def check_cap(m: int, n: int) -> None:
         )
 
 
-def _recognizer(signature: Callable, accepts: Callable[..., bool]):
+def _recognizer(
+    signature: Callable,
+    accepts: Optional[Callable[..., bool]] = None,
+    rule: Optional[Callable[[int], FoldRule]] = None,
+):
     """Decorator turning a witness finder into the recognizer whose verdict is
-    ``accepts`` on the voters' signatures.
+    ``accepts`` on the voters' signatures, or for a domain that folds over
+    its voters ``rule(m).accepts``, where ``rule`` maps the number of
+    candidates to its fold rule.
 
-    The decorated function maps an election that ``accepts`` rejects to its
-    witness; it runs when the witness is first read.  ``accepts`` takes an
+    The decorated function maps an election the test rejects to its
+    witness; it runs when the witness is first read.  The test takes an
     iterable of signatures in voter order and may stop before consuming it.
     """
 
@@ -171,12 +188,16 @@ def _recognizer(signature: Callable, accepts: Callable[..., bool]):
         @wraps(find_witness, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
         def recognize(e: Election) -> DomainVerdict:
             check_cap(e.num_candidates, e.num_voters)
-            if accepts(map(signature, [r.order for r in e.preferences])):
+            test = accepts or rule(e.num_candidates).accepts
+            if test(map(signature, [r.order for r in e.preferences])):
                 return DomainVerdict(True)
             return DomainVerdict(False, finder=lambda: find_witness(e))
 
         recognize.signature = signature
-        recognize.accepts = accepts
+        if rule is None:
+            recognize.accepts = accepts
+        else:
+            recognize.rule = rule
         return recognize
 
     return build
@@ -212,19 +233,49 @@ def _middle_masks(order: tuple[int, ...]) -> tuple[int, int, int]:
     return masks[0], masks[1], masks[2]
 
 
-def _medium_conflicts(sigs) -> int:
+def _medium_conflicts(tables) -> int:
     # the triples (as bits) whose middle takes all three positions over the
-    # voters, from signatures that open with the three _middle_masks
+    # voters, from their _middle_masks
     any0 = any1 = any2 = 0
-    for s in sigs:
-        any0 |= s[0]
-        any1 |= s[1]
-        any2 |= s[2]
+    for m0, m1, m2 in tables:
+        any0 |= m0
+        any1 |= m1
+        any2 |= m2
     return any0 & any1 & any2
 
 
-def _medium_accepts(sigs) -> bool:
-    return not _medium_conflicts(sigs)
+def _medium_sig(order: tuple[int, ...]) -> int:
+    # the three _middle_masks side by side
+    t = comb(len(order), 3)
+    m0, m1, m2 = _middle_masks(order)
+    return m0 | m1 << t | m2 << 2 * t
+
+
+def _forbid(t: int, p: int, state: int) -> int:
+    """The bits a next ranking must not set, given the OR ``state`` of the
+    signatures so far: three medium fields of ``t`` bits, then two pair
+    fields of ``p`` bits (either part may be empty).  All bits when the
+    voters so far already conflict.
+
+    A medium field is forbidden on a triple where the other two are set, and
+    each pair field wherever the other is set.  That is exact because a
+    single ranking never conflicts with itself: it sets exactly one medium
+    field per triple, and its two pair fields are disjoint (its ends and its
+    mids are, and no order clashes with itself).
+    """
+    full = (1 << t) - 1
+    a0, a1, a2 = state & full, (state >> t) & full, (state >> 2 * t) & full
+    pairs = state >> 3 * t
+    seen, clash = pairs & ((1 << p) - 1), pairs >> p
+    if a0 & a1 & a2 or seen & clash:
+        return -1
+    return (a1 & a2) | (a0 & a2) << t | (a0 & a1) << 2 * t | (clash | seen << p) << 3 * t
+
+
+def _or_rule(medium: bool, pair_slots: int, m: int) -> FoldRule:
+    # the rule of medium-restriction (when ``medium``) plus a pair condition
+    # with ``pair_slots`` slots per 4-subset (when nonzero), for m candidates
+    return FoldRule(or_, partial(_forbid, comb(m, 3) if medium else 0, pair_slots * comb(m, 4)))
 
 
 def _medium_witness(e: Election) -> Witness:
@@ -240,7 +291,7 @@ def _medium_witness(e: Election) -> Witness:
     return Witness(tuple(sorted(first_voter_for.values())), _subsets(e.num_candidates, 3)[t])
 
 
-@_recognizer(_middle_masks, _medium_accepts)
+@_recognizer(_medium_sig, rule=partial(_or_rule, True, 0))
 def is_medium_restricted(e: Election) -> Witness:
     """No candidate triple has three voters each placing a different member in the middle."""
     return _medium_witness(e)
@@ -355,44 +406,34 @@ def _quad_masks(order: tuple[int, ...]) -> tuple[int, int]:
     return seen, clash
 
 
-def _bh_masks(order: tuple[int, ...]) -> tuple:
-    return (*_middle_masks(order), *_quad_masks(order))
+def _bh_sig(order: tuple[int, ...]) -> int:
+    # the medium fields, then the two _quad_masks side by side
+    m = len(order)
+    seen, clash = _quad_masks(order)
+    return _medium_sig(order) | (seen | clash << 24 * comb(m, 4)) << 3 * comb(m, 3)
 
 
-def _enriched_masks(order: tuple[int, ...]) -> tuple:
-    return (*_middle_masks(order), *_em_masks(order))
+def _enriched_sig(order: tuple[int, ...]) -> int:
+    # the medium fields, then the em fields
+    return _medium_sig(order) | _em_sig(order) << 3 * comb(len(order), 3)
 
 
-def _medium_and_clash_accepts(sigs) -> bool:
-    """The combine of medium-restriction plus a pairwise condition, over
-    signatures that open with the three ``_middle_masks``: no voter's fourth
-    mask may meet any voter's fifth.  Both pairwise conditions are symmetric
-    in the two voters, and a ranking never clashes with itself."""
-    any0 = any1 = any2 = any3 = any4 = 0
-    for m0, m1, m2, m3, m4 in sigs:
-        any0 |= m0
-        any1 |= m1
-        any2 |= m2
-        any3 |= m3
-        any4 |= m4
-    return not (any0 & any1 & any2 or any3 & any4)
-
-
-def _first_bad_pair(sigs: list) -> tuple[int, int]:
-    # the first ordered voter pair (1-based) whose permutation contains a pattern
-    n = len(sigs)
+def _first_bad_pair(tables: list) -> tuple[int, int]:
+    # the first ordered voter pair (1-based) whose permutation contains a
+    # pattern, from their pair masks (_quad_masks or _em_masks)
+    n = len(tables)
     for i in range(n):
         for j in range(n):
-            if i != j and sigs[i][3] & sigs[j][4]:
+            if i != j and tables[i][0] & tables[j][1]:
                 return (i + 1, j + 1)
     raise AssertionError("pair witness requested for a clean election")
 
 
-def _medium_and_pairs_witness(e: Election, signature: Callable, pats: tuple) -> Witness:
-    sigs = [signature(r.order) for r in e.preferences]
-    if _medium_conflicts(sigs):
+def _medium_and_pairs_witness(e: Election, pair_masks: Callable, pats: tuple) -> Witness:
+    orders = [r.order for r in e.preferences]
+    if _medium_conflicts(map(_middle_masks, orders)):
         return _medium_witness(e)
-    i, j = _first_bad_pair(sigs)
+    i, j = _first_bad_pair(list(map(pair_masks, orders)))
     other = e.preferences[j - 1]
     ranks = _rank_vector(e.preferences[i - 1].order)
     perm = Permutation(tuple(ranks[c - 1] + 1 for c in other.order))
@@ -403,20 +444,20 @@ def _medium_and_pairs_witness(e: Election, signature: Callable, pats: tuple) -> 
     raise AssertionError("pair witness requested for a clean pair")
 
 
-@_recognizer(_bh_masks, _medium_and_clash_accepts)
+@_recognizer(_bh_sig, rule=partial(_or_rule, True, 24))
 def is_group_separable_bh(e: Election) -> Witness:
     """Group-separability via medium-restriction plus the forbidden 2-voter,
     4-candidate configuration (pairwise voter permutations avoiding 2413/3142)."""
-    return _medium_and_pairs_witness(e, _bh_masks, _GS_PATS)
+    return _medium_and_pairs_witness(e, _quad_masks, _GS_PATS)
 
 
-@_recognizer(_enriched_masks, _medium_and_clash_accepts)
+@_recognizer(_enriched_sig, rule=partial(_or_rule, True, 6))
 def is_enriched_group_separable(e: Election) -> Witness:
     """Group-separable and additionally avoiding the two extra 2-voter
     configurations: pairwise voter permutations avoid all four forbidden
     patterns, and the election stays medium-restricted.  Decided as medium
     plus the em condition, which is the same pairwise condition."""
-    return _medium_and_pairs_witness(e, _enriched_masks, _ENRICHED_PATS)
+    return _medium_and_pairs_witness(e, _em_masks, _ENRICHED_PATS)
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +532,13 @@ def _em_masks(order: tuple[int, ...]) -> tuple[int, int]:
     return ends, mids
 
 
-def _em_accepts(sigs) -> bool:
-    any_ends = any_mids = 0
-    for ends, mids in sigs:
-        any_ends |= ends
-        any_mids |= mids
-    return not any_ends & any_mids
+def _em_sig(order: tuple[int, ...]) -> int:
+    # the two _em_masks side by side
+    ends, mids = _em_masks(order)
+    return ends | mids << 6 * comb(len(order), 4)
 
 
-@_recognizer(_em_masks, _em_accepts)
+@_recognizer(_em_sig, rule=partial(_or_rule, False, 6))
 def em_condition(e: Election) -> Witness:
     """For every 4-subset and ordered voter pair, one voter's {top, bottom}
     differs from the other's middle pair.  Equivalent to avoiding the four
@@ -523,35 +562,42 @@ def em_condition(e: Election) -> Witness:
 def _peak_mask(order: tuple[int, ...]) -> int:
     # bit r: the oriented axis of lexicographic rank r among the orderings of
     # the candidates fits the ranking (every prefix of the ranking is an
-    # interval on it).  Those axes are built by reading the ranking from the
-    # top and putting each candidate at the left or the right end of the
-    # interval so far: 2^(m-1) of them, each unoriented axis both ways round
-    axes = [order[:1]]
-    for c in order[1:]:
-        axes = [x for a in axes for x in ((c, *a), (*a, c))]
+    # interval on it).  Those axes are built by peeling the ranking from the
+    # bottom, each candidate taking the next free position at the left or
+    # the right end of the axis, and the top one the last position: 2^(m-1)
+    # of them, each unoriented axis both ways round.  The rank adds up on
+    # the way: the candidate at position i adds (m-1-i)! times the smaller
+    # candidates not left of it, which are the smaller ones not yet placed
+    # on the left for a left placement and the smaller ones already placed
+    # on the right for a right placement
     m = len(order)
+    weights = [factorial(k) for k in range(m)]
+    partial_axes = [(0, 0, 0)]  # (rank so far, left-placed bits, right-placed bits), bit c per candidate c
+    for c in order[:0:-1]:
+        smaller = (1 << c) - 1
+        grown = []
+        for rank, left, right in partial_axes:
+            grown.append((rank + (c - 1 - (left & smaller).bit_count()) * weights[m - 1 - left.bit_count()],
+                          left | 1 << c, right))
+            grown.append((rank + (right & smaller).bit_count() * weights[right.bit_count()], left, right | 1 << c))
+        partial_axes = grown
+    smaller = (1 << order[0]) - 1
     mask = 0
-    for axis in axes:
-        rank = 0
-        unplaced = (1 << (m + 1)) - 2
-        for i, c in enumerate(axis):
-            rank = rank * (m - i) + (unplaced & ((1 << c) - 1)).bit_count()
-            unplaced ^= 1 << c
-        mask |= 1 << rank
+    for rank, left, right in partial_axes:
+        mask |= 1 << (rank + (right & smaller).bit_count() * weights[m - 1 - left.bit_count()])
     return mask
 
 
-def _single_peaked_accepts(masks) -> bool:
-    # stops at the first voter that leaves no axis, so later masks are never computed
-    common = -1
-    for mask in masks:
-        common &= mask
-        if not common:
-            return False
-    return True
+def _axes_all_fit(state: int) -> int:
+    # the AND fold of the peak masks so far: the last voter's must meet it
+    return state
 
 
-@_recognizer(_peak_mask, _single_peaked_accepts)
+def _single_peaked_rule(m: int) -> FoldRule:
+    return FoldRule(and_, _axes_all_fit)
+
+
+@_recognizer(_peak_mask, rule=_single_peaked_rule)
 def is_single_peaked(e: Election) -> Witness:
     """Some candidate axis exists on which every prefix of every voter's
     ranking is an interval.  Exhaustive over the 2^(m-1) axes each ranking fits."""

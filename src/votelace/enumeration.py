@@ -64,16 +64,22 @@ def brute_force_count(
 
     ``recognizer`` is one of :data:`votelace.domains.DOMAINS` (or a
     ``functools.wraps`` wrapper of one).  :func:`votelace.perms.count_accepted`
-    computes its ``signature`` once per ranking and runs its ``accepts``
-    combine on every one of the (m!)^n tuples of signatures, in the
-    lexicographic order of :func:`votelace.elections.all_elections`, without
-    building the elections; with ``jobs > 1`` it partitions the tuples by the
-    first voter's ranking, so the result is independent of the worker count.
+    computes its ``signature`` once per ranking and tests every one of the
+    (m!)^n tuples of signatures, without building the elections.  For a
+    domain with a fold ``rule`` it folds each (n-1)-voter prefix once and
+    tests each of the prefix's m! completions with one mask AND; otherwise it
+    runs the ``accepts`` combine on every tuple, in the lexicographic order of
+    :func:`votelace.elections.all_elections`.  No tuple is skipped and no two
+    are merged, so the count is brute force either way.  With ``jobs > 1``
+    the tuples are partitioned by the first voter's ranking, so the result is
+    independent of the worker count.
     """
     if label is None:
         label = getattr(recognizer, "__name__", "recognizer")
-    if not (callable(getattr(recognizer, "signature", None)) and callable(getattr(recognizer, "accepts", None))):
-        raise TypeError(f"{label} has no signature and accepts combine; pass a recognizer from DOMAINS")
+    rule = getattr(recognizer, "rule", None)
+    accepts = getattr(recognizer, "accepts", None)
+    if not (callable(getattr(recognizer, "signature", None)) and callable(rule or accepts)):
+        raise TypeError(f"{label} has no signature and fold rule or accepts combine; pass a recognizer from DOMAINS")
     if m < 1 or n < 1:
         raise ValueError("an election needs at least one candidate and one voter")
     if guard is None:
@@ -82,7 +88,7 @@ def brute_force_count(
     if total > guard:
         raise GuardExceeded(f"(m!)^n = {total} recognizer calls at (m,n)=({m},{n}) exceeds the guard {guard}")
     check_cap(m, n)
-    count = count_accepted(m, n, recognizer.signature, recognizer.accepts, jobs)
+    count = count_accepted(m, n, recognizer.signature, rule(m) if rule else accepts, jobs)
     return CountReport(m, n, label, count, "brute-force")
 
 

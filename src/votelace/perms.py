@@ -8,6 +8,7 @@ Values and positions are 1-indexed throughout.  The search is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations, product
 from typing import Callable, Iterable, Iterator
@@ -176,19 +177,54 @@ def count_avoiders(n: int, forbidden: PatternSet, max_n: int = DEFAULT_MAX_N) ->
     return count
 
 
-def count_accepted(m: int, n: int, signature: Callable, accepts: Callable[..., bool], jobs: int = 1) -> int:
+class FoldRule:
+    """A verdict that folds over the voters' signatures, which are ints.
+
+    ``op`` (``operator.or_`` or ``operator.and_``) folds every voter but the
+    last into a state, from 0 or from all bits; the tuple is accepted iff the
+    last signature misses ``mask(state)`` (an OR fold) or meets it (an AND
+    fold).  For a count with ``jobs > 1``, ``mask`` must be a module-level
+    function or a ``partial`` of one, so that the rule pickles.
+    """
+
+    __slots__ = ("op", "mask")
+
+    def __init__(self, op: Callable[[int, int], int], mask: Callable[[int], int]):
+        self.op = op
+        self.mask = mask
+
+    def accepts(self, sigs) -> bool:
+        """The verdict on an iterable of at least one signature."""
+        meets = self.op is operator.and_
+        state = -1 if meets else 0
+        for last in sigs:
+            prefix, state = state, self.op(state, last)
+            # an AND fold that is already empty fails whatever follows, so
+            # the signatures of later voters are never computed
+            if meets and not state:
+                return False
+        return bool(self.mask(prefix) & last) == meets
+
+
+def count_accepted(m: int, n: int, signature: Callable, accepts, jobs: int = 1) -> int:
     """Number of n-tuples of permutations of 1..m whose signatures ``accepts`` takes.
 
     ``signature`` maps a permutation (a tuple of values) to what ``accepts``
-    combines; it runs once per permutation, and ``accepts`` runs on every one
-    of the (m!)^n tuples of signatures, in lexicographic order.  With
-    ``jobs > 1`` the tuples are partitioned by their first permutation, one
-    pool task each, and partial counts merge by addition, so the result is
-    independent of the worker count; both callables must then pickle.  The
-    callers guard the size.
+    combines; it runs once per permutation.  ``accepts`` is either a combine
+    over a tuple of signatures, which runs on every one of the (m!)^n tuples
+    in lexicographic order, or a :class:`FoldRule`.  A rule folds each
+    (n-1)-voter prefix once, depth first, and decides the m! completions of
+    the prefix with one C-level pass of ``mask(state) & last``, so every
+    tuple still gets its own test.  With ``jobs > 1`` the tuples are
+    partitioned by their first permutation, one pool task each, and partial
+    counts merge by addition, so the result is independent of the worker
+    count; ``signature`` and ``accepts`` must then pickle.  The callers guard
+    the size.
 
     >>> count_accepted(3, 2, tuple, lambda pair: pair[0] < pair[1])
     15
+    >>> count_accepted(3, 2, lambda values: 1 << values[0], FoldRule(operator.or_, lambda state: state))
+    24
     """
     if jobs > 1:
         import concurrent.futures
@@ -204,4 +240,19 @@ def _count_slice(args) -> int:
     m, n, signature, accepts, first = args
     table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
     heads = table if first is None else [signature(first)]
-    return sum(map(accepts, product(heads, *[table] * (n - 1))))
+    if not isinstance(accepts, FoldRule):
+        return sum(map(accepts, product(heads, *[table] * (n - 1))))
+    *prefix, last = [heads, *[table] * (n - 1)]
+    op, mask = accepts.op, accepts.mask
+    meets = op is operator.and_
+
+    def misses(state, depth: int) -> int:
+        # the completions, below a prefix folded to ``state``, that miss their mask
+        if depth == len(prefix):
+            return list(map(mask(state).__and__, last)).count(0)
+        if depth + 1 < len(prefix):
+            return sum(misses(op(state, s), depth + 1) for s in prefix[depth])
+        return sum(list(map(mask(op(state, s)).__and__, last)).count(0) for s in prefix[depth])
+
+    missed = misses(-1 if meets else 0, 0)
+    return len(heads) * len(table) ** (n - 1) - missed if meets else missed

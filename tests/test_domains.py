@@ -179,6 +179,26 @@ class TestSinglePeaked:
                     kernels.fits_axis(order, pos) for pos in axes
                 ], order
 
+    def test_peak_mask_matches_the_top_down_build(self):
+        # the axes built from the top of the ranking (each candidate joins the
+        # interval above it at either end), each ranked by a scan over its positions
+        def top_down(order):
+            m = len(order)
+            axes = [order[:1]]
+            for c in order[1:]:
+                axes = [x for a in axes for x in ((c, *a), (*a, c))]
+            mask = 0
+            for axis in axes:
+                rank = 0
+                for i, c in enumerate(axis):
+                    rank = rank * (m - i) + sum(1 for d in axis[i + 1:] if d < c)
+                mask |= 1 << rank
+            return mask
+
+        for m in range(1, 8):
+            for order in permutations(range(1, m + 1)):
+                assert _peak_mask(order) == top_down(order), order
+
     def test_axis_exists(self):
         assert is_single_peaked(election("2134", "3421")).holds
 

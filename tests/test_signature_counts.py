@@ -2,10 +2,13 @@
 
 import functools
 import math
+import random
+from itertools import permutations, product
 
 import pytest
 
 from votelace.domains import DOMAINS, ENRICHED_FORBIDDEN, GROUP_SEPARABLE_FORBIDDEN
+from votelace.domains import _em_masks, _middle_masks, _peak_mask, _quad_masks
 from votelace.elections import all_elections
 from votelace.enumeration import brute_force_count
 from votelace.errors import GuardExceeded
@@ -61,3 +64,167 @@ def test_pairwise_pattern_sets_are_closed_under_inversion(patterns):
     # the pairwise combines check each unordered voter pair one way round only
     members = set(patterns)
     assert {p.inverse() for p in members} == members
+
+
+# ---------------------------------------------------------------------------
+# the domains that fold over their voters
+
+
+FOLDED = ("em", "enriched", "group-separable-bh", "medium", "single-peaked")
+
+#: every cell with (m!)^n <= 400,000 (single-peaked: m <= 6), counted by the
+#: per-tuple combines before the fold rules replaced them
+PINNED_COUNTS = {
+    "medium": {
+        **{(1, n): 1 for n in range(1, 7)},
+        **{(2, n): 2**n for n in range(1, 7)},
+        (3, 1): 6, (3, 2): 36, (3, 3): 168, (3, 4): 720, (3, 5): 2976, (3, 6): 12096,
+        (4, 1): 24, (4, 2): 576, (4, 3): 6144, (4, 4): 55296,
+        (5, 1): 120, (5, 2): 14400, (6, 1): 720, (7, 1): 5040, (8, 1): 40320,
+    },
+    "em": {
+        **{(1, n): 1 for n in range(1, 7)},
+        **{(2, n): 2**n for n in range(1, 7)},
+        **{(3, n): 6**n for n in range(1, 7)},
+        (4, 1): 24, (4, 2): 480, (4, 3): 8064, (4, 4): 118272,
+        (5, 1): 120, (5, 2): 8160, (6, 1): 720, (7, 1): 5040, (8, 1): 40320,
+    },
+    "group-separable-bh": {
+        **{(1, n): 1 for n in range(1, 7)},
+        **{(2, n): 2**n for n in range(1, 7)},
+        (3, 1): 6, (3, 2): 36, (3, 3): 168, (3, 4): 720, (3, 5): 2976, (3, 6): 12096,
+        (4, 1): 24, (4, 2): 528, (4, 3): 5856, (4, 4): 53952,
+        (5, 1): 120, (5, 2): 10800, (6, 1): 720, (7, 1): 5040, (8, 1): 40320,
+    },
+    "enriched": {
+        **{(1, n): 1 for n in range(1, 7)},
+        **{(2, n): 2**n for n in range(1, 7)},
+        (3, 1): 6, (3, 2): 36, (3, 3): 168, (3, 4): 720, (3, 5): 2976, (3, 6): 12096,
+        (4, 1): 24, (4, 2): 480, (4, 3): 4992, (4, 4): 44544,
+        (5, 1): 120, (5, 2): 8160, (6, 1): 720, (7, 1): 5040, (8, 1): 40320,
+    },
+    "single-peaked": {
+        **{(1, n): 1 for n in range(1, 7)},
+        **{(2, n): 2**n for n in range(1, 7)},
+        (3, 1): 6, (3, 2): 36, (3, 3): 168, (3, 4): 720, (3, 5): 2976, (3, 6): 12096,
+        (4, 1): 24, (4, 2): 480, (4, 3): 4992, (4, 4): 44544,
+        (5, 1): 120, (5, 2): 8400, (6, 1): 720,
+    },
+}
+
+
+def test_pins_cover_every_small_cell():
+    for domain, cells in PINNED_COUNTS.items():
+        top = 6 if domain == "single-peaked" else 8
+        assert set(cells) == {
+            (m, n) for m in range(1, top + 1) for n in range(1, 7) if math.factorial(m) ** n <= 400_000
+        }, domain
+
+
+@pytest.mark.parametrize("domain", FOLDED)
+def test_folded_counts_match_pins(domain):
+    for (m, n), want in PINNED_COUNTS[domain].items():
+        report = brute_force_count(m, n, DOMAINS[domain])
+        assert (report.count, report.method) == (want, "brute-force"), (domain, m, n)
+
+
+def test_folded_jobs_split_gives_the_same_count():
+    for domain in FOLDED:
+        assert brute_force_count(4, 3, DOMAINS[domain], jobs=2).count == PINNED_COUNTS[domain][4, 3], domain
+
+
+# The per-tuple combines the fold rules replaced, over the tuple masks: each
+# ORs (or ANDs) every voter's masks and tests the result once.
+
+
+def _medium_oracle(orders) -> bool:
+    any0 = any1 = any2 = 0
+    for m0, m1, m2 in map(_middle_masks, orders):
+        any0 |= m0
+        any1 |= m1
+        any2 |= m2
+    return not any0 & any1 & any2
+
+
+def _em_oracle(orders) -> bool:
+    any_ends = any_mids = 0
+    for ends, mids in map(_em_masks, orders):
+        any_ends |= ends
+        any_mids |= mids
+    return not any_ends & any_mids
+
+
+def _medium_and_clash_oracle(pair_masks):
+    def accepts(orders) -> bool:
+        any_seen = any_clash = 0
+        for seen, clash in map(pair_masks, orders):
+            any_seen |= seen
+            any_clash |= clash
+        return _medium_oracle(orders) and not any_seen & any_clash
+
+    return accepts
+
+
+def _single_peaked_oracle(orders) -> bool:
+    common = -1
+    for mask in map(_peak_mask, orders):
+        common &= mask
+    return common != 0
+
+
+ORACLES = {
+    "medium": _medium_oracle,
+    "em": _em_oracle,
+    "group-separable-bh": _medium_and_clash_oracle(_quad_masks),
+    "enriched": _medium_and_clash_oracle(_em_masks),
+    "single-peaked": _single_peaked_oracle,
+}
+
+
+def _rule_accepts(domain, orders) -> bool:
+    recognizer = DOMAINS[domain]
+    return recognizer.rule(len(orders[0])).accepts(map(recognizer.signature, orders))
+
+
+def _seeded_tuples(m: int, n: int, count: int, seed: int):
+    """Half uniform tuples, half drawn from the identity, its reverse and
+    rankings one adjacent swap from them, so that tuples pass as well as fail."""
+    rng = random.Random(seed)
+    ident = list(range(1, m + 1))
+    near = [ident, ident[::-1]]
+    for base in (ident, ident[::-1]):
+        for i in range(m - 1):
+            row = list(base)
+            row[i], row[i + 1] = row[i + 1], row[i]
+            near.append(row)
+    for k in range(count):
+        if k % 2:
+            yield tuple(tuple(rng.choice(near)) for _ in range(n))
+        else:
+            yield tuple(tuple(rng.sample(ident, m)) for _ in range(n))
+
+
+@pytest.mark.parametrize("domain", FOLDED)
+def test_rule_matches_the_per_tuple_combine_on_every_three_voter_tuple(domain):
+    orders = list(permutations(range(1, 5)))
+    oracle = ORACLES[domain]
+    verdicts = set()
+    for tup in product(orders, repeat=3):
+        verdict = oracle(tup)
+        assert _rule_accepts(domain, tup) == verdict, tup
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("domain", FOLDED)
+def test_rule_matches_the_per_tuple_combine_on_samples(domain):
+    oracle = ORACLES[domain]
+    for m in range(1, 9):
+        verdicts = set()
+        for n in range(1, 7):
+            for tup in _seeded_tuples(m, n, 40, seed=1000 * m + n):
+                verdict = oracle(tup)
+                assert _rule_accepts(domain, tup) == verdict, tup
+                verdicts.add(verdict)
+        # em needs four candidates to fail, the others three
+        assert verdicts == ({True, False} if m >= (4 if domain == "em" else 3) else {True}), (domain, m)
