@@ -16,8 +16,9 @@ runs the test on its voters' signatures and, when that fails, returns a
 verdict with a lazy witness; exhaustive counting computes the m! signatures
 once and, building no election, folds each (n-1)-voter prefix once and
 decides each of its m! completions with one mask AND (a fold rule) or runs
-``accepts`` on every tuple.  Per-ranking masks that cost more than a lookup
-are cached on the ranking.
+``accepts`` on every tuple.  Per-ranking masks that cost more than a lookup,
+the packed signatures among them, are cached on the ranking, and each fold
+rule once per number of candidates.
 
 * medium: three masks over the triples, one per middle-element position,
   side by side; an election fails iff the AND of their ORs is nonzero.  The
@@ -244,6 +245,7 @@ def _medium_conflicts(tables) -> int:
     return any0 & any1 & any2
 
 
+@lru_cache(maxsize=None)
 def _medium_sig(order: tuple[int, ...]) -> int:
     # the three _middle_masks side by side
     t = comb(len(order), 3)
@@ -272,6 +274,7 @@ def _forbid(t: int, p: int, state: int) -> int:
     return (a1 & a2) | (a0 & a2) << t | (a0 & a1) << 2 * t | (clash | seen << p) << 3 * t
 
 
+@lru_cache(maxsize=None)
 def _or_rule(medium: bool, pair_slots: int, m: int) -> FoldRule:
     # the rule of medium-restriction (when ``medium``) plus a pair condition
     # with ``pair_slots`` slots per 4-subset (when nonzero), for m candidates
@@ -406,6 +409,7 @@ def _quad_masks(order: tuple[int, ...]) -> tuple[int, int]:
     return seen, clash
 
 
+@lru_cache(maxsize=None)
 def _bh_sig(order: tuple[int, ...]) -> int:
     # the medium fields, then the two _quad_masks side by side
     m = len(order)
@@ -413,6 +417,7 @@ def _bh_sig(order: tuple[int, ...]) -> int:
     return _medium_sig(order) | (seen | clash << 24 * comb(m, 4)) << 3 * comb(m, 3)
 
 
+@lru_cache(maxsize=None)
 def _enriched_sig(order: tuple[int, ...]) -> int:
     # the medium fields, then the em fields
     return _medium_sig(order) | _em_sig(order) << 3 * comb(len(order), 3)
@@ -532,6 +537,7 @@ def _em_masks(order: tuple[int, ...]) -> tuple[int, int]:
     return ends, mids
 
 
+@lru_cache(maxsize=None)
 def _em_sig(order: tuple[int, ...]) -> int:
     # the two _em_masks side by side
     ends, mids = _em_masks(order)
@@ -593,6 +599,7 @@ def _axes_all_fit(state: int) -> int:
     return state
 
 
+@lru_cache(maxsize=None)
 def _single_peaked_rule(m: int) -> FoldRule:
     return FoldRule(and_, _axes_all_fit)
 

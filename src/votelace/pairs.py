@@ -15,6 +15,7 @@ from functools import partial
 from typing import Iterable, Iterator
 
 from votelace import _pykernels, kernels
+from votelace.domains import _pair_bits
 from votelace.errors import GuardExceeded, ParseError
 from votelace.perms import Permutation, count_accepted
 
@@ -157,11 +158,19 @@ def weak_bruhat_le(lo: Permutation, hi: Permutation) -> bool:
     Comparability is containment of the out-of-order VALUE pairs, i.e. of the
     positional inversion sets of the inverses.  (Comparing positional
     inversion sets directly would give the mirror-image order, which does not
-    match strong [12,21]-avoidance: (231, 132) separates the two.)
+    match strong [12,21]-avoidance: (231, 132) separates the two.)  Decided
+    on the complementary bitmasks: ``lo``'s out-of-order value pairs lie
+    among ``hi``'s exactly when ``hi``'s in-order pairs, its cached
+    ``domains._pair_bits``, lie among ``lo``'s.
+
+    >>> weak_bruhat_le(Permutation((2, 1, 3)), Permutation((2, 3, 1)))
+    True
+    >>> weak_bruhat_le(Permutation((2, 3, 1)), Permutation((2, 1, 3)))
+    False
     """
     if len(lo) != len(hi):
         raise ValueError(f"length mismatch: {len(lo)} vs {len(hi)}")
-    return inversion_set(lo.inverse()) <= inversion_set(hi.inverse())
+    return not _pair_bits(hi.values) & ~_pair_bits(lo.values)
 
 
 def count_pair_avoiders(

@@ -4,7 +4,11 @@ Every claim the package relies on is double-checked here by running two
 independent routes over exhaustive small ranges (plus seeded random samples
 where the exhaustive range would be too large): recognizer vs recognizer,
 recurrence vs brute force, strong-order reduction vs generic containment.
-Failures carry the full counterexample.
+Failures carry the full counterexample; its text is built only when a check
+fails, so a passing suite pays for nothing but its two routes.  The 3-voter
+host elections (id, pi, rho) are built once per number of candidates and
+shared by every configuration checked against them, and sampled rankings
+are drawn from tables checked once per suite.
 """
 
 from __future__ import annotations
@@ -13,9 +17,16 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import permutations as _itertools_permutations
+from typing import Callable
 
 from votelace import domains
-from votelace.elections import Election, all_elections, contains_configuration
+from votelace.elections import (
+    Election,
+    Ranking,
+    _unchecked_election,
+    all_elections,
+    contains_configuration,
+)
 from votelace.enumeration import (
     brute_force_count,
     contains_3voter,
@@ -44,24 +55,38 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, counterexample: str) -> None:
+    def check(self, ok: bool, counterexample: Callable[[], str]) -> None:
+        """Count one check; ``counterexample`` formats it, and runs only if it failed."""
         self.checked += 1
         if not ok:
-            self.failures.append(counterexample)
+            self.failures.append(counterexample())
 
 
 def _perms(n: int) -> list[Permutation]:
     return [Permutation(v) for v in _itertools_permutations(range(1, n + 1))]
 
 
-def _random_perm(rng: random.Random, n: int) -> Permutation:
+def _rankings(m: int) -> dict[tuple[int, ...], Ranking]:
+    # the m! rankings keyed by their order, each checked once
+    return {v: Ranking(v) for v in _itertools_permutations(range(1, m + 1))}
+
+
+def _random_values(rng: random.Random, n: int) -> tuple[int, ...]:
+    # a uniform permutation of 1..n: one shuffle of 1..n, the only draw from rng
     values = list(range(1, n + 1))
     rng.shuffle(values)
-    return Permutation(tuple(values))
+    return tuple(values)
 
 
-def _random_election(rng: random.Random, m: int, n: int) -> Election:
-    return Election.from_rows([_random_perm(rng, m).values for _ in range(n)])
+def _three_voter_election(pi: Permutation, rho: Permutation, rankings: dict) -> Election:
+    # (id, pi, rho), from the _rankings table of len(pi) candidates
+    m = len(pi)
+    return _unchecked_election(m, (rankings[tuple(range(1, m + 1))], rankings[pi.values], rankings[rho.values]))
+
+
+def _three_voter_hosts(perms: list[Permutation], rankings: dict) -> list[tuple[Permutation, Permutation, Election]]:
+    # every (pi, rho, (id, pi, rho)) over these permutations, pi major
+    return [(pi, rho, _three_voter_election(pi, rho, rankings)) for pi in perms for rho in perms]
 
 
 def suite_bh_equivalence(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
@@ -72,13 +97,14 @@ def suite_bh_equivalence(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult
             for e in all_elections(m, n):
                 a = domains.is_group_separable_direct(e).holds
                 b = domains.is_group_separable_bh(e).holds
-                res.check(a == b, f"(m,n)=({m},{n}) election {e.to_text()!r}: direct={a} bh={b}")
+                res.check(a == b, lambda: f"(m,n)=({m},{n}) election {e.to_text()!r}: direct={a} bh={b}")
     rng = random.Random(seed)
+    rankings = _rankings(5)
     for _ in range(10_000):
-        e = _random_election(rng, 5, 4)
+        e = _unchecked_election(5, tuple(rankings[_random_values(rng, 5)] for _ in range(4)))
         a = domains.is_group_separable_direct(e).holds
         b = domains.is_group_separable_bh(e).holds
-        res.check(a == b, f"sampled (5,4) election {e.to_text()!r}: direct={a} bh={b}")
+        res.check(a == b, lambda: f"sampled (5,4) election {e.to_text()!r}: direct={a} bh={b}")
     return res
 
 
@@ -90,7 +116,7 @@ def suite_thm32(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
         for e in all_elections(m, n):
             a = domains.is_enriched_group_separable(e).holds
             b = domains.is_enriched_recursive(e).holds
-            res.check(a == b, f"(m,n)=({m},{n}) election {e.to_text()!r}: configuration={a} recursive={b}")
+            res.check(a == b, lambda: f"(m,n)=({m},{n}) election {e.to_text()!r}: configuration={a} recursive={b}")
     return res
 
 
@@ -104,13 +130,8 @@ def suite_prop33(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
             b = not any(
                 contains_configuration(e, cfg) for cfg in domains.ENRICHED_FORBIDDEN_CONFIGURATIONS
             )
-            res.check(a == b, f"(m,n)=({m},{n}) election {e.to_text()!r}: em={a} config-avoidance={b}")
+            res.check(a == b, lambda: f"(m,n)=({m},{n}) election {e.to_text()!r}: em={a} config-avoidance={b}")
     return res
-
-
-def _three_voter_election(pi: Permutation, rho: Permutation) -> Election:
-    m = len(pi)
-    return Election.from_rows([tuple(range(1, m + 1)), pi.values, rho.values])
 
 
 def suite_thm41(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
@@ -120,27 +141,33 @@ def suite_thm41(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     the pattern set.
     """
     res = SuiteResult("thm41")
+    rankings = {m: _rankings(m) for m in range(2, 6)}
+    perms = {m: _perms(m) for m in (2, 3, 4)}
+    hosts = {m: _three_voter_hosts(perms[m], rankings[m]) for m in (3, 4)}
     for h, m in [(2, 3), (2, 4), (3, 4)]:
-        small = _perms(h)
-        big = _perms(m)
+        small = perms[h]
         for tau in small:
             for sigma in small:
-                cfg = _three_voter_election(tau, sigma)
-                for pi in big:
-                    for rho in big:
-                        a = contains_3voter(pi, rho, tau, sigma)
-                        b = contains_configuration(_three_voter_election(pi, rho), cfg)
-                        res.check(
-                            a == b,
-                            f"tau={tau} sigma={sigma} pi={pi} rho={rho}: strong-order={a} generic={b}",
-                        )
+                cfg = _three_voter_election(tau, sigma, rankings[h])
+                for pi, rho, host in hosts[m]:
+                    a = contains_3voter(pi, rho, tau, sigma)
+                    b = contains_configuration(host, cfg)
+                    res.check(
+                        a == b,
+                        lambda: f"tau={tau} sigma={sigma} pi={pi} rho={rho}: strong-order={a} generic={b}",
+                    )
     rng = random.Random(seed)
+    by_values = {p.values: p for m in (3, 5) for p in _perms(m)}
     for _ in range(1000):
-        tau, sigma = _random_perm(rng, 3), _random_perm(rng, 3)
-        pi, rho = _random_perm(rng, 5), _random_perm(rng, 5)
+        tau, sigma = by_values[_random_values(rng, 3)], by_values[_random_values(rng, 3)]
+        pi, rho = by_values[_random_values(rng, 5)], by_values[_random_values(rng, 5)]
         a = contains_3voter(pi, rho, tau, sigma)
-        b = contains_configuration(_three_voter_election(pi, rho), _three_voter_election(tau, sigma))
-        res.check(a == b, f"sampled tau={tau} sigma={sigma} pi={pi} rho={rho}: strong-order={a} generic={b}")
+        b = contains_configuration(
+            _three_voter_election(pi, rho, rankings[5]), _three_voter_election(tau, sigma, rankings[3])
+        )
+        res.check(
+            a == b, lambda: f"sampled tau={tau} sigma={sigma} pi={pi} rho={rho}: strong-order={a} generic={b}"
+        )
     return res
 
 
@@ -150,21 +177,17 @@ def suite_cor43(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     Ignores ``jobs``: each of its 160 counts covers at most 576 pairs, far
     less work than starting a process pool for it."""
     res = SuiteResult("cor43")
+    rankings = {m: _rankings(m) for m in range(1, 5)}
     patterns = [(t, s) for h in (2, 3) for t in _perms(h) for s in _perms(h)]
     for m in range(1, 5):
-        pairs = _perms(m)
+        hosts = [host for _, _, host in _three_voter_hosts(_perms(m), rankings[m])]
         for tau, sigma in patterns:
-            cfg = _three_voter_election(tau, sigma)
-            direct = sum(
-                1
-                for v2 in pairs
-                for v3 in pairs
-                if not contains_configuration(_three_voter_election(v2, v3), cfg)
-            )
+            cfg = _three_voter_election(tau, sigma, rankings[len(tau)])
+            direct = sum(not contains_configuration(host, cfg) for host in hosts)
             via_patterns = count_avoiding_pairs(m, tau, sigma).count
             res.check(
                 direct == via_patterns,
-                f"m={m} tau={tau} sigma={sigma}: direct={direct} strong-order={via_patterns}",
+                lambda: f"m={m} tau={tau} sigma={sigma}: direct={direct} strong-order={via_patterns}",
             )
     return res
 
@@ -176,7 +199,7 @@ def suite_recurrence(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     for m, n in cells:
         brute = brute_force_count(m, n, domains.is_enriched_group_separable, jobs=jobs).count
         expected = enriched_count(m, n)
-        res.check(brute == expected, f"(m,n)=({m},{n}): brute-force={brute} recurrence={expected}")
+        res.check(brute == expected, lambda: f"(m,n)=({m},{n}): brute-force={brute} recurrence={expected}")
         res.info.append(f"({m},{n}): brute-force={brute} recurrence={expected}")
     return res
 
@@ -188,16 +211,16 @@ def suite_closed_forms(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
         for n in range(1, 9):
             exact = reduced_enriched_count(m, n)
             closed = reduced_enriched_count_closed(m, n)
-            res.check(closed == exact, f"closed form at (m,n)=({m},{n}): {closed} vs {exact}")
+            res.check(closed == exact, lambda: f"closed form at (m,n)=({m},{n}): {closed} vs {exact}")
     for selector, size in (("m3", 3), ("m4", 4), ("m5", 5)):
         for n in range(1, 11):
             formula = enriched_count_formula(selector, n)
             exact = enriched_count(size, n)
-            res.check(formula == exact, f"{selector} at n={n}: formula={formula} recurrence={exact}")
+            res.check(formula == exact, lambda: f"{selector} at n={n}: formula={formula} recurrence={exact}")
     for m in range(0, 13):
         formula = enriched_count_formula("n2", m)
         exact = enriched_count(m, 2)
-        res.check(formula == exact, f"n2 at m={m}: formula={formula} recurrence={exact}")
+        res.check(formula == exact, lambda: f"n2 at m={m}: formula={formula} recurrence={exact}")
     return res
 
 
@@ -212,19 +235,22 @@ def suite_weak_bruhat(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
                 below = weak_bruhat_le(rho, pi)
                 res.check(
                     avoids == below,
-                    f"pi={pi} rho={rho}: avoids-[12|21]={avoids} inversion-subset={below}",
+                    lambda: f"pi={pi} rho={rho}: avoids-[12|21]={avoids} inversion-subset={below}",
                 )
     return res
 
 
 def suite_bound3(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
-    """The 3-voter pattern bound is sound for single-crossing counts at desk scale."""
+    """The 3-voter pattern bound is sound for single-crossing counts at desk scale.
+
+    Ignores ``jobs``: each of its two cells has at most 13,824 tuples, far
+    less work than starting a process pool for it."""
     res = SuiteResult("bound3")
     pi_set = single_crossing_pair_patterns()
     for m, n in [(3, 3), (4, 3)]:
-        count = brute_force_count(m, n, domains.is_single_crossing, jobs=jobs).count
-        bound = upper_bound_3config(m, n, pi_set, jobs=jobs)
-        res.check(count <= bound, f"(m,n)=({m},{n}): single-crossing count {count} exceeds bound {bound}")
+        count = brute_force_count(m, n, domains.is_single_crossing).count
+        bound = upper_bound_3config(m, n, pi_set)
+        res.check(count <= bound, lambda: f"(m,n)=({m},{n}): single-crossing count {count} exceeds bound {bound}")
         res.info.append(f"({m},{n}): count={count} bound={bound}")
     return res
 
@@ -235,7 +261,7 @@ def suite_gamma_link(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     for m in range(1, 7):
         brute = brute_force_count(m, 2, domains.is_enriched_group_separable, jobs=jobs).count
         factored = math.factorial(m) * count_avoiders(m, domains.ENRICHED_FORBIDDEN)
-        res.check(brute == factored, f"m={m}: brute-force={brute} m!*avoiders={factored}")
+        res.check(brute == factored, lambda: f"m={m}: brute-force={brute} m!*avoiders={factored}")
         res.info.append(f"m={m}: brute-force={brute} m!*avoiders={factored}")
     return res
 

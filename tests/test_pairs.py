@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import perm, symmetric_group
 from votelace.errors import GuardExceeded, ParseError
@@ -12,7 +14,7 @@ from votelace.pairs import (
     strong_occurrences,
     weak_bruhat_le,
 )
-from votelace.perms import contains_pattern, identity
+from votelace.perms import Permutation, contains_pattern, identity
 
 
 def pp(a: str, b: str) -> PairPattern:
@@ -137,6 +139,17 @@ class TestInversions:
     def test_weak_bruhat_length_mismatch(self):
         with pytest.raises(ValueError):
             weak_bruhat_le(perm("12"), perm("123"))
+        with pytest.raises(ValueError):
+            weak_bruhat_le(perm("321"), perm("12"))
+
+    def test_weak_bruhat_is_inverse_inversion_containment(self):
+        # the definition, exhaustively for m <= 5
+        for m in range(6):
+            group = symmetric_group(m)
+            sets = {p: inversion_set(p.inverse()) for p in group}
+            for lo in group:
+                for hi in group:
+                    assert weak_bruhat_le(lo, hi) == (sets[lo] <= sets[hi]), (lo, hi)
 
     def test_weak_bruhat_equivalence_small(self):
         # avoiding [12, 21] is exactly weak-order comparability (m <= 4 here;
@@ -147,6 +160,31 @@ class TestInversions:
                 for rho in symmetric_group(m):
                     avoids = not strong_contains(rising_falling, PairPattern(pi, rho))
                     assert avoids == weak_bruhat_le(rho, pi), (pi, rho)
+
+
+@st.composite
+def _weak_order_chain(draw):
+    # (lo, hi) over 1..m, m <= 9, with hi reached from lo by swapping adjacent
+    # ascents, each of which puts one more value pair out of order, so lo <= hi
+    m = draw(st.integers(0, 9))
+    lo = draw(st.permutations(range(1, m + 1)))
+    hi = list(lo)
+    for i in draw(st.lists(st.integers(0, max(m - 2, 0)), max_size=3 * m)):
+        if i + 1 < m and hi[i] < hi[i + 1]:
+            hi[i], hi[i + 1] = hi[i + 1], hi[i]
+    return Permutation(tuple(lo)), Permutation(tuple(hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weak_order_chain(), st.data())
+def test_weak_bruhat_is_inverse_inversion_containment_random(chain, data):
+    # the definition for m <= 9: on a chain that goes up, both ways round, and
+    # on an independent permutation, which is rarely comparable
+    lo, hi = chain
+    other = Permutation(tuple(data.draw(st.permutations(range(1, len(lo) + 1)))))
+    assert weak_bruhat_le(lo, hi)
+    for a, b in ((lo, hi), (hi, lo), (lo, other), (other, hi)):
+        assert weak_bruhat_le(a, b) == (inversion_set(a.inverse()) <= inversion_set(b.inverse())), (a, b)
 
 
 class TestCountPairAvoiders:

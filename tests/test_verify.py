@@ -1,12 +1,18 @@
 """Plumbing tests for the verification suites.
 
 The suites themselves run (at their full ranges) in test_acceptance.py;
-here we only exercise the runner surface and a representative small suite.
+here we exercise the runner surface, a representative small suite, the
+failure text of injected disagreements and the pinned random samples.
 """
+
+import hashlib
+import itertools
+import types
 
 import pytest
 
-from votelace.verify import SUITES, run_suite
+from votelace import verify
+from votelace.verify import DEFAULT_SEED, SUITES, run_suite
 
 
 def test_registry_is_complete():
@@ -35,9 +41,90 @@ def test_small_suite_reports_checks():
     assert result.checked == 88 + 30 + 13
 
 
-def test_failures_carry_counterexamples():
+def test_bound3_runs_in_process(monkeypatch):
+    # its cells are too small to pay for a pool, so jobs is ignored
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("bound3 opened a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    result = run_suite("bound3", jobs=2)
+    assert result.passed and result.checked == 2
+    assert result.info == ["(3,3): count=204 bound=216", "(4,3): count=9168 bound=13680"]
+
+
+def _flipped(route, picks, verdict=False):
+    # ``route`` with the result of the calls numbered in ``picks`` (from 0) negated
+    calls = itertools.count()
+
+    def flipped(*args):
+        out = route(*args)
+        if next(calls) not in picks:
+            return out
+        return types.SimpleNamespace(holds=not out.holds) if verdict else not out
+
+    return flipped
+
+
+def test_failures_carry_counterexamples(monkeypatch):
+    # one injected disagreement per suite; the text is pinned character for character
+    bh = _flipped(verify.domains.is_group_separable_bh, {100, 24698}, verdict=True)
+    monkeypatch.setattr(verify.domains, "is_group_separable_bh", bh)
+    assert run_suite("bh-equivalence").failures == [
+        "(m,n)=(3,3) election '1 3 2\\n1 2 3\\n3 2 1': direct=True bh=False",
+        "sampled (5,4) election '2 5 1 3 4\\n2 5 3 1 4\\n1 3 5 2 4\\n1 5 2 3 4': direct=False bh=True",
+    ]
+    monkeypatch.setattr(verify, "contains_3voter", _flipped(verify.contains_3voter, {5000, 24183}))
+    assert run_suite("thm41").failures == [
+        "tau=1 2 3 sigma=3 1 2 pi=2 4 1 3 rho=2 3 1 4: strong-order=True generic=False",
+        "sampled tau=3 1 2 sigma=2 3 1 pi=5 1 3 4 2 rho=5 1 3 4 2: strong-order=True generic=False",
+    ]
+    monkeypatch.setattr(verify, "weak_bruhat_le", _flipped(verify.weak_bruhat_le, {777}))
     result = run_suite("weak-bruhat")
-    assert result.passed and result.failures == []
+    assert result.checked == 15017
+    assert result.failures == ["pi=1 2 3 5 4 rho=2 4 5 1 3: avoids-[12|21]=False inversion-subset=True"]
+
+
+def _sampled_digest(monkeypatch, suite, seed):
+    # sha256 of the inputs of the suite's seeded samples, which are its last route calls
+    seen = []
+    if suite == "bh-equivalence":
+        route = verify.domains.is_group_separable_direct
+
+        def record(e):
+            seen.append(tuple(r.order for r in e.preferences))
+            return route(e)
+
+        monkeypatch.setattr(verify.domains, "is_group_separable_direct", record)
+        samples = 10_000
+    else:
+        route = verify.contains_3voter
+
+        def record(pi, rho, tau, sigma):
+            seen.append(tuple(p.values for p in (tau, sigma, pi, rho)))
+            return route(pi, rho, tau, sigma)
+
+        monkeypatch.setattr(verify, "contains_3voter", record)
+        samples = 1000
+    assert run_suite(suite, seed=seed).passed
+    return hashlib.sha256(repr(seen[-samples:]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "suite, seed, digest",
+    [
+        ("bh-equivalence", DEFAULT_SEED, "bfabe4e2b9f8dbcff057493adb70d2ea5772b6a9a1354db73a4beebc81e9717a"),
+        ("bh-equivalence", 7, "ac22e3eb60c39110a2ff7a64170673a4238c50016463e6de6b24ddb506c8941b"),
+        ("thm41", DEFAULT_SEED, "ed76a55f86907db9f2dfa68b8a134cc7927b766896ee3a86eb87a158822c4ac7"),
+        ("thm41", 7, "d13edbd18a8e569b15c0de84b5054d23d6c0f3ab7c4cef167f22dd83d5b2ad05"),
+    ],
+    ids=["bh-equivalence-default-seed", "bh-equivalence-seed-7", "thm41-default-seed", "thm41-seed-7"],
+)
+def test_sampled_inputs_are_pinned(monkeypatch, suite, seed, digest):
+    # the 10,000 sampled (5,4) elections and the 1,000 sampled (tau, sigma, pi, rho),
+    # in draw order: a faster sampler must keep the random stream
+    assert _sampled_digest(monkeypatch, suite, seed) == digest
 
 
 def test_two_voter_enriched_counts_factor_through_avoiders():
