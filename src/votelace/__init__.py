@@ -5,7 +5,6 @@ small-instance verification."""
 from votelace.elections import (
     Configuration,
     Election,
-    Ranking,
     all_elections,
     contains_configuration,
     find_embedding,

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a cross-formulation verification suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; suites run in process")
 
     p_bound = sub.add_parser("bound", help="3-voter pattern upper bound for restricted counts")
     p_bound.add_argument("--m", type=int, required=True)

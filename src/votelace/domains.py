@@ -66,7 +66,7 @@ from math import comb, factorial
 from operator import and_, or_
 from typing import Callable, Optional
 
-from votelace.elections import Election, _rank_vector, sub_election
+from votelace.elections import Election, _pair_perm_values, _rank_vector, sub_election
 from votelace.errors import GuardExceeded
 from votelace.perms import FoldRule, PatternSet, Permutation, occurrences
 
@@ -117,18 +117,13 @@ class DomainVerdict:
 
     __slots__ = ("holds", "_witness", "_finder")
 
-    def __init__(
-        self,
-        holds: bool,
-        witness: Optional[Witness] = None,
-        finder: Optional[Callable[[], Witness]] = None,
-    ):
-        if holds and (witness is not None or finder is not None):
+    def __init__(self, holds: bool, finder: Optional[Callable[[], Witness]] = None):
+        if holds and finder is not None:
             raise ValueError("a holding verdict cannot carry a witness")
-        if not holds and witness is None and finder is None:
-            raise ValueError("a failing verdict needs a witness or a witness finder")
+        if not holds and finder is None:
+            raise ValueError("a failing verdict needs a witness finder")
         self.holds = holds
-        self._witness = witness
+        self._witness = None
         self._finder = finder
 
     @property
@@ -190,7 +185,7 @@ def _recognizer(
         def recognize(e: Election) -> DomainVerdict:
             check_cap(e.num_candidates, e.num_voters)
             test = accepts or rule(e.num_candidates).accepts
-            if test(map(signature, [r.order for r in e.preferences])):
+            if test(map(signature, e.preferences)):
                 return DomainVerdict(True)
             return DomainVerdict(False, finder=lambda: find_witness(e))
 
@@ -283,7 +278,7 @@ def _or_rule(medium: bool, pair_slots: int, m: int) -> FoldRule:
 
 def _medium_witness(e: Election) -> Witness:
     # the first conflicting triple, with the first voter for each middle
-    table = [_middle_masks(r.order) for r in e.preferences]
+    table = [_middle_masks(r) for r in e.preferences]
     bad = _medium_conflicts(table)
     t = (bad & -bad).bit_length() - 1
     first_voter_for = {}
@@ -334,7 +329,7 @@ def _group_separable_accepts(orders) -> bool:
 def is_group_separable_direct(e: Election) -> Witness:
     """Every candidate subset of size >= 2 splits into two blocks that each
     voter ranks entirely above or entirely below one another."""
-    size, j = _first_unsplit(tuple(r.order for r in e.preferences))
+    size, j = _first_unsplit(e.preferences)
     return Witness(tuple(range(1, e.num_voters + 1)), _subsets(e.num_candidates, size)[j])
 
 
@@ -435,16 +430,15 @@ def _first_bad_pair(tables: list) -> tuple[int, int]:
 
 
 def _medium_and_pairs_witness(e: Election, pair_masks: Callable, pats: tuple) -> Witness:
-    orders = [r.order for r in e.preferences]
+    orders = e.preferences
     if _medium_conflicts(map(_middle_masks, orders)):
         return _medium_witness(e)
     i, j = _first_bad_pair(list(map(pair_masks, orders)))
-    other = e.preferences[j - 1]
-    ranks = _rank_vector(e.preferences[i - 1].order)
-    perm = Permutation(tuple(ranks[c - 1] + 1 for c in other.order))
+    other = orders[j - 1]
+    perm = Permutation(_pair_perm_values(orders[i - 1], other))
     for pat in pats:
         for occ in occurrences(Permutation(pat), perm):
-            candidates = tuple(sorted(other.order[k - 1] for k in occ))
+            candidates = tuple(sorted(other[k - 1] for k in occ))
             return Witness(tuple(sorted((i, j))), candidates)
     raise AssertionError("pair witness requested for a clean pair")
 
@@ -473,8 +467,7 @@ def _recursive_accepts(orders) -> bool:
     # relabel the candidates once so that the first preference is the identity;
     # every restriction _recursive_ok makes keeps it the identity
     orders = tuple(orders)
-    ranks = _rank_vector(orders[0])
-    return _recursive_ok(tuple(tuple(ranks[c - 1] + 1 for c in p) for p in orders))
+    return _recursive_ok(tuple(_pair_perm_values(orders[0], p) for p in orders))
 
 
 @_recognizer(_order, _recursive_accepts)
@@ -550,7 +543,7 @@ def em_condition(e: Election) -> Witness:
     differs from the other's middle pair.  Equivalent to avoiding the four
     enriched forbidden configurations (without medium-restriction)."""
     # the first (gamma, delta, 4-subset) in scan order whose ends and mids meet
-    tables = [_em_masks(r.order) for r in e.preferences]
+    tables = [_em_masks(r) for r in e.preferences]
     for gamma, (ends, _) in enumerate(tables):
         for delta, (_, mids) in enumerate(tables):
             bad = ends & mids

@@ -1,18 +1,20 @@
 """Elections, configurations, and the generic configuration-containment oracle.
 
-An election is a labeled candidate set [m] plus an ordered tuple of voters'
-strict rankings (best-to-worst).  A configuration is a small election used as
-a forbidden sub-structure: an election contains it when injective voter and
-candidate maps preserve every stated preference.  Voters are significant as
-tuple positions; elections with equal ranking multisets in different orders
-are distinct objects.  The search is ``_pykernels.configuration_embeddings``;
+A ranking is a tuple of candidates, best first.  An election is a labeled
+candidate set [m] plus an ordered tuple of voters' rankings, each a
+permutation of 1..m; the election's constructor is the one place a ranking is
+checked.  A configuration is a small election used as a forbidden
+sub-structure: an election contains it when injective voter and candidate
+maps preserve every stated preference.  Voters are significant as tuple
+positions; elections with equal ranking multisets in different orders are
+distinct objects.  The search is ``_pykernels.configuration_embeddings``;
 :func:`find_embedding` takes its first embedding, voters made 1-based.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
@@ -24,48 +26,22 @@ from votelace.perms import Permutation
 
 
 @dataclass(frozen=True)
-class Ranking:
-    """One voter's strict preference, listed from most to least preferred."""
-
-    order: tuple[int, ...]
-    ids: frozenset[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        order = tuple(self.order)
-        object.__setattr__(self, "order", order)
-        ids = frozenset(order)
-        if len(ids) != len(order):
-            raise ValueError(f"duplicate candidate in ranking {order}")
-        if any(c < 1 for c in order):
-            raise ValueError(f"candidate identifiers must be positive: {order}")
-        object.__setattr__(self, "ids", ids)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.order)
-
-    def to_line(self) -> str:
-        return " ".join(str(c) for c in self.order)
-
-
-@dataclass(frozen=True)
 class Election:
     """A candidate set [m] plus an ordered tuple of n rankings over it."""
 
     num_candidates: int
-    preferences: tuple[Ranking, ...]
+    preferences: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "preferences", tuple(self.preferences))
+        prefs = tuple(map(tuple, self.preferences))
+        object.__setattr__(self, "preferences", prefs)
         m = self.num_candidates
-        if m < 1 or not self.preferences:
+        if m < 1 or not prefs:
             raise ValueError("an election needs at least one candidate and one voter")
-        full = frozenset(range(1, m + 1))
-        for r in self.preferences:
-            if r.ids != full:
-                raise ValueError(f"ranking {r.order} is not a permutation of 1..{m}")
+        ident = list(range(1, m + 1))
+        for r in prefs:
+            if sorted(r) != ident:
+                raise ValueError(f"ranking {r} is not a permutation of 1..{m}")
 
     @property
     def num_voters(self) -> int:
@@ -73,18 +49,16 @@ class Election:
 
     def rank_vectors(self) -> tuple[tuple[int, ...], ...]:
         """Per voter, the 0-based position of each candidate (indexed by candidate-1)."""
-        return tuple(_rank_vector(r.order) for r in self.preferences)
+        return tuple(map(_rank_vector, self.preferences))
 
     def to_text(self) -> str:
         """One voter per line, candidates space-separated best-to-worst."""
-        return "\n".join(r.to_line() for r in self.preferences)
+        return "\n".join(" ".join(map(str, r)) for r in self.preferences)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> Election:
-        rankings = tuple(Ranking(tuple(row)) for row in rows)
-        if not rankings:
-            raise ValueError("an election needs at least one voter")
-        return cls(len(rankings[0]), rankings)
+        rows = tuple(rows)
+        return cls(len(rows[0]) if rows else 0, rows)
 
 
 #: a configuration is itself a small election used as forbidden sub-structure
@@ -120,14 +94,12 @@ def parse_election(text: str) -> Election:
         raise ParseError("no rankings found")
     m = len(rows[0][1])
     full = frozenset(range(1, m + 1))
-    rankings = []
     for lineno, row in rows:
         if len(set(row)) != len(row):
             raise ParseError(f"line {lineno}: duplicate candidate in {row}")
         if frozenset(row) != full:
             raise ParseError(f"line {lineno}: inconsistent candidate set {sorted(set(row))}, expected 1..{m}")
-        rankings.append(Ranking(row))
-    return Election(m, tuple(rankings))
+    return Election(m, tuple(row for _, row in rows))
 
 
 def restrict(e: Election, subset: Iterable[int]) -> Election:
@@ -139,10 +111,7 @@ def restrict(e: Election, subset: Iterable[int]) -> Election:
         raise ValueError(f"subset {chosen} out of range 1..{e.num_candidates}")
     relabel = {c: i + 1 for i, c in enumerate(chosen)}
     keep = set(chosen)
-    rankings = tuple(
-        Ranking(tuple(relabel[c] for c in r.order if c in keep)) for r in e.preferences
-    )
-    return Election(len(chosen), rankings)
+    return Election(len(chosen), tuple(tuple(relabel[c] for c in r if c in keep) for r in e.preferences))
 
 
 def sub_election(e: Election, voters: Iterable[int], candidates: Iterable[int]) -> Election:
@@ -175,27 +144,29 @@ def find_embedding(
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _pair_perm_values(ref_order: tuple[int, ...], other_order: tuple[int, ...]) -> tuple[int, ...]:
+    # bounded: an enumeration relabels against one first ranking at a time
+    # (at most 720 pairs for m <= 6), while a sweep of every pair at m = 5
+    # would keep 14,400 entries that are never hit again
     ranks = _rank_vector(ref_order)
     return tuple(ranks[c - 1] + 1 for c in other_order)
 
 
-def pair_permutation(reference: Ranking, other: Ranking) -> Permutation:
-    """The permutation ``other`` becomes after relabeling candidates so that
-    ``reference`` reads 1 2 ... m best-to-worst.
+def pair_permutation(reference: Sequence[int], other: Sequence[int]) -> Permutation:
+    """The permutation ranking ``other`` becomes after relabeling candidates
+    so that ranking ``reference`` reads 1 2 ... m best-to-worst.
 
-    >>> pair_permutation(Ranking((1, 2, 3, 4)), Ranking((2, 4, 1, 3)))
-    Permutation((2, 4, 1, 3))
+    >>> pair_permutation((1, 3, 2, 4), (2, 4, 1, 3))
+    Permutation((3, 4, 1, 2))
     """
-    if reference.ids != other.ids:
-        raise ValueError("rankings are over different candidate sets")
-    return Permutation(_pair_perm_values(reference.order, other.order))
+    reference, other = Election.from_rows([reference, other]).preferences
+    return Permutation(_pair_perm_values(reference, other))
 
 
-def _unchecked_election(m: int, prefs: tuple[Ranking, ...]) -> Election:
-    # an Election built without __post_init__, for rankings already checked
-    # to be permutations of 1..m
+def _unchecked_election(m: int, prefs: tuple[tuple[int, ...], ...]) -> Election:
+    # an Election built without __post_init__, for rankings that are
+    # permutations of 1..m by construction
     e = object.__new__(Election)
     fields = e.__dict__
     fields["num_candidates"] = m
@@ -203,11 +174,11 @@ def _unchecked_election(m: int, prefs: tuple[Ranking, ...]) -> Election:
     return e
 
 
-def _checked_rankings(m: int, n: int) -> list[Ranking]:
-    # the m! rankings, checked once for the whole enumeration
+def _rankings(m: int, n: int) -> list[tuple[int, ...]]:
+    # the m! rankings, for an enumeration of n voters; both must be at least 1
     if m < 1 or n < 1:
         raise ValueError("an election needs at least one candidate and one voter")
-    return [Ranking(v) for v in _itertools_permutations(range(1, m + 1))]
+    return list(_itertools_permutations(range(1, m + 1)))
 
 
 def all_elections(m: int, n: int, limit: Optional[int] = None) -> Iterator[Election]:
@@ -217,19 +188,17 @@ def all_elections(m: int, n: int, limit: Optional[int] = None) -> Iterator[Elect
     total = math.factorial(m) ** n
     if total > limit:
         raise GuardExceeded(f"(m!)^n = {total} elections at (m,n)=({m},{n}) exceeds the guard {limit}")
-    rankings = _checked_rankings(m, n)
-    for prefs in product(rankings, repeat=n):
+    for prefs in product(_rankings(m, n), repeat=n):
         yield _unchecked_election(m, prefs)
 
 
-def elections_with_first(m: int, n: int, first: Ranking) -> Iterator[Election]:
+def elections_with_first(m: int, n: int, first: Sequence[int]) -> Iterator[Election]:
     """The lexicographic slice of :func:`all_elections` with a fixed first voter.
 
     This is the splitting point for parallel consumption: slices are disjoint,
     cover everything, and merge deterministically in first-ranking order.
     """
-    rankings = _checked_rankings(m, n)
-    if first.ids != frozenset(range(1, m + 1)):
-        raise ValueError(f"ranking {first.order} is not a permutation of 1..{m}")
+    rankings = _rankings(m, n)
+    first = Election(m, (first,)).preferences[0]
     for rest in product(rankings, repeat=n - 1):
         yield _unchecked_election(m, (first, *rest))

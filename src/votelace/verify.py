@@ -7,8 +7,8 @@ recurrence vs brute force, strong-order reduction vs generic containment.
 Failures carry the full counterexample; its text is built only when a check
 fails, so a passing suite pays for nothing but its two routes.  The 3-voter
 host elections (id, pi, rho) are built once per number of candidates and
-shared by every configuration checked against them, and sampled rankings
-are drawn from tables checked once per suite.
+shared by every configuration checked against them.  Every suite counts in
+process: its cells are too small to pay for starting a process pool.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from itertools import permutations as _itertools_permutations
 from typing import Callable
 
 from votelace import domains
-from votelace.elections import (
-    Election,
-    Ranking,
-    _unchecked_election,
-    all_elections,
-    contains_configuration,
-)
+from votelace.elections import Election, _unchecked_election, all_elections, contains_configuration
 from votelace.enumeration import (
     brute_force_count,
     contains_3voter,
@@ -66,11 +60,6 @@ def _perms(n: int) -> list[Permutation]:
     return [Permutation(v) for v in _itertools_permutations(range(1, n + 1))]
 
 
-def _rankings(m: int) -> dict[tuple[int, ...], Ranking]:
-    # the m! rankings keyed by their order, each checked once
-    return {v: Ranking(v) for v in _itertools_permutations(range(1, m + 1))}
-
-
 def _random_values(rng: random.Random, n: int) -> tuple[int, ...]:
     # a uniform permutation of 1..n: one shuffle of 1..n, the only draw from rng
     values = list(range(1, n + 1))
@@ -78,18 +67,18 @@ def _random_values(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _three_voter_election(pi: Permutation, rho: Permutation, rankings: dict) -> Election:
-    # (id, pi, rho), from the _rankings table of len(pi) candidates
+def _three_voter_election(pi: Permutation, rho: Permutation) -> Election:
+    # (id, pi, rho)
     m = len(pi)
-    return _unchecked_election(m, (rankings[tuple(range(1, m + 1))], rankings[pi.values], rankings[rho.values]))
+    return _unchecked_election(m, (tuple(range(1, m + 1)), pi.values, rho.values))
 
 
-def _three_voter_hosts(perms: list[Permutation], rankings: dict) -> list[tuple[Permutation, Permutation, Election]]:
+def _three_voter_hosts(perms: list[Permutation]) -> list[tuple[Permutation, Permutation, Election]]:
     # every (pi, rho, (id, pi, rho)) over these permutations, pi major
-    return [(pi, rho, _three_voter_election(pi, rho, rankings)) for pi in perms for rho in perms]
+    return [(pi, rho, _three_voter_election(pi, rho)) for pi in perms for rho in perms]
 
 
-def suite_bh_equivalence(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+def suite_bh_equivalence(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Direct group-separability agrees with the forbidden-configuration form."""
     res = SuiteResult("bh-equivalence")
     for m in range(1, 5):
@@ -99,16 +88,15 @@ def suite_bh_equivalence(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult
                 b = domains.is_group_separable_bh(e).holds
                 res.check(a == b, lambda: f"(m,n)=({m},{n}) election {e.to_text()!r}: direct={a} bh={b}")
     rng = random.Random(seed)
-    rankings = _rankings(5)
     for _ in range(10_000):
-        e = _unchecked_election(5, tuple(rankings[_random_values(rng, 5)] for _ in range(4)))
+        e = _unchecked_election(5, tuple(_random_values(rng, 5) for _ in range(4)))
         a = domains.is_group_separable_direct(e).holds
         b = domains.is_group_separable_bh(e).holds
         res.check(a == b, lambda: f"sampled (5,4) election {e.to_text()!r}: direct={a} bh={b}")
     return res
 
 
-def suite_thm32(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+def suite_thm32(seed: int = DEFAULT_SEED) -> SuiteResult:
     """The recursive characterization agrees with the configuration-based recognizer."""
     res = SuiteResult("thm32")
     cells = [(m, n) for m in range(1, 5) for n in range(1, 4)] + [(5, 2)]
@@ -120,7 +108,7 @@ def suite_thm32(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     return res
 
 
-def suite_prop33(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+def suite_prop33(seed: int = DEFAULT_SEED) -> SuiteResult:
     """The extremes-vs-middles condition equals avoidance of the four forbidden configurations."""
     res = SuiteResult("prop33")
     cells = [(m, 2) for m in range(1, 6)] + [(4, 3)]
@@ -134,21 +122,20 @@ def suite_prop33(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     return res
 
 
-def suite_thm41(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+def suite_thm41(seed: int = DEFAULT_SEED) -> SuiteResult:
     """The strong-order route to 3-voter containment agrees with the generic oracle.
 
     This equivalence also pins the composition convention used when building
     the pattern set.
     """
     res = SuiteResult("thm41")
-    rankings = {m: _rankings(m) for m in range(2, 6)}
     perms = {m: _perms(m) for m in (2, 3, 4)}
-    hosts = {m: _three_voter_hosts(perms[m], rankings[m]) for m in (3, 4)}
+    hosts = {m: _three_voter_hosts(perms[m]) for m in (3, 4)}
     for h, m in [(2, 3), (2, 4), (3, 4)]:
         small = perms[h]
         for tau in small:
             for sigma in small:
-                cfg = _three_voter_election(tau, sigma, rankings[h])
+                cfg = _three_voter_election(tau, sigma)
                 for pi, rho, host in hosts[m]:
                     a = contains_3voter(pi, rho, tau, sigma)
                     b = contains_configuration(host, cfg)
@@ -162,27 +149,21 @@ def suite_thm41(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
         tau, sigma = by_values[_random_values(rng, 3)], by_values[_random_values(rng, 3)]
         pi, rho = by_values[_random_values(rng, 5)], by_values[_random_values(rng, 5)]
         a = contains_3voter(pi, rho, tau, sigma)
-        b = contains_configuration(
-            _three_voter_election(pi, rho, rankings[5]), _three_voter_election(tau, sigma, rankings[3])
-        )
+        b = contains_configuration(_three_voter_election(pi, rho), _three_voter_election(tau, sigma))
         res.check(
             a == b, lambda: f"sampled tau={tau} sigma={sigma} pi={pi} rho={rho}: strong-order={a} generic={b}"
         )
     return res
 
 
-def suite_cor43(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
-    """Counting avoiding (V2, V3) pairs through the strong order matches direct counting.
-
-    Ignores ``jobs``: each of its 160 counts covers at most 576 pairs, far
-    less work than starting a process pool for it."""
+def suite_cor43(seed: int = DEFAULT_SEED) -> SuiteResult:
+    """Counting avoiding (V2, V3) pairs through the strong order matches direct counting."""
     res = SuiteResult("cor43")
-    rankings = {m: _rankings(m) for m in range(1, 5)}
     patterns = [(t, s) for h in (2, 3) for t in _perms(h) for s in _perms(h)]
     for m in range(1, 5):
-        hosts = [host for _, _, host in _three_voter_hosts(_perms(m), rankings[m])]
+        hosts = [host for _, _, host in _three_voter_hosts(_perms(m))]
         for tau, sigma in patterns:
-            cfg = _three_voter_election(tau, sigma, rankings[len(tau)])
+            cfg = _three_voter_election(tau, sigma)
             direct = sum(not contains_configuration(host, cfg) for host in hosts)
             via_patterns = count_avoiding_pairs(m, tau, sigma).count
             res.check(
@@ -192,19 +173,19 @@ def suite_cor43(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     return res
 
 
-def suite_recurrence(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+def suite_recurrence(seed: int = DEFAULT_SEED) -> SuiteResult:
     """The enriched-count recurrence matches exhaustive recognition."""
     res = SuiteResult("recurrence")
     cells = [(m, n) for m in range(1, 5) for n in range(1, 4)] + [(5, 2), (5, 3)]
     for m, n in cells:
-        brute = brute_force_count(m, n, domains.is_enriched_group_separable, jobs=jobs).count
+        brute = brute_force_count(m, n, domains.is_enriched_group_separable).count
         expected = enriched_count(m, n)
         res.check(brute == expected, lambda: f"(m,n)=({m},{n}): brute-force={brute} recurrence={expected}")
         res.info.append(f"({m},{n}): brute-force={brute} recurrence={expected}")
     return res
 
 
-def suite_closed_forms(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+def suite_closed_forms(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Closed forms and fixed-size formulas match the integer recurrences."""
     res = SuiteResult("closed-forms")
     for m in range(0, 11):
@@ -224,7 +205,7 @@ def suite_closed_forms(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     return res
 
 
-def suite_weak_bruhat(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+def suite_weak_bruhat(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Avoiding the pair pattern [12, 21] is exactly weak-Bruhat comparability."""
     res = SuiteResult("weak-bruhat")
     rising_falling = PairPattern.of((1, 2), (2, 1))
@@ -240,11 +221,8 @@ def suite_weak_bruhat(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     return res
 
 
-def suite_bound3(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
-    """The 3-voter pattern bound is sound for single-crossing counts at desk scale.
-
-    Ignores ``jobs``: each of its two cells has at most 13,824 tuples, far
-    less work than starting a process pool for it."""
+def suite_bound3(seed: int = DEFAULT_SEED) -> SuiteResult:
+    """The 3-voter pattern bound is sound for single-crossing counts at desk scale."""
     res = SuiteResult("bound3")
     pi_set = single_crossing_pair_patterns()
     for m, n in [(3, 3), (4, 3)]:
@@ -255,11 +233,11 @@ def suite_bound3(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     return res
 
 
-def suite_gamma_link(seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+def suite_gamma_link(seed: int = DEFAULT_SEED) -> SuiteResult:
     """At two voters, enriched elections factor through pattern-avoiding permutations."""
     res = SuiteResult("gamma-link")
     for m in range(1, 7):
-        brute = brute_force_count(m, 2, domains.is_enriched_group_separable, jobs=jobs).count
+        brute = brute_force_count(m, 2, domains.is_enriched_group_separable).count
         factored = math.factorial(m) * count_avoiders(m, domains.ENRICHED_FORBIDDEN)
         res.check(brute == factored, lambda: f"m={m}: brute-force={brute} m!*avoiders={factored}")
         res.info.append(f"m={m}: brute-force={brute} m!*avoiders={factored}")
@@ -281,6 +259,8 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
+    """Run one suite.  ``jobs`` is accepted for compatibility and ignored:
+    no suite opens a process pool."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    return SUITES[name](seed=seed, jobs=jobs)
+    return SUITES[name](seed=seed)

@@ -1,11 +1,17 @@
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-from votelace import elections, pairs, perms
+import votelace
+
+MODULES = [
+    f"votelace.{info.name}" for info in pkgutil.iter_modules(votelace.__path__) if not info.name.startswith("_")
+]
 
 
-@pytest.mark.parametrize("module", [perms, pairs, elections])
-def test_docstring_examples(module):
-    result = doctest.testmod(module)
+@pytest.mark.parametrize("name", MODULES)
+def test_docstring_examples(name):
+    result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0

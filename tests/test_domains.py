@@ -242,7 +242,7 @@ def _orderable(e: Election) -> bool:
     """The definition, by search: some ordering of the voters flips every
     candidate pair at most once, i.e. the XORs of consecutive voters'
     ``_pair_bits`` are pairwise disjoint."""
-    bits = [_pair_bits(r.order) for r in e.preferences]
+    bits = [_pair_bits(r) for r in e.preferences]
     for line in permutations(bits):
         flipped = 0
         for a, b in zip(line, line[1:]):
@@ -281,13 +281,13 @@ class TestVerdicts:
         v = DomainVerdict(True)
         assert v and v.witness is None
         w = Witness((1,), (1, 2))
-        assert DomainVerdict(False, witness=w).witness == w
+        assert DomainVerdict(False, finder=lambda: w).witness == w
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DomainVerdict(False)
         with pytest.raises(ValueError):
-            DomainVerdict(True, witness=Witness((1,), (1,)))
+            DomainVerdict(True, finder=lambda: Witness((1,), (1,)))
 
     def test_lazy_finder_runs_once(self):
         calls = []

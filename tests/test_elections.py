@@ -7,7 +7,6 @@ from helpers import election, perm, symmetric_group
 from votelace.domains import ENRICHED_FORBIDDEN_CONFIGURATIONS
 from votelace.elections import (
     Election,
-    Ranking,
     all_elections,
     contains_configuration,
     elections_with_first,
@@ -26,7 +25,7 @@ class TestParsing:
         e = parse_election("1 2 3\n3 2 1")
         assert e.num_candidates == 3
         assert e.num_voters == 2
-        assert e.preferences[1].order == (3, 2, 1)
+        assert e.preferences[1] == (3, 2, 1)
 
     def test_comments_and_blank_lines(self):
         e = parse_election("# header\n\n1 2\n# note\n2 1\n\n")
@@ -55,12 +54,28 @@ class TestParsing:
 
 class TestConstruction:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            Election(3, (Ranking((1, 2)),))
+        # rankings are checked only by the election's constructor
+        malformed = [
+            [(1, 2, 3), (1, 1, 2)],  # duplicate candidate
+            [(0, 1, 2)],  # id below 1
+            [(1, 2, 3), (1, 2, 4)],  # id above m
+            [(1, 2, 3), (1, 2)],  # short row
+            [],  # no voters
+        ]
+        for rows in malformed:
+            with pytest.raises(ValueError):
+                Election(3, rows)
+            with pytest.raises(ValueError):
+                Election.from_rows(rows)
         with pytest.raises(ValueError):
             Election(1, ())
-        with pytest.raises(ValueError):
-            Ranking((1, 1, 2))
+
+    def test_rows_become_tuples(self):
+        e = Election.from_rows([(1, 2, 3), (2, 3, 1)])
+        for rows in ([[1, 2, 3], [2, 3, 1]], [perm("123"), perm("231")]):
+            for same in (Election.from_rows(rows), Election(3, rows)):
+                assert same == e and hash(same) == hash(e)
+                assert same.preferences == ((1, 2, 3), (2, 3, 1))
 
 
 class TestRestrict:
@@ -70,7 +85,7 @@ class TestRestrict:
         full = election("1234", "2413")
         assert restrict(full, {1, 2, 3, 4}) == full
         single = restrict(election("2413"), {1, 3, 4})
-        assert single.preferences[0].order == (3, 1, 2)
+        assert single.preferences[0] == (3, 1, 2)
 
     def test_errors(self):
         e = election("123")
@@ -115,8 +130,8 @@ class TestContainsConfiguration:
         def oracle(e, cfg):
             n, m = e.num_voters, e.num_candidates
             l, h = cfg.num_voters, cfg.num_candidates
-            host_pos = [{c: i for i, c in enumerate(r.order)} for r in e.preferences]
-            cfg_pos = [{s: i for i, s in enumerate(t.order)} for t in cfg.preferences]
+            host_pos = [{c: i for i, c in enumerate(r)} for r in e.preferences]
+            cfg_pos = [{s: i for i, s in enumerate(t)} for t in cfg.preferences]
             for f in iperm(range(n), l):
                 for g in iperm(range(1, m + 1), h):
                     if all(
@@ -151,8 +166,8 @@ class TestContainsConfiguration:
                 for i, voter in enumerate(f):
                     host = e.preferences[voter - 1]
                     small = cfg.preferences[i]
-                    ranks = {c: pos for pos, c in enumerate(host.order)}
-                    mapped = [ranks[g[s - 1]] for s in small.order]
+                    ranks = {c: pos for pos, c in enumerate(host)}
+                    mapped = [ranks[g[s - 1]] for s in small]
                     assert mapped == sorted(mapped)
 
     def test_monotone_under_extension(self):
@@ -213,21 +228,21 @@ class TestTwoAndThreeVoterSpecializations:
 
 class TestPairPermutation:
     def test_relabeling_examples(self):
-        assert pair_permutation(Ranking((1, 2, 3, 4)), Ranking((2, 4, 1, 3))) == perm("2413")
-        assert pair_permutation(Ranking((1, 3, 2, 4)), Ranking((2, 4, 1, 3))) == perm("3412")
-        v = Ranking((3, 1, 2))
+        assert pair_permutation((1, 2, 3, 4), (2, 4, 1, 3)) == perm("2413")
+        assert pair_permutation((1, 3, 2, 4), (2, 4, 1, 3)) == perm("3412")
+        v = (3, 1, 2)
         assert pair_permutation(v, v) == identity(3)
 
     def test_inverse_symmetry(self):
         for m in range(1, 6):
-            rankings = [Ranking(p.values) for p in symmetric_group(m)]
+            rankings = [p.values for p in symmetric_group(m)]
             for a in rankings:
                 for b in rankings:
                     assert pair_permutation(a, b) == pair_permutation(b, a).inverse()
 
     def test_candidate_set_mismatch(self):
         with pytest.raises(ValueError):
-            pair_permutation(Ranking((1, 2)), Ranking((1, 3)))
+            pair_permutation((1, 2), (1, 3))
 
 
 class TestAllElections:
@@ -237,7 +252,7 @@ class TestAllElections:
         assert len(list(all_elections(3, 2))) == 36
 
     def test_lexicographic_and_unique(self):
-        seen = [tuple(r.order for r in e.preferences) for e in all_elections(3, 2)]
+        seen = [e.preferences for e in all_elections(3, 2)]
         assert seen == sorted(seen)
         assert len(set(seen)) == len(seen)
 
@@ -248,10 +263,10 @@ class TestAllElections:
             list(all_elections(3, 2, limit=10))
 
     def test_split_by_first_ranking_covers_everything(self):
-        whole = [tuple(r.order for r in e.preferences) for e in all_elections(3, 2)]
+        whole = [e.preferences for e in all_elections(3, 2)]
         split = []
-        for first in [Ranking(p.values) for p in symmetric_group(3)]:
-            split.extend(tuple(r.order for r in e.preferences) for e in elections_with_first(3, 2, first))
+        for first in [p.values for p in symmetric_group(3)]:
+            split.extend(e.preferences for e in elections_with_first(3, 2, first))
         assert whole == split
 
 
@@ -263,13 +278,13 @@ class TestEnumerationChecks:
             with pytest.raises(ValueError):
                 next(all_elections(m, n))
             with pytest.raises(ValueError):
-                next(elections_with_first(m, n, Ranking(tuple(range(1, m + 1)))))
+                next(elections_with_first(m, n, tuple(range(1, m + 1))))
 
     def test_first_ranking_must_cover_the_candidates(self):
         with pytest.raises(ValueError):
-            next(elections_with_first(3, 2, Ranking((1, 2))))
+            next(elections_with_first(3, 2, (1, 2)))
         with pytest.raises(ValueError):
-            next(elections_with_first(2, 2, Ranking((1, 3))))
+            next(elections_with_first(2, 2, (1, 3)))
 
     def test_enumerated_elections_equal_checked_ones(self):
         for e in all_elections(3, 2):

@@ -41,17 +41,21 @@ def test_small_suite_reports_checks():
     assert result.checked == 88 + 30 + 13
 
 
-def test_bound3_runs_in_process(monkeypatch):
-    # its cells are too small to pay for a pool, so jobs is ignored
+@pytest.mark.parametrize(
+    "suite, checked", [("bound3", 2), ("recurrence", 14), ("gamma-link", 6)], ids=["bound3", "recurrence", "gamma-link"]
+)
+def test_suite_runs_in_process(monkeypatch, suite, checked):
+    # their cells are too small to pay for a pool, so jobs is ignored
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("bound3 opened a process pool")
+        raise AssertionError(f"{suite} opened a process pool")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    result = run_suite("bound3", jobs=2)
-    assert result.passed and result.checked == 2
-    assert result.info == ["(3,3): count=204 bound=216", "(4,3): count=9168 bound=13680"]
+    result = run_suite(suite, jobs=2)
+    assert result.passed and result.checked == checked
+    if suite == "bound3":
+        assert result.info == ["(3,3): count=204 bound=216", "(4,3): count=9168 bound=13680"]
 
 
 def _flipped(route, picks, verdict=False):
@@ -93,7 +97,7 @@ def _sampled_digest(monkeypatch, suite, seed):
         route = verify.domains.is_group_separable_direct
 
         def record(e):
-            seen.append(tuple(r.order for r in e.preferences))
+            seen.append(e.preferences)
             return route(e)
 
         monkeypatch.setattr(verify.domains, "is_group_separable_direct", record)
