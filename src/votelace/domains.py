@@ -20,25 +20,25 @@ decides each of its m! completions with one mask AND (a fold rule) or runs
 the packed signatures among them, are cached on the ranking, and each fold
 rule once per number of candidates.
 
-* medium: three masks over the triples, one per middle-element position,
-  side by side; an election fails iff the AND of their ORs is nonzero.  The
-  OR fold of a prefix forbids a triple's middle position wherever the other
-  two are set;
-* em: {top, bottom} and middle-pair masks over (4-subset, pair) slots, side
-  by side; an election fails iff the OR of the first meets the OR of the
-  second, so a prefix forbids each field where the other is set;
+* medium, em, group-separable-bh and enriched share one signature layout:
+  three medium fields of C(m,3) bits, bit i of field k set when the middle
+  of triple i is its k-th member (empty for em), then two pair fields of
+  slots * C(m,4) bits (none for medium).  em has 6 slots per 4-subset, one
+  per pair of its members: the first field marks the ranking's {top,
+  bottom}, the second its middle pair.  group-separable-bh has 24, one per
+  order of the subset: the first marks the order the ranking gives it, the
+  second the orders that would form 2413/3142 with that one (one 24x24
+  table, built at import).  enriched is the medium fields, then em's.  An
+  election fails iff some triple is set in the OR of all three medium
+  fields, or the OR of the first pair field meets the OR of the second; so
+  the OR fold of a prefix forbids a triple's middle position wherever the
+  other two are set, and each pair field wherever the other is set.
+  enriched is medium-restriction plus the em condition, which is pairwise
+  avoidance of the four enriched patterns;
 * group-separable (direct): the signature is the ranking; per subset size,
   one segment per subset holds the bipartitions a ranking keeps apart, and
   the AND over the voters leaves a segment empty exactly for a subset no
   split serves;
-* group-separable-bh: the three medium masks, then a mask with one bit per
-  4-subset for the order (of 24) the ranking gives it and a mask of the orders
-  that would form 2413/3142 with that order (one 24x24 table, built at
-  import); an election fails iff the medium part fails or the OR of the
-  first pair field meets the OR of the second;
-* enriched: the three medium masks, then the em masks; medium-restriction
-  plus the em condition, which is pairwise avoidance of the four enriched
-  patterns;
 * enriched-recursive: the signature is the ranking; the combine is the
   recursive characterization of the tuple of rankings;
 * single-peaked: a mask over the m! oriented axes, indexed by lexicographic
@@ -60,8 +60,8 @@ for the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
-from itertools import combinations, permutations
+from functools import lru_cache, partial, reduce, wraps
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from operator import and_, or_
 from typing import Callable, Optional
@@ -199,11 +199,6 @@ def _recognizer(
     return build
 
 
-def _order(order: tuple[int, ...]) -> tuple[int, ...]:
-    # the signature of the domains that combine the rankings themselves
-    return order
-
-
 @lru_cache(maxsize=None)
 def _subsets(m: int, size: int) -> tuple[tuple[int, ...], ...]:
     # the candidate subsets of this size, in the order the signatures index them
@@ -211,48 +206,38 @@ def _subsets(m: int, size: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# medium restriction
+# medium restriction, and the signature layout the OR-fold domains share
 
 
 @lru_cache(maxsize=None)
-def _middle_masks(order: tuple[int, ...]) -> tuple[int, int, int]:
-    # bit t of mask k: the middle of triple t (in _subsets order) is its k-th member
+def _medium_sig(order: tuple[int, ...]) -> int:
+    # bit k * C(m,3) + i: the middle of triple i (in _subsets order) is its k-th member
     ranks = _rank_vector(order)
-    masks = [0, 0, 0]
-    for t, (a, b, c) in enumerate(_subsets(len(order), 3)):
+    t = comb(len(order), 3)
+    sig = 0
+    for i, (a, b, c) in enumerate(_subsets(len(order), 3)):
         ra, rb, rc = ranks[a - 1], ranks[b - 1], ranks[c - 1]
         if ra < rb:
             k = 1 if rb < rc else (2 if ra < rc else 0)
         else:
             k = 0 if ra < rc else (2 if rb < rc else 1)
-        masks[k] |= 1 << t
-    return masks[0], masks[1], masks[2]
+        sig |= 1 << (k * t + i)
+    return sig
 
 
-def _medium_conflicts(tables) -> int:
-    # the triples (as bits) whose middle takes all three positions over the
-    # voters, from their _middle_masks
-    any0 = any1 = any2 = 0
-    for m0, m1, m2 in tables:
-        any0 |= m0
-        any1 |= m1
-        any2 |= m2
-    return any0 & any1 & any2
-
-
-@lru_cache(maxsize=None)
-def _medium_sig(order: tuple[int, ...]) -> int:
-    # the three _middle_masks side by side
-    t = comb(len(order), 3)
-    m0, m1, m2 = _middle_masks(order)
-    return m0 | m1 << t | m2 << 2 * t
+def _fields(t: int, p: int, sig: int) -> tuple[int, int, int, int, int]:
+    """The three medium fields of ``t`` bits and the two pair fields of ``p``
+    bits that follow them in a signature, or in an OR of signatures (either
+    part may be empty)."""
+    full = (1 << t) - 1
+    pairs = sig >> 3 * t
+    return sig & full, sig >> t & full, sig >> 2 * t & full, pairs & ((1 << p) - 1), pairs >> p
 
 
 def _forbid(t: int, p: int, state: int) -> int:
     """The bits a next ranking must not set, given the OR ``state`` of the
-    signatures so far: three medium fields of ``t`` bits, then two pair
-    fields of ``p`` bits (either part may be empty).  All bits when the
-    voters so far already conflict.
+    signatures so far (laid out as :func:`_fields` reads them).  All bits
+    when the voters so far already conflict.
 
     A medium field is forbidden on a triple where the other two are set, and
     each pair field wherever the other is set.  That is exact because a
@@ -260,13 +245,10 @@ def _forbid(t: int, p: int, state: int) -> int:
     field per triple, and its two pair fields are disjoint (its ends and its
     mids are, and no order clashes with itself).
     """
-    full = (1 << t) - 1
-    a0, a1, a2 = state & full, (state >> t) & full, (state >> 2 * t) & full
-    pairs = state >> 3 * t
-    seen, clash = pairs & ((1 << p) - 1), pairs >> p
-    if a0 & a1 & a2 or seen & clash:
+    a0, a1, a2, first, second = _fields(t, p, state)
+    if a0 & a1 & a2 or first & second:
         return -1
-    return (a1 & a2) | (a0 & a2) << t | (a0 & a1) << 2 * t | (clash | seen << p) << 3 * t
+    return (a1 & a2) | (a0 & a2) << t | (a0 & a1) << 2 * t | (second | first << p) << 3 * t
 
 
 @lru_cache(maxsize=None)
@@ -276,23 +258,45 @@ def _or_rule(medium: bool, pair_slots: int, m: int) -> FoldRule:
     return FoldRule(or_, partial(_forbid, comb(m, 3) if medium else 0, pair_slots * comb(m, 4)))
 
 
-def _medium_witness(e: Election) -> Witness:
-    # the first conflicting triple, with the first voter for each middle
-    table = [_middle_masks(r) for r in e.preferences]
-    bad = _medium_conflicts(table)
-    t = (bad & -bad).bit_length() - 1
-    first_voter_for = {}
-    for v, masks in enumerate(table, start=1):
-        first_voter_for.setdefault(next(k for k in range(3) if masks[k] >> t & 1), v)
-        if len(first_voter_for) == 3:
-            break
-    return Witness(tuple(sorted(first_voter_for.values())), _subsets(e.num_candidates, 3)[t])
+def _or_witness(e: Election, signature: Callable, medium: bool, pair_slots: int, pats: tuple = ()) -> Witness:
+    """The witness of a domain that ``_or_rule(medium, pair_slots)`` decides.
+
+    The first conflicting triple, with the first voter for each middle;
+    otherwise the first ordered voter pair whose first and second pair fields
+    meet (a ranking's own never do), with the candidates of the first
+    occurrence of the first pattern of ``pats`` in their pair permutation
+    that has one, or with no ``pats`` the lowest 4-subset where they meet.
+    """
+    m = e.num_candidates
+    t, p = comb(m, 3) if medium else 0, pair_slots * comb(m, 4)
+    fields = [_fields(t, p, signature(r)) for r in e.preferences]
+    any0, any1, any2, _, _ = [reduce(or_, column) for column in zip(*fields)]
+    bad = any0 & any1 & any2
+    if bad:
+        low = (bad & -bad).bit_length() - 1
+        first_voter_for = {}
+        for v, f in enumerate(fields, start=1):
+            first_voter_for.setdefault(next(k for k in range(3) if f[k] >> low & 1), v)
+            if len(first_voter_for) == 3:
+                break
+        return Witness(tuple(sorted(first_voter_for.values())), _subsets(m, 3)[low])
+    for (i, fi), (j, fj) in product(enumerate(fields), repeat=2):
+        meet = fi[3] & fj[4]
+        if meet:
+            voters = tuple(sorted({i + 1, j + 1}))
+            if not pats:
+                return Witness(voters, _subsets(m, 4)[((meet & -meet).bit_length() - 1) // pair_slots])
+            other = e.preferences[j]
+            perm = Permutation(_pair_perm_values(e.preferences[i], other))
+            occ = next(occ for pat in pats for occ in occurrences(Permutation(pat), perm))
+            return Witness(voters, tuple(sorted(other[k - 1] for k in occ)))
+    raise AssertionError("witness requested for a holding election")
 
 
 @_recognizer(_medium_sig, rule=partial(_or_rule, True, 0))
 def is_medium_restricted(e: Election) -> Witness:
     """No candidate triple has three voters each placing a different member in the middle."""
-    return _medium_witness(e)
+    return _or_witness(e, _medium_sig, True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +329,7 @@ def _group_separable_accepts(orders) -> bool:
     return _first_unsplit(tuple(orders)) is None
 
 
-@_recognizer(_order, _group_separable_accepts)
+@_recognizer(tuple, _group_separable_accepts)
 def is_group_separable_direct(e: Election) -> Witness:
     """Every candidate subset of size >= 2 splits into two blocks that each
     voter ranks entirely above or entirely below one another."""
@@ -391,25 +395,19 @@ _GS_CLASH_ROWS = tuple(
 
 
 @lru_cache(maxsize=None)
-def _quad_masks(order: tuple[int, ...]) -> tuple[int, int]:
-    # bit 24s+o of seen: the ranking gives 4-subset s (in _subsets order) order o;
-    # bit 24s+o of clash: order o on subset s would form 2413/3142 with it
+def _bh_sig(order: tuple[int, ...]) -> int:
+    # the medium fields, then two pair fields of 24 slots per 4-subset: bit
+    # 24s+o of the first when the ranking gives 4-subset s (in _subsets order)
+    # order o, of the second when order o on subset s would form 2413/3142 with it
+    m = len(order)
     ranks = _rank_vector(order)
-    seen = clash = 0
-    for s, (a, b, c, d) in enumerate(_subsets(len(order), 4)):
+    p = 24 * comb(m, 4)
+    pairs = 0
+    for s, (a, b, c, d) in enumerate(_subsets(m, 4)):
         ra, rb, rc, rd = ranks[a - 1], ranks[b - 1], ranks[c - 1], ranks[d - 1]
         o = 6 * ((rb < ra) + (rc < ra) + (rd < ra)) + 2 * ((rc < rb) + (rd < rb)) + (rd < rc)
-        seen |= 1 << (24 * s + o)
-        clash |= _GS_CLASH_ROWS[o] << (24 * s)
-    return seen, clash
-
-
-@lru_cache(maxsize=None)
-def _bh_sig(order: tuple[int, ...]) -> int:
-    # the medium fields, then the two _quad_masks side by side
-    m = len(order)
-    seen, clash = _quad_masks(order)
-    return _medium_sig(order) | (seen | clash << 24 * comb(m, 4)) << 3 * comb(m, 3)
+        pairs |= 1 << (24 * s + o) | _GS_CLASH_ROWS[o] << (p + 24 * s)
+    return _medium_sig(order) | pairs << 3 * comb(m, 3)
 
 
 @lru_cache(maxsize=None)
@@ -418,36 +416,11 @@ def _enriched_sig(order: tuple[int, ...]) -> int:
     return _medium_sig(order) | _em_sig(order) << 3 * comb(len(order), 3)
 
 
-def _first_bad_pair(tables: list) -> tuple[int, int]:
-    # the first ordered voter pair (1-based) whose permutation contains a
-    # pattern, from their pair masks (_quad_masks or _em_masks)
-    n = len(tables)
-    for i in range(n):
-        for j in range(n):
-            if i != j and tables[i][0] & tables[j][1]:
-                return (i + 1, j + 1)
-    raise AssertionError("pair witness requested for a clean election")
-
-
-def _medium_and_pairs_witness(e: Election, pair_masks: Callable, pats: tuple) -> Witness:
-    orders = e.preferences
-    if _medium_conflicts(map(_middle_masks, orders)):
-        return _medium_witness(e)
-    i, j = _first_bad_pair(list(map(pair_masks, orders)))
-    other = orders[j - 1]
-    perm = Permutation(_pair_perm_values(orders[i - 1], other))
-    for pat in pats:
-        for occ in occurrences(Permutation(pat), perm):
-            candidates = tuple(sorted(other[k - 1] for k in occ))
-            return Witness(tuple(sorted((i, j))), candidates)
-    raise AssertionError("pair witness requested for a clean pair")
-
-
 @_recognizer(_bh_sig, rule=partial(_or_rule, True, 24))
 def is_group_separable_bh(e: Election) -> Witness:
     """Group-separability via medium-restriction plus the forbidden 2-voter,
     4-candidate configuration (pairwise voter permutations avoiding 2413/3142)."""
-    return _medium_and_pairs_witness(e, _quad_masks, _GS_PATS)
+    return _or_witness(e, _bh_sig, True, 24, _GS_PATS)
 
 
 @_recognizer(_enriched_sig, rule=partial(_or_rule, True, 6))
@@ -456,7 +429,7 @@ def is_enriched_group_separable(e: Election) -> Witness:
     configurations: pairwise voter permutations avoid all four forbidden
     patterns, and the election stays medium-restricted.  Decided as medium
     plus the em condition, which is the same pairwise condition."""
-    return _medium_and_pairs_witness(e, _em_masks, _ENRICHED_PATS)
+    return _or_witness(e, _enriched_sig, True, 6, _ENRICHED_PATS)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +443,7 @@ def _recursive_accepts(orders) -> bool:
     return _recursive_ok(tuple(_pair_perm_values(orders[0], p) for p in orders))
 
 
-@_recognizer(_order, _recursive_accepts)
+@_recognizer(tuple, _recursive_accepts)
 def is_enriched_recursive(e: Election) -> Witness:
     """Recursive characterization of the enriched domain.
 
@@ -517,24 +490,19 @@ _QUAD_PAIRS = {
 
 
 @lru_cache(maxsize=None)
-def _em_masks(order: tuple[int, ...]) -> tuple[int, int]:
-    # bit 6s+p of ends (mids): pair p of 4-subset s (in _subsets order) is this
-    # ranking's {top, bottom} (middle pair) within the subset
-    ranks = _rank_vector(order)
-    ends = mids = 0
-    for s, (a, b, c, d) in enumerate(_subsets(len(order), 4)):
-        r = (ranks[a - 1], ranks[b - 1], ranks[c - 1], ranks[d - 1])
-        p = _QUAD_PAIRS[r.index(min(r)), r.index(max(r))]
-        ends |= 1 << (6 * s + p)
-        mids |= 1 << (6 * s + 5 - p)
-    return ends, mids
-
-
-@lru_cache(maxsize=None)
 def _em_sig(order: tuple[int, ...]) -> int:
-    # the two _em_masks side by side
-    ends, mids = _em_masks(order)
-    return ends | mids << 6 * comb(len(order), 4)
+    # two pair fields of 6 slots per 4-subset: bit 6s+p of the first (second)
+    # when pair p of 4-subset s (in _subsets order) is this ranking's
+    # {top, bottom} (middle pair) within the subset
+    m = len(order)
+    ranks = _rank_vector(order)
+    p = 6 * comb(m, 4)
+    sig = 0
+    for s, (a, b, c, d) in enumerate(_subsets(m, 4)):
+        r = (ranks[a - 1], ranks[b - 1], ranks[c - 1], ranks[d - 1])
+        slot = _QUAD_PAIRS[r.index(min(r)), r.index(max(r))]
+        sig |= 1 << (6 * s + slot) | 1 << (p + 6 * s + 5 - slot)
+    return sig
 
 
 @_recognizer(_em_sig, rule=partial(_or_rule, False, 6))
@@ -542,15 +510,7 @@ def em_condition(e: Election) -> Witness:
     """For every 4-subset and ordered voter pair, one voter's {top, bottom}
     differs from the other's middle pair.  Equivalent to avoiding the four
     enriched forbidden configurations (without medium-restriction)."""
-    # the first (gamma, delta, 4-subset) in scan order whose ends and mids meet
-    tables = [_em_masks(r) for r in e.preferences]
-    for gamma, (ends, _) in enumerate(tables):
-        for delta, (_, mids) in enumerate(tables):
-            bad = ends & mids
-            if bad:
-                s = ((bad & -bad).bit_length() - 1) // 6
-                return Witness(tuple(sorted({gamma + 1, delta + 1})), _subsets(e.num_candidates, 4)[s])
-    raise AssertionError("em witness requested for a holding election")
+    return _or_witness(e, _em_sig, False, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ class CountReport:
     method: str
 
     def __post_init__(self):
+        if not isinstance(self.count, int):
+            raise TypeError(f"counts are exact integers, got {self.count!r}")
         if self.count < 0:
             raise ValueError("counts are nonnegative")
         if self.method not in METHODS:
@@ -101,7 +103,9 @@ def reduced_enriched_count(m: int, n: int) -> int:
     preference fixed, by the integer recurrence
     f(m) = 2^n f(m-1) - 2^(n-1) f(m-2), f(0) = f(1) = 1.
     """
-    if m < 0 or n < 0:
+    if n < 1:
+        raise ValueError("need at least one voter")
+    if m < 0:
         raise ValueError("sizes are nonnegative")
     prev, cur = 1, 1
     for _ in range(m - 1):
@@ -156,12 +160,9 @@ def enriched_count_formula(which: str, index: int) -> int:
         return 120 * 4 ** (index - 1) * (2 ** (2 * index + 1) - 2 ** (index + 2) + 1)
     if which == "n2":
         _require(index >= 0, "n2 needs m >= 0")
-        # m!/4 ((2+r)(2-r)^m + (2-r)(2+r)^m) with r = sqrt(2), exactly: with
-        # (2+r)^m = a + b r, the r parts cancel and the bracket is 4(a - b)
-        a, b = 1, 0
-        for _ in range(index):
-            a, b = 2 * a + 2 * b, a + 2 * b
-        return math.factorial(index) * (a - b)
+        # m!/4 ((2+r)(2-r)^m + (2-r)(2+r)^m) with r = sqrt(2): the closed
+        # form of the reduced count at h = 2^(n-1) = 2
+        return math.factorial(index) * reduced_enriched_count_closed(index, 2)
     raise ValueError(f"unknown formula selector {which!r}; have {_FORMULAS}")
 
 

@@ -152,14 +152,6 @@ class PatternSet:
         return cls(Permutation.from_line(line) for line in text.splitlines() if line.strip())
 
 
-def all_permutations(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[Permutation]:
-    """Every permutation of length n in lexicographic order, guarded by ``max_n``."""
-    if n > max_n:
-        raise GuardExceeded(f"refusing to enumerate {n}! permutations (cap {max_n}); raise max_n to opt in")
-    for values in _itertools_permutations(range(1, n + 1)):
-        yield Permutation(values)
-
-
 def count_avoiders(n: int, forbidden: PatternSet, max_n: int = DEFAULT_MAX_N) -> int:
     """|S_n(forbidden)| by exhaustive generation.
 

@@ -72,6 +72,13 @@ class TestCount:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("m", ["3", "5"])
+    def test_recurrence_refuses_no_voters(self, capsys, m):
+        code, out, err = run(capsys, "count", "--m", m, "--n", "0", "--domain", "enriched", "--method", "recurrence")
+        assert code == 2
+        assert out == ""
+        assert "voter" in err
+
     def test_formula_coverage_gap(self, capsys):
         code, _, err = run(
             capsys, "count", "--m", "6", "--n", "3", "--domain", "enriched", "--method", "formula"

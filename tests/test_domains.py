@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from helpers import election
+from helpers import election, or_layout, split_fields
 from votelace import domains, kernels
 from votelace.domains import (
     DOMAINS,
@@ -25,7 +25,7 @@ from votelace.domains import (
     is_single_peaked,
     replay_witness,
 )
-from votelace.domains import _em_masks, _pair_bits, _peak_mask, _quad_masks
+from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _fields, _medium_sig, _pair_bits, _peak_mask
 from votelace.elections import Election, all_elections
 from votelace.errors import GuardExceeded
 from votelace.perms import Permutation
@@ -89,9 +89,19 @@ class TestEnriched:
         assert is_enriched_group_separable(election("12345", "54321")).holds
 
 
+def _quad_masks(order):
+    # group-separable-bh's two pair fields (seen, clash), cut from its signature
+    return tuple(split_fields(_bh_sig(order), or_layout(len(order), True, 24))[3:])
+
+
+def _em_masks(order):
+    # em's two pair fields (ends, mids), cut from its signature
+    return tuple(split_fields(_em_sig(order), or_layout(len(order), False, 6))[3:])
+
+
 class TestPairMasks:
-    """The mask clashes that decide group-separable-bh and enriched, held to
-    pattern search on the pair permutation."""
+    """The pair field clashes that decide group-separable-bh and enriched,
+    held to pattern search on the pair permutation."""
 
     @pytest.mark.parametrize(
         "masks, pats", [(_quad_masks, GROUP_SEPARABLE_FORBIDDEN), (_em_masks, ENRICHED_FORBIDDEN)]
@@ -112,6 +122,30 @@ class TestPairMasks:
             for b in permutations(range(1, 5)):
                 perm = Permutation(tuple(a.index(c) + 1 for c in b))
                 assert ({a[0], a[3]} == {b[1], b[2]}) == (perm in ENRICHED_FORBIDDEN), (a, b)
+
+
+class TestSignatureLayout:
+    """What the fold rule's ``_forbid`` relies on, read through ``_fields``:
+    one ranking never conflicts with itself."""
+
+    def test_medium_fields_partition_the_triples(self):
+        for m in range(1, 8):
+            t = math.comb(m, 3)
+            for order in permutations(range(1, m + 1)):
+                m0, m1, m2, _, _ = _fields(t, 0, _medium_sig(order))
+                assert not (m0 & m1 or m0 & m2 or m1 & m2), order
+                assert m0 | m1 | m2 == (1 << t) - 1, order
+
+    @pytest.mark.parametrize(
+        "signature, medium, slots", [(_em_sig, False, 6), (_bh_sig, True, 24), (_enriched_sig, True, 6)]
+    )
+    def test_pair_fields_are_disjoint(self, signature, medium, slots):
+        for m in range(1, 8):
+            t, p = math.comb(m, 3) if medium else 0, slots * math.comb(m, 4)
+            for order in permutations(range(1, m + 1)):
+                _, _, _, first, second = _fields(t, p, signature(order))
+                assert not first & second, order
+                assert first.bit_count() == math.comb(m, 4), order
 
 
 class TestEnrichedRecursive:

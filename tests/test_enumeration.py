@@ -43,6 +43,11 @@ class TestCountReport:
         with pytest.raises(ValueError):
             CountReport(1, 1, "x", 0, "guesswork")
 
+    def test_count_must_be_an_int(self):
+        for count in (0.0, 0.5, "0", Fraction(1)):
+            with pytest.raises(TypeError):
+                CountReport(3, 0, "enriched", count, "recurrence")
+
 
 class TestRecurrence:
     def test_initial_conditions(self):
@@ -54,6 +59,16 @@ class TestRecurrence:
         assert reduced_enriched_count(2, 2) == 2
         assert reduced_enriched_count(5, 2) == 68
         assert [reduced_enriched_count(m, 3) for m in range(6)] == [1, 1, 4, 28, 208, 1552]
+
+    def test_no_voters_is_refused(self):
+        # 2^(n-1) is a float at n = 0, so the recurrence must not run there
+        for m in (0, 1, 3, 5):
+            with pytest.raises(ValueError, match="voter"):
+                reduced_enriched_count(m, 0)
+            with pytest.raises(ValueError, match="voter"):
+                enriched_count(m, 0)
+        with pytest.raises(ValueError):
+            reduced_enriched_count(3, -1)
 
     def test_total_counts(self):
         assert enriched_count(5, 2) == 8160

@@ -155,15 +155,6 @@ class TestCountAvoiders:
             count_avoiders(10, ENRICHED_FORBIDDEN)
         assert count_avoiders(10, PatternSet([perm("12")]), max_n=10) == 1
 
-    def test_guarded_generation(self):
-        from votelace.perms import all_permutations
-
-        perms = list(all_permutations(3))
-        assert len(perms) == 6
-        assert [p.values for p in perms] == sorted(p.values for p in perms)
-        with pytest.raises(GuardExceeded):
-            list(all_permutations(10))
-
 
 class TestSerialization:
     def test_lines(self):

@@ -7,8 +7,9 @@ from itertools import permutations, product
 
 import pytest
 
+from helpers import or_layout, split_fields
 from votelace.domains import DOMAINS, ENRICHED_FORBIDDEN, GROUP_SEPARABLE_FORBIDDEN
-from votelace.domains import _em_masks, _middle_masks, _peak_mask, _quad_masks
+from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _medium_sig, _peak_mask
 from votelace.elections import all_elections
 from votelace.enumeration import brute_force_count
 from votelace.errors import GuardExceeded
@@ -133,34 +134,23 @@ def test_folded_jobs_split_gives_the_same_count():
         assert brute_force_count(4, 3, DOMAINS[domain], jobs=2).count == PINNED_COUNTS[domain][4, 3], domain
 
 
-# The per-tuple combines the fold rules replaced, over the tuple masks: each
-# ORs (or ANDs) every voter's masks and tests the result once.
+# The per-tuple combines the fold rules replaced, over the packed signatures
+# cut into their fields: each ORs (or ANDs) every voter's fields and tests
+# the result once.
 
 
-def _medium_oracle(orders) -> bool:
-    any0 = any1 = any2 = 0
-    for m0, m1, m2 in map(_middle_masks, orders):
-        any0 |= m0
-        any1 |= m1
-        any2 |= m2
-    return not any0 & any1 & any2
-
-
-def _em_oracle(orders) -> bool:
-    any_ends = any_mids = 0
-    for ends, mids in map(_em_masks, orders):
-        any_ends |= ends
-        any_mids |= mids
-    return not any_ends & any_mids
-
-
-def _medium_and_clash_oracle(pair_masks):
+def _or_oracle(signature, medium: bool, pair_slots: int):
     def accepts(orders) -> bool:
-        any_seen = any_clash = 0
-        for seen, clash in map(pair_masks, orders):
-            any_seen |= seen
-            any_clash |= clash
-        return _medium_oracle(orders) and not any_seen & any_clash
+        widths = or_layout(len(orders[0]), medium, pair_slots)
+        any0 = any1 = any2 = any_first = any_second = 0
+        for sig in map(signature, orders):
+            m0, m1, m2, first, second = split_fields(sig, widths)
+            any0 |= m0
+            any1 |= m1
+            any2 |= m2
+            any_first |= first
+            any_second |= second
+        return not any0 & any1 & any2 and not any_first & any_second
 
     return accepts
 
@@ -173,10 +163,10 @@ def _single_peaked_oracle(orders) -> bool:
 
 
 ORACLES = {
-    "medium": _medium_oracle,
-    "em": _em_oracle,
-    "group-separable-bh": _medium_and_clash_oracle(_quad_masks),
-    "enriched": _medium_and_clash_oracle(_em_masks),
+    "medium": _or_oracle(_medium_sig, True, 0),
+    "em": _or_oracle(_em_sig, False, 6),
+    "group-separable-bh": _or_oracle(_bh_sig, True, 24),
+    "enriched": _or_oracle(_enriched_sig, True, 6),
     "single-peaked": _single_peaked_oracle,
 }
 
