@@ -3,7 +3,6 @@ restricted elections: recognizers, exact enumeration, and exhaustive
 small-instance verification."""
 
 from votelace.elections import (
-    Configuration,
     Election,
     all_elections,
     contains_configuration,
@@ -21,7 +20,6 @@ from votelace.enumeration import (
     count_avoiding_pairs,
     enriched_count,
     enriched_count_formula,
-    enriched_pair_avoider_count,
     reduced_enriched_count,
     reduced_enriched_count_closed,
     single_crossing_pair_patterns,
@@ -30,9 +28,7 @@ from votelace.enumeration import (
 )
 from votelace.errors import GuardExceeded, ParseError
 from votelace.pairs import (
-    InversionSet,
     PairPattern,
-    PairPatternSet,
     count_pair_avoiders,
     inversion_set,
     strong_contains,
@@ -40,7 +36,6 @@ from votelace.pairs import (
     weak_bruhat_le,
 )
 from votelace.perms import (
-    PatternSet,
     Permutation,
     compose,
     contains_pattern,

@@ -16,7 +16,7 @@ from pathlib import Path
 from votelace import domains, enumeration, verify
 from votelace.elections import contains_configuration, find_embedding, parse_election
 from votelace.errors import GuardExceeded, ParseError
-from votelace.pairs import PairPattern, PairPatternSet, strong_contains, strong_occurrences
+from votelace.pairs import DEFAULT_MAX_M, PairPattern, strong_contains, strong_occurrences
 from votelace.perms import Permutation, contains_pattern, occurrences
 
 
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--m", type=int, required=True)
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--pi", required=True, help='"single-crossing" or a pair-pattern file')
-    p_bound.add_argument("--pair-cap", type=int, default=6, help="cap on pair enumeration size")
+    p_bound.add_argument("--pair-cap", type=int, default=DEFAULT_MAX_M, help="cap on pair enumeration size")
     p_bound.add_argument("--jobs", type=int, default=1)
 
     return parser
@@ -160,7 +160,8 @@ def cmd_bound(args) -> int:
         pi_set = enumeration.single_crossing_pair_patterns()
         label = "bound:single-crossing"
     else:
-        pi_set = PairPatternSet.from_lines(Path(args.pi).read_text(encoding="utf-8"))
+        lines = Path(args.pi).read_text(encoding="utf-8").splitlines()
+        pi_set = [PairPattern.from_line(line) for line in lines if line.strip()]
         label = f"bound:{args.pi}"
     value = enumeration.upper_bound_3config(args.m, args.n, pi_set, max_m=args.pair_cap, jobs=args.jobs)
     print(enumeration.CountReport(args.m, args.n, label, value, "formula").to_json())

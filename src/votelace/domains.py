@@ -68,23 +68,21 @@ from typing import Callable, Optional
 
 from votelace.elections import Election, _pair_perm_values, _rank_vector, sub_election
 from votelace.errors import GuardExceeded
-from votelace.perms import FoldRule, PatternSet, Permutation, occurrences
+from votelace.perms import FoldRule, Permutation, occurrences
 
 MAX_CANDIDATES = 8
 MAX_VOTERS = 6
 
 #: pairwise voter patterns forbidden in group-separable elections
-GROUP_SEPARABLE_FORBIDDEN = PatternSet([Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2))])
+GROUP_SEPARABLE_FORBIDDEN = (Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2)))
 
 #: pairwise voter patterns forbidden in enriched group-separable elections;
 #: closed under inversion, counted by OEIS A006012
-ENRICHED_FORBIDDEN = PatternSet(
-    [
-        Permutation((2, 4, 1, 3)),
-        Permutation((3, 1, 4, 2)),
-        Permutation((2, 1, 4, 3)),
-        Permutation((3, 4, 1, 2)),
-    ]
+ENRICHED_FORBIDDEN = (
+    Permutation((2, 1, 4, 3)),
+    Permutation((2, 4, 1, 3)),
+    Permutation((3, 1, 4, 2)),
+    Permutation((3, 4, 1, 2)),
 )
 
 #: the four 2-voter, 4-candidate configurations whose avoidance (on top of

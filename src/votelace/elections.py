@@ -48,8 +48,14 @@ class Election:
         return len(self.preferences)
 
     def rank_vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Per voter, the 0-based position of each candidate (indexed by candidate-1)."""
-        return tuple(map(_rank_vector, self.preferences))
+        """Per voter, the 0-based position of each candidate (indexed by candidate-1).
+
+        Built on first use and kept on the election, which is immutable.
+        """
+        ranks = self.__dict__.get("_rank_vectors")
+        if ranks is None:
+            ranks = self.__dict__["_rank_vectors"] = tuple(map(_rank_vector, self.preferences))
+        return ranks
 
     def to_text(self) -> str:
         """One voter per line, candidates space-separated best-to-worst."""
@@ -59,10 +65,6 @@ class Election:
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> Election:
         rows = tuple(rows)
         return cls(len(rows[0]) if rows else 0, rows)
-
-
-#: a configuration is itself a small election used as forbidden sub-structure
-Configuration = Election
 
 
 @lru_cache(maxsize=None)
@@ -125,14 +127,14 @@ def sub_election(e: Election, voters: Iterable[int], candidates: Iterable[int]) 
     return restrict(picked, candidates)
 
 
-def contains_configuration(e: Election, cfg: Configuration) -> bool:
+def contains_configuration(e: Election, cfg: Election) -> bool:
     """True iff injective voter and candidate maps embed ``cfg`` into ``e``
     preserving all stated preferences.  Exhaustive over all injections."""
     return kernels.contains_configuration(e.rank_vectors(), cfg.rank_vectors())
 
 
 def find_embedding(
-    e: Election, cfg: Configuration
+    e: Election, cfg: Election
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """First embedding of ``cfg`` into ``e``, or None.
 

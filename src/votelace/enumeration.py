@@ -11,14 +11,14 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from votelace import kernels
 from votelace.domains import check_cap
 from votelace.elections import Election
 from votelace.errors import GuardExceeded
 from votelace.guards import brute_call_guard
-from votelace.pairs import PairPattern, PairPatternSet, count_pair_avoiders
+from votelace.pairs import DEFAULT_MAX_M, PairPattern, count_pair_avoiders
 from votelace.perms import Permutation, compose, count_accepted
 
 METHODS = ("brute-force", "recurrence", "closed-form", "formula")
@@ -171,27 +171,16 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def enriched_pair_avoider_count(n: int) -> int:
-    """Number of length-n permutations avoiding the four enriched forbidden
-    patterns, by the recurrence f(n) = 4 f(n-1) - 2 f(n-2), f(0) = f(1) = 1
-    (OEIS A006012)."""
-    if n < 0:
-        raise ValueError("length is nonnegative")
-    prev, cur = 1, 1
-    for _ in range(n - 1):
-        prev, cur = cur, 4 * cur - 2 * prev
-    return cur if n >= 1 else prev
-
-
 # ---------------------------------------------------------------------------
 # three-voter configurations and the strong order
 
 
 @lru_cache(maxsize=None)
-def three_voter_pattern_set(tau: Permutation, sigma: Permutation) -> PairPatternSet:
+def three_voter_pattern_set(tau: Permutation, sigma: Permutation) -> tuple[PairPattern, ...]:
     """The six pair patterns whose strong containment in [pi, rho]
     characterizes containment of the 3-voter configuration (id, tau, sigma)
-    in the 3-voter election (id, pi, rho).  Duplicates are removed.
+    in the 3-voter election (id, pi, rho).  Duplicates are removed, and the
+    rest are sorted by their components' values.
     """
     if len(tau) != len(sigma):
         raise ValueError(f"length mismatch: {len(tau)} vs {len(sigma)}")
@@ -199,16 +188,15 @@ def three_voter_pattern_set(tau: Permutation, sigma: Permutation) -> PairPattern
     sigma_inv = sigma.inverse()
     tau_inv_sigma = compose(tau_inv, sigma)
     sigma_inv_tau = compose(sigma_inv, tau)
-    return PairPatternSet(
-        [
-            PairPattern(tau, sigma),
-            PairPattern(sigma, tau),
-            PairPattern(tau_inv, tau_inv_sigma),
-            PairPattern(tau_inv_sigma, tau_inv),
-            PairPattern(sigma_inv, sigma_inv_tau),
-            PairPattern(sigma_inv_tau, sigma_inv),
-        ]
-    )
+    pats = {
+        PairPattern(tau, sigma),
+        PairPattern(sigma, tau),
+        PairPattern(tau_inv, tau_inv_sigma),
+        PairPattern(tau_inv_sigma, tau_inv),
+        PairPattern(sigma_inv, sigma_inv_tau),
+        PairPattern(sigma_inv_tau, sigma_inv),
+    }
+    return tuple(sorted(pats, key=lambda q: (q.first.values, q.second.values)))
 
 
 def contains_3voter(pi: Permutation, rho: Permutation, tau: Permutation, sigma: Permutation) -> bool:
@@ -225,18 +213,17 @@ def contains_3voter(pi: Permutation, rho: Permutation, tau: Permutation, sigma: 
     )
 
 
-def count_avoiding_pairs(
-    m: int, tau: Permutation, sigma: Permutation, max_m: int = 6, jobs: int = 1
-) -> CountReport:
+def count_avoiding_pairs(m: int, tau: Permutation, sigma: Permutation) -> CountReport:
     """Number of pairs (V2, V3) such that the 3-voter election (id, V2, V3)
     avoids the configuration (id, tau, sigma), counted through the strong order."""
-    pats = three_voter_pattern_set(tau, sigma)
-    count = count_pair_avoiders(m, pats, max_m=max_m, jobs=jobs)
+    count = count_pair_avoiders(m, three_voter_pattern_set(tau, sigma))
     label = f"avoiding-pairs[{tau.to_line()} | {sigma.to_line()}]"
     return CountReport(m, 3, label, count, "brute-force")
 
 
-def upper_bound_3config(m: int, n: int, pi_set: PairPatternSet, max_m: int = 6, jobs: int = 1) -> int:
+def upper_bound_3config(
+    m: int, n: int, pi_set: Iterable[PairPattern], max_m: int = DEFAULT_MAX_M, jobs: int = 1
+) -> int:
     """m! times |S_m(pi_set)| to the power C(n-1, 2), exactly.
 
     At n = 2 the exponent is zero and the pair count is not evaluated at all.
@@ -250,7 +237,7 @@ def upper_bound_3config(m: int, n: int, pi_set: PairPatternSet, max_m: int = 6, 
     return math.factorial(m) * base**exponent
 
 
-def single_crossing_pair_patterns() -> PairPatternSet:
+def single_crossing_pair_patterns() -> tuple[PairPattern, ...]:
     """The six pair patterns every single-crossing election must avoid:
     those of its forbidden 3-voter configuration (id, 1432, 2431)."""
     return three_voter_pattern_set(Permutation((1, 4, 3, 2)), Permutation((2, 4, 3, 1)))

@@ -59,40 +59,6 @@ class PairPattern:
         return cls(Permutation(tuple(first)), Permutation(tuple(second)))
 
 
-class PairPatternSet:
-    """A duplicate-free collection of pair patterns (lengths may differ)."""
-
-    def __init__(self, pairs: Iterable[PairPattern]):
-        unique = sorted(set(pairs), key=lambda q: (len(q), q.first.values, q.second.values))
-        self._pairs = tuple(unique)
-        self._members = frozenset(self._pairs)
-
-    def __iter__(self) -> Iterator[PairPattern]:
-        return iter(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __contains__(self, q: PairPattern) -> bool:
-        return q in self._members
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PairPatternSet) and self._members == other._members
-
-    def __hash__(self) -> int:
-        return hash(self._members)
-
-    def __repr__(self) -> str:
-        return f"PairPatternSet([{', '.join(map(repr, self._pairs))}])"
-
-    def to_lines(self) -> str:
-        return "\n".join(q.to_line() for q in self._pairs)
-
-    @classmethod
-    def from_lines(cls, text: str) -> "PairPatternSet":
-        return cls(PairPattern.from_line(line) for line in text.splitlines() if line.strip())
-
-
 def strong_contains(small: PairPattern, big: PairPattern) -> bool:
     """True iff some value set realizes small.first in big.first and
     small.second in big.second simultaneously.
@@ -117,39 +83,15 @@ def strong_occurrences(small: PairPattern, big: PairPattern) -> Iterator[frozens
         yield frozenset(values)
 
 
-@dataclass(frozen=True)
-class InversionSet:
-    """The set of inverted position pairs (i, j), i < j, of a permutation."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for i, j in self.pairs:
-            if not 1 <= i < j:
-                raise ValueError(f"bad inversion pair ({i}, {j})")
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __le__(self, other: "InversionSet") -> bool:
-        return self.pairs <= other.pairs
-
-
-def inversion_set(p: Permutation) -> InversionSet:
+def inversion_set(p: Permutation) -> frozenset[tuple[int, int]]:
     """All (i, j) with i < j and p[i] > p[j], 1-indexed.
 
-    >>> sorted(inversion_set(Permutation((2, 4, 1, 3))).pairs)
+    >>> sorted(inversion_set(Permutation((2, 4, 1, 3))))
     [(1, 3), (2, 3), (2, 4)]
     """
     v = p.values
     n = len(v)
-    return InversionSet(
-        frozenset((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if v[i] > v[j])
-    )
+    return frozenset((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if v[i] > v[j])
 
 
 def weak_bruhat_le(lo: Permutation, hi: Permutation) -> bool:
@@ -174,7 +116,7 @@ def weak_bruhat_le(lo: Permutation, hi: Permutation) -> bool:
 
 
 def count_pair_avoiders(
-    m: int, forbidden: PairPatternSet, max_m: int = DEFAULT_MAX_M, jobs: int = 1
+    m: int, forbidden: Iterable[PairPattern], max_m: int = DEFAULT_MAX_M, jobs: int = 1
 ) -> int:
     """Number of pairs (pi, rho) in S_m x S_m avoiding every forbidden pair pattern.
 

@@ -8,6 +8,7 @@ Values and positions are 1-indexed throughout.  The search is
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations, product
@@ -120,42 +121,10 @@ def occurrences(pattern: Permutation, host: Permutation) -> Iterator[tuple[int, 
         yield tuple(i + 1 for i in occ)
 
 
-class PatternSet:
-    """A duplicate-free collection of permutations used as forbidden patterns."""
-
-    def __init__(self, patterns: Iterable[Permutation]):
-        unique = sorted(set(patterns), key=lambda p: (len(p), p.values))
-        self._patterns = tuple(unique)
-        self._members = frozenset(self._patterns)
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self._patterns)
-
-    def __len__(self) -> int:
-        return len(self._patterns)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self._members
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PatternSet) and self._members == other._members
-
-    def __hash__(self) -> int:
-        return hash(self._members)
-
-    def __repr__(self) -> str:
-        return f"PatternSet([{', '.join(map(repr, self._patterns))}])"
-
-    @classmethod
-    def from_lines(cls, text: str) -> "PatternSet":
-        """One permutation per non-blank line."""
-        return cls(Permutation.from_line(line) for line in text.splitlines() if line.strip())
-
-
-def count_avoiders(n: int, forbidden: PatternSet, max_n: int = DEFAULT_MAX_N) -> int:
+def count_avoiders(n: int, forbidden: Iterable[Permutation], max_n: int = DEFAULT_MAX_N) -> int:
     """|S_n(forbidden)| by exhaustive generation.
 
-    >>> count_avoiders(3, PatternSet([Permutation((1, 2))]))
+    >>> count_avoiders(3, [Permutation((1, 2))])
     1
     """
     if n > max_n:
@@ -208,30 +177,32 @@ def count_accepted(m: int, n: int, signature: Callable, accepts, jobs: int = 1) 
     (n-1)-voter prefix once, depth first, and decides the m! completions of
     the prefix with one C-level pass of ``mask(state) & last``, so every
     tuple still gets its own test.  With ``jobs > 1`` the tuples are
-    partitioned by their first permutation, one pool task each, and partial
-    counts merge by addition, so the result is independent of the worker
-    count; ``signature`` and ``accepts`` must then pickle.  The callers guard
-    the size.
+    partitioned by their first permutation into one share per worker, at
+    most m! of them: worker i of J takes the first permutations at
+    lexicographic positions i, i + J, ...  Partial counts merge by addition,
+    so the result is independent of the worker count; ``signature`` and
+    ``accepts`` must then pickle.  The callers guard the size.
 
     >>> count_accepted(3, 2, tuple, lambda pair: pair[0] < pair[1])
     15
     >>> count_accepted(3, 2, lambda values: 1 << values[0], FoldRule(operator.or_, lambda state: state))
     24
     """
+    jobs = min(jobs, math.factorial(m))
     if jobs > 1:
         import concurrent.futures
 
-        firsts = _itertools_permutations(range(1, m + 1))
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(_count_slice, ((m, n, signature, accepts, first) for first in firsts)))
-    return _count_slice((m, n, signature, accepts, None))
+            return sum(pool.map(_count_slice, ((m, n, signature, accepts, i, jobs) for i in range(jobs))))
+    return _count_slice((m, n, signature, accepts, 0, 1))
 
 
 def _count_slice(args) -> int:
-    # the accepted tuples whose first permutation is ``first`` (every tuple when None)
-    m, n, signature, accepts, first = args
+    # the accepted tuples whose first permutation sits at a lexicographic
+    # position congruent to ``share`` modulo ``shares``
+    m, n, signature, accepts, share, shares = args
     table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
-    heads = table if first is None else [signature(first)]
+    heads = table[share::shares]
     if not isinstance(accepts, FoldRule):
         return sum(map(accepts, product(heads, *[table] * (n - 1))))
     *prefix, last = [heads, *[table] * (n - 1)]

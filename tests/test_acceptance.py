@@ -16,7 +16,7 @@ from votelace.domains import (
 from votelace.enumeration import (
     brute_force_count,
     enriched_count_formula,
-    enriched_pair_avoider_count,
+    reduced_enriched_count,
 )
 from votelace.perms import count_avoiders
 from votelace.verify import run_suite
@@ -67,7 +67,7 @@ def test_criterion_04_recurrence_vs_exhaustion():
 
 
 def test_criterion_05_closed_forms():
-    with criterion(5, "closed form within 1e-9 (m <= 10, n <= 8); formulas exact", 1):
+    with criterion(5, "closed form exact (m <= 10, n <= 8); formulas exact", 1):
         _suite_passes("closed-forms")
 
 
@@ -99,7 +99,7 @@ def test_criterion_10_gamma_sequence():
     with criterion(10, "avoider counts n = 0..6 are 1, 1, 2, 6, 20, 68, 232", 1):
         expected = [1, 1, 2, 6, 20, 68, 232]
         assert [count_avoiders(n, ENRICHED_FORBIDDEN) for n in range(7)] == expected
-        assert [enriched_pair_avoider_count(n) for n in range(7)] == expected
+        assert [reduced_enriched_count(n, 2) for n in range(7)] == expected
 
 
 def test_criterion_11_weak_bruhat_equivalence():

@@ -14,7 +14,6 @@ from votelace.enumeration import (
     count_avoiding_pairs,
     enriched_count,
     enriched_count_formula,
-    enriched_pair_avoider_count,
     reduced_enriched_count,
     reduced_enriched_count_closed,
     single_crossing_pair_patterns,
@@ -22,8 +21,9 @@ from votelace.enumeration import (
     upper_bound_3config,
 )
 from votelace.errors import GuardExceeded
-from votelace.pairs import PairPattern, PairPatternSet
-from votelace.perms import identity
+from votelace.domains import ENRICHED_FORBIDDEN
+from votelace.pairs import PairPattern
+from votelace.perms import count_avoiders, identity
 
 
 class TestCountReport:
@@ -77,25 +77,25 @@ class TestRecurrence:
 
     def test_two_voters_collapse_to_pattern_avoiders(self):
         for m in range(9):
-            assert reduced_enriched_count(m, 2) == enriched_pair_avoider_count(m)
+            assert reduced_enriched_count(m, 2) == count_avoiders(m, ENRICHED_FORBIDDEN)
 
 
 class TestClosedForm:
     def test_examples(self):
-        assert reduced_enriched_count_closed(2, 2) == pytest.approx(2.0, abs=1e-9)
+        assert reduced_enriched_count_closed(2, 2) == 2
         for n in range(1, 9):
-            assert reduced_enriched_count_closed(0, n) == pytest.approx(1.0, abs=1e-9)
-        assert reduced_enriched_count_closed(5, 2) == pytest.approx(68.0, abs=1e-6)
+            assert reduced_enriched_count_closed(0, n) == 1
+        assert reduced_enriched_count_closed(5, 2) == 68
 
     def test_repeated_root_at_one_voter(self):
         for m in range(11):
-            assert reduced_enriched_count_closed(m, 1) == pytest.approx(1.0, abs=1e-12)
+            assert reduced_enriched_count_closed(m, 1) == 1
 
     def test_matches_recurrence_to_stated_tolerance(self):
+        # exactly: the closed form is integer arithmetic in Z[sqrt D]
         for m in range(11):
             for n in range(1, 9):
-                exact = reduced_enriched_count(m, n)
-                assert abs(reduced_enriched_count_closed(m, n) - exact) <= 1e-9 * exact
+                assert reduced_enriched_count_closed(m, n) == reduced_enriched_count(m, n)
 
 
 class TestFormulas:
@@ -121,7 +121,9 @@ class TestFormulas:
 
 class TestAvoiderRecurrence:
     def test_sequence(self):
-        assert [enriched_pair_avoider_count(n) for n in range(7)] == [1, 1, 2, 6, 20, 68, 232]
+        expected = [1, 1, 2, 6, 20, 68, 232]
+        assert [reduced_enriched_count(n, 2) for n in range(7)] == expected
+        assert [count_avoiders(n, ENRICHED_FORBIDDEN) for n in range(7)] == expected
 
     def test_generating_function_series(self):
         # coefficients of (1 - 3x) / (1 - 4x + 2x^2) by long division
@@ -134,7 +136,7 @@ class TestAvoiderRecurrence:
             coeffs.append(c)
             for i, d in enumerate(denom):
                 carry[k + i] -= c * d
-        assert coeffs == [Fraction(enriched_pair_avoider_count(n)) for n in range(10)]
+        assert coeffs == [Fraction(reduced_enriched_count(n, 2)) for n in range(10)]
 
 
 class TestBruteForce:
@@ -166,27 +168,24 @@ class TestThreeVoterPatternSet:
     def test_identity_collapses_to_three(self):
         sigma = perm("312")
         got = three_voter_pattern_set(identity(3), sigma)
-        expected = PairPatternSet(
-            [
-                PairPattern(identity(3), sigma),
-                PairPattern(sigma, identity(3)),
-                PairPattern(sigma.inverse(), sigma.inverse()),
-            ]
+        # sorted by the components' values: 123|312, 231|231, 312|123
+        expected = (
+            PairPattern(identity(3), sigma),
+            PairPattern(sigma.inverse(), sigma.inverse()),
+            PairPattern(sigma, identity(3)),
         )
         assert got == expected
 
     def test_double_identity_collapses_to_one(self):
         got = three_voter_pattern_set(identity(2), identity(2))
-        assert got == PairPatternSet([PairPattern(identity(2), identity(2))])
+        assert got == (PairPattern(identity(2), identity(2)),)
 
     def test_length_two_example(self):
         got = three_voter_pattern_set(perm("21"), perm("12"))
-        expected = PairPatternSet(
-            [
-                PairPattern(perm("21"), perm("12")),
-                PairPattern(perm("12"), perm("21")),
-                PairPattern(perm("21"), perm("21")),
-            ]
+        expected = (
+            PairPattern(perm("12"), perm("21")),
+            PairPattern(perm("21"), perm("12")),
+            PairPattern(perm("21"), perm("21")),
         )
         assert got == expected
 
@@ -237,7 +236,7 @@ class TestUpperBound:
             assert upper_bound_3config(m, 2, single_crossing_pair_patterns()) == math.factorial(m)
 
     def test_empty_set(self):
-        assert upper_bound_3config(3, 3, PairPatternSet([])) == 6 * 36
+        assert upper_bound_3config(3, 3, []) == 6 * 36
 
     def test_vacuous_patterns_at_three_candidates(self):
         assert upper_bound_3config(3, 3, single_crossing_pair_patterns()) == 216

@@ -44,9 +44,14 @@ def test_contains_pattern_agrees_exhaustively(ck):
 
 
 def test_strong_contains_agrees_exhaustively(ck):
-    bigs = [(b1, b2) for b1 in permutations((1, 2, 3, 4)) for b2 in permutations((1, 2, 3, 4))]
-    smalls = [(s1, s2) for s1 in permutations((1, 2)) for s2 in permutations((1, 2))]
-    smalls += [((1, 2, 3), (3, 1, 2)), ((2, 1, 3), (1, 3, 2))]
+    # hosts of length 0-5 and patterns of length 0-3: the empty pattern, and
+    # patterns longer than the host, included
+    def pairs(lengths):
+        return [
+            (a, b) for k in lengths for a in permutations(range(1, k + 1)) for b in permutations(range(1, k + 1))
+        ]
+
+    bigs, smalls = pairs(range(6)), pairs(range(4))
     for b1, b2 in bigs:
         for s1, s2 in smalls:
             assert ck.strong_contains(b1, b2, s1, s2) == _pykernels.strong_contains(b1, b2, s1, s2)

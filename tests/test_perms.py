@@ -4,10 +4,9 @@ from hypothesis import strategies as st
 
 from helpers import perm, symmetric_group
 from votelace.domains import ENRICHED_FORBIDDEN
-from votelace.enumeration import enriched_pair_avoider_count
+from votelace.enumeration import reduced_enriched_count
 from votelace.errors import GuardExceeded, ParseError
 from votelace.perms import (
-    PatternSet,
     Permutation,
     compose,
     contains_pattern,
@@ -123,37 +122,26 @@ class TestContainment:
                 ]
 
 
-class TestPatternSet:
-    def test_deduplicates(self):
-        s = PatternSet([perm("12"), perm("12"), perm("21")])
-        assert len(s) == 2
-        assert perm("12") in s and perm("21") in s
-
-    def test_from_lines(self):
-        s = PatternSet.from_lines("2 4 1 3\n3 1 4 2\n\n2 4 1 3\n")
-        assert len(s) == 2
-
-    def test_equality_ignores_order(self):
-        assert PatternSet([perm("12"), perm("21")]) == PatternSet([perm("21"), perm("12")])
-
-
 class TestCountAvoiders:
     def test_known_counts(self):
         assert count_avoiders(4, ENRICHED_FORBIDDEN) == 20
         assert count_avoiders(5, ENRICHED_FORBIDDEN) == 68
-        assert count_avoiders(3, PatternSet([perm("12")])) == 1
+        assert count_avoiders(3, [perm("12")]) == 1
+        # a repeated pattern changes nothing
+        assert count_avoiders(4, ENRICHED_FORBIDDEN * 2) == 20
 
     def test_matches_recurrence(self):
-        # the recurrence 4f(n-1) - 2f(n-2) reproduces exhaustion for n = 0..6
+        # the 2-voter reduced enriched recurrence 4f(n-1) - 2f(n-2)
+        # reproduces exhaustion for n = 0..6
         expected = [1, 1, 2, 6, 20, 68, 232]
         got = [count_avoiders(n, ENRICHED_FORBIDDEN) for n in range(7)]
         assert got == expected
-        assert [enriched_pair_avoider_count(n) for n in range(7)] == expected
+        assert [reduced_enriched_count(n, 2) for n in range(7)] == expected
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             count_avoiders(10, ENRICHED_FORBIDDEN)
-        assert count_avoiders(10, PatternSet([perm("12")]), max_n=10) == 1
+        assert count_avoiders(10, [perm("12")], max_n=10) == 1
 
 
 class TestSerialization:

@@ -28,9 +28,12 @@ def test_count_matches_recognizing_every_election(domain):
 
 
 def test_jobs_split_gives_the_same_count():
-    for domain, recognizer in DOMAINS.items():
-        solo = brute_force_count(3, 3, recognizer).count
-        assert brute_force_count(3, 3, recognizer, jobs=2).count == solo, domain
+    # one share per worker; at m = 1 and m = 2 there are more workers asked
+    # for than first rankings, and n = 1 leaves each share only its heads
+    for m, n, jobs in [(3, 3, 2), (1, 3, 2), (2, 3, 3), (2, 2, 5), (4, 1, 3)]:
+        for domain, recognizer in DOMAINS.items():
+            solo = brute_force_count(m, n, recognizer).count
+            assert brute_force_count(m, n, recognizer, jobs=jobs).count == solo, (domain, m, n, jobs)
 
 
 @pytest.mark.parametrize("m, n", [(2, 7), (9, 1)])
