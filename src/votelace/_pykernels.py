@@ -14,10 +14,20 @@ Permutations are in one-line notation with values 1..n; rank vectors are
 
 from itertools import permutations
 
+#: the longest tuple a kernel takes, the size of the compiled kernels' stack
+#: arrays; past it both backends raise the same ValueError at the same step
+MAX_LEN = 32
+
+
+def _refuse_long(*tuples):
+    if max(map(len, tuples)) > MAX_LEN:
+        raise ValueError(f"kernel input longer than {MAX_LEN}")
+
 
 def pattern_occurrences(host, pattern):
     """Yield every index-increasing tuple of 0-based ``host`` positions whose
     values are order-isomorphic to ``pattern``, in lexicographic order."""
+    _refuse_long(host, pattern)
     k = len(pattern)
     n = len(host)
     if k > n:
@@ -47,6 +57,7 @@ def strong_occurrences(big_first, big_second, small_first, small_second):
     """Yield every increasing tuple of values that realizes ``small_first``
     in ``big_first`` and ``small_second`` in ``big_second`` simultaneously,
     in lexicographic order."""
+    _refuse_long(big_first, big_second, small_first, small_second)
     h = len(small_first)
     n = len(big_first)
     if h == 0:
@@ -110,6 +121,8 @@ def configuration_embeddings(host_ranks, cfg_ranks):
     h = len(cfg_ranks[0]) if l else 0
     if h > m:
         return
+    if l and h:
+        _refuse_long(host_ranks, host_ranks[0])
 
     assigned = [0] * h  # assigned[s] = host candidate (1-based) for cfg candidate s+1
     used = [False] * m
@@ -170,6 +183,7 @@ def fits_axis(order, axis_pos):
 
     ``axis_pos[c-1]`` is the axis position of candidate c.
     """
+    _refuse_long(order, axis_pos)
     if len(order) <= 1:
         return True
     lo = hi = axis_pos[order[0] - 1]

@@ -6,19 +6,20 @@ characterization, ...), so the formulations can be tested against each other.
 Recognizers are exponential-time by design: subset and axis exhaustion at
 desk scale, guarded by a hard cap.
 
-Every recognizer is a per-ranking ``signature(order)`` plus a test over the
-voters' signatures, both attached to the recognizer function.  Five domains
-fold over their voters: the signature is one int, and ``rule(m)`` is a
-:class:`votelace.perms.FoldRule` that folds all voters but the last with one
-bitwise op and tests the last signature against a mask of the fold.  The
-others carry an ``accepts(sigs)`` combine.  The recognizer checks the cap,
-runs the test on its voters' signatures and, when that fails, returns a
-verdict with a lazy witness; exhaustive counting computes the m! signatures
-once and, building no election, folds each (n-1)-voter prefix once and
-decides each of its m! completions with one mask AND (a fold rule) or runs
-``accepts`` on every tuple.  Per-ranking masks that cost more than a lookup,
-the packed signatures among them, are cached on the ranking, and each fold
-rule once per number of candidates.
+Every recognizer carries two attributes, and its callers read nothing else:
+a per-ranking ``signature(order)`` and ``rule(m)``, the test over the voters'
+signatures for m candidates.  Five domains fold over their voters: the
+signature is one int, and ``rule(m)`` is a :class:`votelace.perms.FoldRule`
+that folds all voters but the last with one bitwise op and tests the last
+signature against a mask of the fold.  For the other three it is a combine
+over the whole tuple.  The recognizer checks the cap, runs ``rule(m)`` on its
+voters' signatures and, when that fails, returns a verdict with a lazy
+witness; exhaustive counting computes the m! signatures once and, building
+no election, folds each (n-1)-voter prefix once and decides each of its m!
+completions with one mask AND (a fold rule) or runs the combine on every
+tuple.  Per-ranking masks that cost more than a lookup, the packed signatures
+among them, are cached on the ranking, and each fold rule once per number of
+candidates.
 
 * medium, em, group-separable-bh and enriched share one signature layout:
   three medium fields of C(m,3) bits, bit i of field k set when the middle
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce, wraps
 from itertools import combinations, permutations, product
 from math import comb, factorial
-from operator import and_, or_
+from operator import and_, or_, pos
 from typing import Callable, Optional
 
 from votelace.elections import Election, _pair_perm_values, _rank_vector, sub_election
@@ -163,15 +164,10 @@ def check_cap(m: int, n: int) -> None:
         )
 
 
-def _recognizer(
-    signature: Callable,
-    accepts: Optional[Callable[..., bool]] = None,
-    rule: Optional[Callable[[int], FoldRule]] = None,
-):
+def _recognizer(signature: Callable, rule: Callable[[int], Callable[..., bool]]):
     """Decorator turning a witness finder into the recognizer whose verdict is
-    ``accepts`` on the voters' signatures, or for a domain that folds over
-    its voters ``rule(m).accepts``, where ``rule`` maps the number of
-    candidates to its fold rule.
+    ``rule(m)`` on the voters' signatures, where ``m`` is the number of
+    candidates.
 
     The decorated function maps an election the test rejects to its
     witness; it runs when the witness is first read.  The test takes an
@@ -182,16 +178,12 @@ def _recognizer(
         @wraps(find_witness, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
         def recognize(e: Election) -> DomainVerdict:
             check_cap(e.num_candidates, e.num_voters)
-            test = accepts or rule(e.num_candidates).accepts
-            if test(map(signature, e.preferences)):
+            if rule(e.num_candidates)(map(signature, e.preferences)):
                 return DomainVerdict(True)
             return DomainVerdict(False, finder=lambda: find_witness(e))
 
         recognize.signature = signature
-        if rule is None:
-            recognize.accepts = accepts
-        else:
-            recognize.rule = rule
+        recognize.rule = rule
         return recognize
 
     return build
@@ -291,7 +283,7 @@ def _or_witness(e: Election, signature: Callable, medium: bool, pair_slots: int,
     raise AssertionError("witness requested for a holding election")
 
 
-@_recognizer(_medium_sig, rule=partial(_or_rule, True, 0))
+@_recognizer(_medium_sig, partial(_or_rule, True, 0))
 def is_medium_restricted(e: Election) -> Witness:
     """No candidate triple has three voters each placing a different member in the middle."""
     return _or_witness(e, _medium_sig, True, 0)
@@ -327,7 +319,7 @@ def _group_separable_accepts(orders) -> bool:
     return _first_unsplit(tuple(orders)) is None
 
 
-@_recognizer(tuple, _group_separable_accepts)
+@_recognizer(tuple, lambda m: _group_separable_accepts)
 def is_group_separable_direct(e: Election) -> Witness:
     """Every candidate subset of size >= 2 splits into two blocks that each
     voter ranks entirely above or entirely below one another."""
@@ -414,14 +406,14 @@ def _enriched_sig(order: tuple[int, ...]) -> int:
     return _medium_sig(order) | _em_sig(order) << 3 * comb(len(order), 3)
 
 
-@_recognizer(_bh_sig, rule=partial(_or_rule, True, 24))
+@_recognizer(_bh_sig, partial(_or_rule, True, 24))
 def is_group_separable_bh(e: Election) -> Witness:
     """Group-separability via medium-restriction plus the forbidden 2-voter,
     4-candidate configuration (pairwise voter permutations avoiding 2413/3142)."""
     return _or_witness(e, _bh_sig, True, 24, _GS_PATS)
 
 
-@_recognizer(_enriched_sig, rule=partial(_or_rule, True, 6))
+@_recognizer(_enriched_sig, partial(_or_rule, True, 6))
 def is_enriched_group_separable(e: Election) -> Witness:
     """Group-separable and additionally avoiding the two extra 2-voter
     configurations: pairwise voter permutations avoid all four forbidden
@@ -441,7 +433,7 @@ def _recursive_accepts(orders) -> bool:
     return _recursive_ok(tuple(_pair_perm_values(orders[0], p) for p in orders))
 
 
-@_recognizer(tuple, _recursive_accepts)
+@_recognizer(tuple, lambda m: _recursive_accepts)
 def is_enriched_recursive(e: Election) -> Witness:
     """Recursive characterization of the enriched domain.
 
@@ -503,7 +495,7 @@ def _em_sig(order: tuple[int, ...]) -> int:
     return sig
 
 
-@_recognizer(_em_sig, rule=partial(_or_rule, False, 6))
+@_recognizer(_em_sig, partial(_or_rule, False, 6))
 def em_condition(e: Election) -> Witness:
     """For every 4-subset and ordered voter pair, one voter's {top, bottom}
     differs from the other's middle pair.  Equivalent to avoiding the four
@@ -545,17 +537,12 @@ def _peak_mask(order: tuple[int, ...]) -> int:
     return mask
 
 
-def _axes_all_fit(state: int) -> int:
-    # the AND fold of the peak masks so far: the last voter's must meet it
-    return state
+#: the same fold for every number of candidates: the last voter's peak mask
+#: must meet the AND of the others as it stands (``pos`` is the identity)
+_SINGLE_PEAKED_RULE = FoldRule(and_, pos)
 
 
-@lru_cache(maxsize=None)
-def _single_peaked_rule(m: int) -> FoldRule:
-    return FoldRule(and_, _axes_all_fit)
-
-
-@_recognizer(_peak_mask, rule=_single_peaked_rule)
+@_recognizer(_peak_mask, lambda m: _SINGLE_PEAKED_RULE)
 def is_single_peaked(e: Election) -> Witness:
     """Some candidate axis exists on which every prefix of every voter's
     ranking is an interval.  Exhaustive over the 2^(m-1) axes each ranking fits."""
@@ -601,7 +588,7 @@ def _single_crossing_accepts(sigs) -> bool:
     return True
 
 
-@_recognizer(_pair_bits, _single_crossing_accepts)
+@_recognizer(_pair_bits, lambda m: _single_crossing_accepts)
 def is_single_crossing(e: Election) -> Witness:
     """Some ordering of the voter tuple makes every candidate pair switch at
     most once.  Decided without trying orderings: the voters' disagreement

@@ -21,7 +21,7 @@ from votelace.guards import brute_call_guard
 from votelace.pairs import DEFAULT_MAX_M, PairPattern, count_pair_avoiders
 from votelace.perms import Permutation, compose, count_accepted
 
-METHODS = ("brute-force", "recurrence", "closed-form", "formula")
+METHODS = ("brute-force", "recurrence", "formula")
 
 
 @dataclass(frozen=True)
@@ -65,23 +65,21 @@ def brute_force_count(
     """Count the (m,n)-elections accepted by ``recognizer``, exhaustively.
 
     ``recognizer`` is one of :data:`votelace.domains.DOMAINS` (or a
-    ``functools.wraps`` wrapper of one).  :func:`votelace.perms.count_accepted`
-    computes its ``signature`` once per ranking and tests every one of the
-    (m!)^n tuples of signatures, without building the elections.  For a
-    domain with a fold ``rule`` it folds each (n-1)-voter prefix once and
-    tests each of the prefix's m! completions with one mask AND; otherwise it
-    runs the ``accepts`` combine on every tuple, in the lexicographic order of
-    :func:`votelace.elections.all_elections`.  No tuple is skipped and no two
-    are merged, so the count is brute force either way.  With ``jobs > 1``
-    the tuples are partitioned by the first voter's ranking, so the result is
-    independent of the worker count.
+    ``functools.wraps`` wrapper of one), and only its ``signature`` and
+    ``rule`` are read.  :func:`votelace.perms.count_accepted` computes the
+    signature once per ranking and runs ``rule(m)`` over every one of the
+    (m!)^n tuples of signatures, without building the elections: a fold rule
+    folds each (n-1)-voter prefix once and tests each of the prefix's m!
+    completions with one mask AND; a combine runs on every tuple, in the
+    lexicographic order of :func:`votelace.elections.all_elections`.  No
+    tuple is skipped and no two are merged, so the count is brute force
+    either way.  With ``jobs > 1`` the tuples are partitioned by the first
+    voter's ranking, so the result is independent of the worker count.
     """
     if label is None:
         label = getattr(recognizer, "__name__", "recognizer")
-    rule = getattr(recognizer, "rule", None)
-    accepts = getattr(recognizer, "accepts", None)
-    if not (callable(getattr(recognizer, "signature", None)) and callable(rule or accepts)):
-        raise TypeError(f"{label} has no signature and fold rule or accepts combine; pass a recognizer from DOMAINS")
+    if not (callable(getattr(recognizer, "signature", None)) and callable(getattr(recognizer, "rule", None))):
+        raise TypeError(f"{label} has no signature and rule; pass a recognizer from DOMAINS")
     if m < 1 or n < 1:
         raise ValueError("an election needs at least one candidate and one voter")
     if guard is None:
@@ -90,7 +88,7 @@ def brute_force_count(
     if total > guard:
         raise GuardExceeded(f"(m!)^n = {total} recognizer calls at (m,n)=({m},{n}) exceeds the guard {guard}")
     check_cap(m, n)
-    count = count_accepted(m, n, recognizer.signature, rule(m) if rule else accepts, jobs)
+    count = count_accepted(m, n, recognizer.signature, recognizer.rule(m), jobs)
     return CountReport(m, n, label, count, "brute-force")
 
 
@@ -201,11 +199,10 @@ def three_voter_pattern_set(tau: Permutation, sigma: Permutation) -> tuple[PairP
 
 def contains_3voter(pi: Permutation, rho: Permutation, tau: Permutation, sigma: Permutation) -> bool:
     """Containment of the 3-voter configuration (id, tau, sigma) in the
-    3-voter election (id, pi, rho), decided through the strong order."""
+    3-voter election (id, pi, rho), decided through the strong order.  A
+    configuration larger than the election is not contained."""
     if len(pi) != len(rho):
         raise ValueError(f"election lengths differ: {len(pi)} vs {len(rho)}")
-    if len(tau) > len(pi):
-        raise ValueError("configuration is larger than the election")
     pv, rv = pi.values, rho.values
     return any(
         kernels.strong_contains(pv, rv, q.first.values, q.second.values)

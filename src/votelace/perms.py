@@ -139,13 +139,14 @@ def count_avoiders(n: int, forbidden: Iterable[Permutation], max_n: int = DEFAUL
 
 
 class FoldRule:
-    """A verdict that folds over the voters' signatures, which are ints.
+    """A test that folds over the voters' signatures, which are ints.
 
     ``op`` (``operator.or_`` or ``operator.and_``) folds every voter but the
     last into a state, from 0 or from all bits; the tuple is accepted iff the
     last signature misses ``mask(state)`` (an OR fold) or meets it (an AND
-    fold).  For a count with ``jobs > 1``, ``mask`` must be a module-level
-    function or a ``partial`` of one, so that the rule pickles.
+    fold); calling the rule on the signatures tests them.  For a count with
+    ``jobs > 1``, ``mask`` must be a module-level function or a ``partial``
+    of one, so that the rule pickles.
     """
 
     __slots__ = ("op", "mask")
@@ -154,7 +155,7 @@ class FoldRule:
         self.op = op
         self.mask = mask
 
-    def accepts(self, sigs) -> bool:
+    def __call__(self, sigs) -> bool:
         """The verdict on an iterable of at least one signature."""
         meets = self.op is operator.and_
         state = -1 if meets else 0
@@ -167,21 +168,21 @@ class FoldRule:
         return bool(self.mask(prefix) & last) == meets
 
 
-def count_accepted(m: int, n: int, signature: Callable, accepts, jobs: int = 1) -> int:
-    """Number of n-tuples of permutations of 1..m whose signatures ``accepts`` takes.
+def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool], jobs: int = 1) -> int:
+    """Number of n-tuples of permutations of 1..m whose signatures pass ``test``.
 
-    ``signature`` maps a permutation (a tuple of values) to what ``accepts``
-    combines; it runs once per permutation.  ``accepts`` is either a combine
-    over a tuple of signatures, which runs on every one of the (m!)^n tuples
-    in lexicographic order, or a :class:`FoldRule`.  A rule folds each
-    (n-1)-voter prefix once, depth first, and decides the m! completions of
-    the prefix with one C-level pass of ``mask(state) & last``, so every
-    tuple still gets its own test.  With ``jobs > 1`` the tuples are
-    partitioned by their first permutation into one share per worker, at
-    most m! of them: worker i of J takes the first permutations at
+    ``signature`` maps a permutation (a tuple of values) to what ``test``
+    reads; it runs once per permutation.  ``test`` maps a tuple of signatures
+    to a verdict.  A :class:`FoldRule` is walked instead: each (n-1)-voter
+    prefix is folded once, depth first, and the m! completions of the prefix
+    are decided with one C-level pass of ``mask(state) & last``.  Any other
+    test runs on every one of the (m!)^n tuples, in lexicographic order.
+    Either way every tuple gets its own verdict.  With ``jobs > 1`` the
+    tuples are partitioned by their first permutation into one share per
+    worker, at most m! of them: worker i of J takes the first permutations at
     lexicographic positions i, i + J, ...  Partial counts merge by addition,
     so the result is independent of the worker count; ``signature`` and
-    ``accepts`` must then pickle.  The callers guard the size.
+    ``test`` must then pickle.  The callers guard the size.
 
     >>> count_accepted(3, 2, tuple, lambda pair: pair[0] < pair[1])
     15
@@ -193,20 +194,20 @@ def count_accepted(m: int, n: int, signature: Callable, accepts, jobs: int = 1) 
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(_count_slice, ((m, n, signature, accepts, i, jobs) for i in range(jobs))))
-    return _count_slice((m, n, signature, accepts, 0, 1))
+            return sum(pool.map(_count_slice, ((m, n, signature, test, i, jobs) for i in range(jobs))))
+    return _count_slice((m, n, signature, test, 0, 1))
 
 
 def _count_slice(args) -> int:
     # the accepted tuples whose first permutation sits at a lexicographic
     # position congruent to ``share`` modulo ``shares``
-    m, n, signature, accepts, share, shares = args
+    m, n, signature, test, share, shares = args
     table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
     heads = table[share::shares]
-    if not isinstance(accepts, FoldRule):
-        return sum(map(accepts, product(heads, *[table] * (n - 1))))
+    if not isinstance(test, FoldRule):
+        return sum(map(test, product(heads, *[table] * (n - 1))))
     *prefix, last = [heads, *[table] * (n - 1)]
-    op, mask = accepts.op, accepts.mask
+    op, mask = test.op, test.mask
     meets = op is operator.and_
 
     def misses(state, depth: int) -> int:

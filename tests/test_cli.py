@@ -5,6 +5,10 @@ import pytest
 from votelace.cli import main
 
 
+#: a 40-entry permutation, past the kernels' 32-entry input cap
+LONG = " ".join(map(str, range(1, 41)))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -161,6 +165,30 @@ class TestContains:
         )
         assert code == 1
         assert out.strip() == "false"
+
+    def test_oversized_three_voter_configuration_is_absent_by_both_routes(self, tmp_path, capsys):
+        # host (id, 12, 21) cannot hold the 3-candidate configuration (id, 123, 132)
+        code, out, _ = run(capsys, "contains", "--kind", "three-voter", "1 2", "2 1", "1 2 3", "1 3 2")
+        assert (code, out.strip()) == (1, "false")
+        e = tmp_path / "e.txt"
+        cfg = tmp_path / "cfg.txt"
+        e.write_text("1 2\n1 2\n2 1\n")
+        cfg.write_text("1 2 3\n1 2 3\n1 3 2\n")
+        code, out, _ = run(capsys, "contains", "--kind", "config", str(e), str(cfg))
+        assert (code, out.strip()) == (1, "false")
+
+    @pytest.mark.parametrize(
+        "kind, operands",
+        [
+            ("pattern", ["1 2", LONG]),
+            ("pair", ["1 2 | 2 1", f"{LONG} | {LONG}"]),
+            ("three-voter", [LONG, LONG, "1 2", "2 1"]),
+        ],
+    )
+    def test_kernel_input_past_the_cap_exits_two(self, capsys, kind, operands):
+        code, out, err = run(capsys, "contains", "--kind", kind, *operands)
+        assert (code, out) == (2, "")
+        assert "kernel input longer than 32" in err
 
     def test_wrong_arity_exits_two(self, capsys):
         code, _, err = run(capsys, "contains", "--kind", "pattern", "1 2")

@@ -206,8 +206,12 @@ class TestContains3Voter:
         assert not contains_3voter(identity(4), identity(4), perm("21"), perm("21"))
 
     def test_size_violation(self):
+        # a configuration larger than the election is not contained, as in
+        # the generic configuration search; only unequal election rows are refused
+        assert not contains_3voter(perm("12"), perm("12"), perm("123"), perm("123"))
+        assert not contains_3voter(perm("12"), perm("21"), perm("123"), perm("132"))
         with pytest.raises(ValueError):
-            contains_3voter(perm("12"), perm("12"), perm("123"), perm("123"))
+            contains_3voter(perm("12"), perm("123"), perm("12"), perm("12"))
 
 
 class TestCountAvoidingPairs:

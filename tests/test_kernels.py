@@ -105,3 +105,63 @@ def test_compiled_kernels_reject_oversized_input(ck):
     big = tuple(range(1, 40))
     with pytest.raises(ValueError):
         ck.contains_pattern(big, (1, 2))
+
+
+def _outcome(kernel, *args):
+    # the value a kernel returns, or the message of the ValueError it raises
+    try:
+        return kernel(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _ident(n):
+    return tuple(range(1, n + 1))
+
+
+def _cap_cases():
+    """(n, kernel name, arguments): kernel calls with n entries, at and past
+    the 32-entry cap, each argument long in turn, plus the trivial answers
+    (empty or oversized pattern, too few voters or candidates) on long inputs."""
+    for n in range(31, 35):
+        long, rev = _ident(n), _ident(n)[::-1]
+        yield n, "contains_pattern", (long, (2, 1))
+        yield n, "contains_pattern", (long, long)
+        yield n, "contains_pattern", ((1, 2), long)
+        yield n, "contains_pattern", (long, ())
+        yield n, "strong_contains", (long, long, (1, 2), (2, 1))
+        yield n, "strong_contains", (long, rev, (1, 2), (2, 1))
+        yield n, "strong_contains", ((1, 2), (1, 2), long, long)
+        yield n, "strong_contains", ((1, 2), (2, 1), (1,), long)
+        yield n, "strong_contains", (long, long, (), ())
+        yield n, "strong_contains", (long, long, long, rev)
+        ranks = tuple(range(n))
+        yield n, "contains_configuration", ((ranks,) * 2, ((0, 1), (1, 0)))
+        yield n, "contains_configuration", (((0, 1),) * (n - 1) + ((1, 0),), ((0, 1), (1, 0)))
+        yield n, "contains_configuration", ((ranks,), ((0, 1), (0, 1)))
+        yield n, "contains_configuration", (((0, 1),) * n, ((0, 1, 2),))
+        yield n, "contains_configuration", ((ranks,) * n, ())
+        yield n, "contains_configuration", ((ranks,) * n, ((),))
+        yield n, "fits_axis", (long, tuple(range(n)))
+        yield n, "fits_axis", ((1, 3, 2) + long[3:], tuple(range(n)))
+        yield n, "fits_axis", ((1,), tuple(range(n)))
+
+
+def test_both_backends_refuse_alike_at_the_input_cap(ck):
+    outcomes = set()
+    for n, name, args in _cap_cases():
+        want = _outcome(getattr(ck, name), *args)
+        assert _outcome(getattr(_pykernels, name), *args) == want, (n, name, args)
+        outcomes.add(want)
+    assert outcomes == {True, False, "ValueError: kernel input longer than 32"}
+
+
+def test_python_kernels_refuse_past_the_cap():
+    # the same refusals where no compiler is at hand: nothing up to 32
+    # entries, and every pattern, strong or axis search past it
+    for n, name, args in _cap_cases():
+        refused = isinstance(_outcome(getattr(_pykernels, name), *args), str)
+        if n <= 32:
+            assert not refused, (name, args)
+        elif name != "contains_configuration":
+            assert refused, (name, args)

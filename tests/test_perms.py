@@ -139,9 +139,13 @@ class TestCountAvoiders:
         assert [reduced_enriched_count(n, 2) for n in range(7)] == expected
 
     def test_guard(self):
+        # the default cap refuses before enumerating; a raised cap opts in,
+        # shown at a size that enumerates instantly
         with pytest.raises(GuardExceeded):
             count_avoiders(10, ENRICHED_FORBIDDEN)
-        assert count_avoiders(10, [perm("12")], max_n=10) == 1
+        with pytest.raises(GuardExceeded):
+            count_avoiders(4, [perm("12")], max_n=3)
+        assert count_avoiders(4, [perm("12")], max_n=4) == 1
 
 
 class TestSerialization:

@@ -53,6 +53,28 @@ def test_plain_callable_is_rejected():
         brute_force_count(3, 2, lambda e: True)
 
 
+def test_a_recognizer_without_a_rule_is_rejected_by_name():
+    def combine_only(e):
+        return True
+
+    combine_only.signature = tuple
+    combine_only.accepts = lambda sigs: True
+    with pytest.raises(TypeError, match="signature and rule"):
+        brute_force_count(3, 2, combine_only)
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_signature_and_rule_decide_every_verdict(domain):
+    # the two attributes are the whole protocol: rule(m) over the voters'
+    # signatures is the recognizer's verdict
+    recognizer = DOMAINS[domain]
+    assert not hasattr(recognizer, "accepts")
+    for m, n in [(3, 3), (4, 2)]:
+        test = recognizer.rule(m)
+        for e in all_elections(m, n):
+            assert test(tuple(map(recognizer.signature, e.preferences))) == recognizer(e).holds, (domain, e)
+
+
 def test_wrapped_recognizer_counts_the_same():
     recognizer = DOMAINS["enriched"]
 
@@ -176,7 +198,7 @@ ORACLES = {
 
 def _rule_accepts(domain, orders) -> bool:
     recognizer = DOMAINS[domain]
-    return recognizer.rule(len(orders[0])).accepts(map(recognizer.signature, orders))
+    return recognizer.rule(len(orders[0]))(map(recognizer.signature, orders))
 
 
 def _seeded_tuples(m: int, n: int, count: int, seed: int):
