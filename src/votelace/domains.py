@@ -14,12 +14,13 @@ that folds all voters but the last with one bitwise op and tests the last
 signature against a mask of the fold.  For the other three it is a combine
 over the whole tuple.  The recognizer checks the cap, runs ``rule(m)`` on its
 voters' signatures and, when that fails, returns a verdict with a lazy
-witness; exhaustive counting computes the m! signatures once and, building
-no election, folds each (n-1)-voter prefix once and decides each of its m!
-completions with one mask AND (a fold rule) or runs the combine on every
-tuple.  Per-ranking masks that cost more than a lookup, the packed signatures
-among them, are cached on the ranking, and each fold rule once per number of
-candidates.
+witness; exhaustive counting computes the m! signatures once and builds no
+election.  A fold rule is walked over the distinct signatures: each
+distinct signature tuple is tested once, with one mask AND for its last
+voter, and counted with the number of elections that share it, and no fold
+state is merged.  A combine runs on every tuple.  Per-ranking masks that
+cost more than a lookup, the packed signatures among them, are cached on
+the ranking, and each fold rule once per number of candidates.
 
 * medium, em, group-separable-bh and enriched share one signature layout:
   three medium fields of C(m,3) bits, bit i of field k set when the middle
@@ -513,16 +514,19 @@ def _peak_mask(order: tuple[int, ...]) -> int:
     # the candidates fits the ranking (every prefix of the ranking is an
     # interval on it).  Those axes are built by peeling the ranking from the
     # bottom, each candidate taking the next free position at the left or
-    # the right end of the axis, and the top one the last position: 2^(m-1)
-    # of them, each unoriented axis both ways round.  The rank adds up on
-    # the way: the candidate at position i adds (m-1-i)! times the smaller
-    # candidates not left of it, which are the smaller ones not yet placed
-    # on the left for a left placement and the smaller ones already placed
-    # on the right for a right placement
+    # the right end of the axis, and the top two the last two positions, in
+    # either order: 2^(m-1) of them, each unoriented axis both ways round.
+    # The rank adds up on the way: the candidate at position i adds
+    # (m-1-i)! times the smaller candidates not left of it, which are the
+    # smaller ones not yet placed on the left for a left placement and the
+    # smaller ones already placed on the right for a right placement (and,
+    # for the first of the top two, the second when it is smaller)
     m = len(order)
+    if m == 1:
+        return 1
     weights = [factorial(k) for k in range(m)]
     partial_axes = [(0, 0, 0)]  # (rank so far, left-placed bits, right-placed bits), bit c per candidate c
-    for c in order[:0:-1]:
+    for c in order[:1:-1]:
         smaller = (1 << c) - 1
         grown = []
         for rank, left, right in partial_axes:
@@ -530,10 +534,14 @@ def _peak_mask(order: tuple[int, ...]) -> int:
                           left | 1 << c, right))
             grown.append((rank + (right & smaller).bit_count() * weights[right.bit_count()], left, right | 1 << c))
         partial_axes = grown
-    smaller = (1 << order[0]) - 1
+    top, second = order[0], order[1]
+    below_top, below_second = (1 << top) - 1, (1 << second) - 1
     mask = 0
     for rank, left, right in partial_axes:
-        mask |= 1 << (rank + (right & smaller).bit_count() * weights[m - 1 - left.bit_count()])
+        near, far = weights[m - 1 - left.bit_count()], weights[m - 2 - left.bit_count()]
+        under_top, under_second = (right & below_top).bit_count(), (right & below_second).bit_count()
+        mask |= 1 << (rank + (under_top + (second < top)) * near + under_second * far)
+        mask |= 1 << (rank + (under_second + (top < second)) * near + under_top * far)
     return mask
 
 

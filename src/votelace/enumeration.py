@@ -67,14 +67,18 @@ def brute_force_count(
     ``recognizer`` is one of :data:`votelace.domains.DOMAINS` (or a
     ``functools.wraps`` wrapper of one), and only its ``signature`` and
     ``rule`` are read.  :func:`votelace.perms.count_accepted` computes the
-    signature once per ranking and runs ``rule(m)`` over every one of the
-    (m!)^n tuples of signatures, without building the elections: a fold rule
-    folds each (n-1)-voter prefix once and tests each of the prefix's m!
-    completions with one mask AND; a combine runs on every tuple, in the
-    lexicographic order of :func:`votelace.elections.all_elections`.  No
-    tuple is skipped and no two are merged, so the count is brute force
-    either way.  With ``jobs > 1`` the tuples are partitioned by the first
-    voter's ranking, so the result is independent of the worker count.
+    signature once per ranking and runs ``rule(m)`` over the tuples of
+    signatures, without building the elections: a fold rule is walked over
+    the distinct signatures with their multiplicities, folding each distinct
+    (n-1)-voter prefix once and deciding each distinct last signature with
+    one mask AND; a combine runs on every one of the (m!)^n tuples, in the
+    lexicographic order of :func:`votelace.elections.all_elections`.  Each
+    distinct signature tuple is tested once and counted with the number of
+    elections that share it, no tuple is skipped and no fold state is
+    merged, so the count is brute force either way.  With ``jobs > 1`` the
+    tuples are partitioned by the first voter's ranking, so the result is
+    independent of the worker count.  A ``guard`` or ``jobs`` below 1 raises
+    ``ValueError``.
     """
     if label is None:
         label = getattr(recognizer, "__name__", "recognizer")
@@ -84,6 +88,8 @@ def brute_force_count(
         raise ValueError("an election needs at least one candidate and one voter")
     if guard is None:
         guard = brute_call_guard()
+    if guard < 1:
+        raise ValueError(f"the brute-force guard must be positive, got {guard}")
     total = math.factorial(m) ** n
     if total > guard:
         raise GuardExceeded(f"(m!)^n = {total} recognizer calls at (m,n)=({m},{n}) exceeds the guard {guard}")
@@ -227,6 +233,8 @@ def upper_bound_3config(
     """
     if n < 1:
         raise ValueError("need at least one voter")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     exponent = math.comb(n - 1, 2)
     if exponent == 0:
         return math.factorial(m)

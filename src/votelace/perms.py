@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import permutations as _itertools_permutations, product
+from collections import Counter
+from itertools import compress, permutations as _itertools_permutations, product
 from typing import Callable, Iterable, Iterator
 
 from votelace import _pykernels, kernels
@@ -144,9 +145,10 @@ class FoldRule:
     ``op`` (``operator.or_`` or ``operator.and_``) folds every voter but the
     last into a state, from 0 or from all bits; the tuple is accepted iff the
     last signature misses ``mask(state)`` (an OR fold) or meets it (an AND
-    fold); calling the rule on the signatures tests them.  For a count with
-    ``jobs > 1``, ``mask`` must be a module-level function or a ``partial``
-    of one, so that the rule pickles.
+    fold); calling the rule on the signatures tests them.  An AND fold's
+    ``mask(state)`` lies within ``state``, so an empty fold fails whatever
+    follows.  For a count with ``jobs > 1``, ``mask`` must be a module-level
+    function or a ``partial`` of one, so that the rule pickles.
     """
 
     __slots__ = ("op", "mask")
@@ -173,22 +175,28 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
 
     ``signature`` maps a permutation (a tuple of values) to what ``test``
     reads; it runs once per permutation.  ``test`` maps a tuple of signatures
-    to a verdict.  A :class:`FoldRule` is walked instead: each (n-1)-voter
-    prefix is folded once, depth first, and the m! completions of the prefix
-    are decided with one C-level pass of ``mask(state) & last``.  Any other
-    test runs on every one of the (m!)^n tuples, in lexicographic order.
-    Either way every tuple gets its own verdict.  With ``jobs > 1`` the
-    tuples are partitioned by their first permutation into one share per
-    worker, at most m! of them: worker i of J takes the first permutations at
+    to a verdict.  A :class:`FoldRule` is walked over the distinct signatures
+    instead, each with the number of permutations that share it: each
+    distinct (n-1)-signature prefix is folded once, depth first, carrying the
+    product of its weights, and the distinct last signatures are decided with
+    one C-level pass of ``mask(state) & last``.  So each distinct signature
+    tuple is tested once and counted with the number of tuples that share
+    it, and no fold state is merged.  Any other test runs on every one of the
+    (m!)^n tuples, in lexicographic order.  With ``jobs > 1`` the tuples are
+    partitioned by their first permutation into one share per worker, at
+    most m! of them: worker i of J takes the first permutations at
     lexicographic positions i, i + J, ...  Partial counts merge by addition,
     so the result is independent of the worker count; ``signature`` and
-    ``test`` must then pickle.  The callers guard the size.
+    ``test`` must then pickle.  ``jobs`` below 1 raises ``ValueError``.  The
+    callers guard the size.
 
     >>> count_accepted(3, 2, tuple, lambda pair: pair[0] < pair[1])
     15
     >>> count_accepted(3, 2, lambda values: 1 << values[0], FoldRule(operator.or_, lambda state: state))
     24
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, math.factorial(m))
     if jobs > 1:
         import concurrent.futures
@@ -206,17 +214,21 @@ def _count_slice(args) -> int:
     heads = table[share::shares]
     if not isinstance(test, FoldRule):
         return sum(map(test, product(heads, *[table] * (n - 1))))
-    *prefix, last = [heads, *[table] * (n - 1)]
+    # tuples with equal signatures get equal verdicts, so each layer holds
+    # the distinct signatures with their multiplicities (in first-seen order)
+    *prefix, last = [Counter(heads), *[Counter(table)] * (n - 1)]
+    sigs, weights = list(last), list(last.values())
     op, mask = test.op, test.mask
     meets = op is operator.and_
 
-    def misses(state, depth: int) -> int:
-        # the completions, below a prefix folded to ``state``, that miss their mask
+    def met(state, depth: int) -> int:
+        # the tuples, below a prefix folded to ``state``, whose last signature
+        # meets its mask, each distinct one counted with its weight
         if depth == len(prefix):
-            return list(map(mask(state).__and__, last)).count(0)
+            return sum(compress(weights, map(mask(state).__and__, sigs)))
         if depth + 1 < len(prefix):
-            return sum(misses(op(state, s), depth + 1) for s in prefix[depth])
-        return sum(list(map(mask(op(state, s)).__and__, last)).count(0) for s in prefix[depth])
+            return sum(w * met(op(state, s), depth + 1) for s, w in prefix[depth].items())
+        return sum(w * sum(compress(weights, map(mask(op(state, s)).__and__, sigs))) for s, w in prefix[depth].items())
 
-    missed = misses(-1 if meets else 0, 0)
-    return len(heads) * len(table) ** (n - 1) - missed if meets else missed
+    hits = met(-1 if meets else 0, 0)
+    return hits if meets else len(heads) * len(table) ** (n - 1) - hits

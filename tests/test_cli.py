@@ -105,6 +105,27 @@ class TestCount:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "jobs must be at least 1"),
+        ("--jobs", "-2", "jobs must be at least 1"),
+        ("--guard", "0", "guard must be positive"),
+        ("--guard", "-1", "guard must be positive"),
+    ])
+    def test_nonpositive_jobs_or_guard_exits_two(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute", flag, value
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_nonpositive_guard_reads_like_the_environment_guard(self, capsys, monkeypatch):
+        _, _, flag_err = run(
+            capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute", "--guard", "0"
+        )
+        monkeypatch.setenv("VOTELACE_GUARD", "0")
+        _, _, env_err = run(capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute")
+        assert "must be positive" in flag_err and "must be positive" in env_err
+
     def test_jobs_leave_the_count_unchanged(self, capsys):
         _, solo, _ = run(capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute")
         _, duo, _ = run(
@@ -236,6 +257,14 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--m", "3", "--n", "3", "--pi", str(f))
         assert code == 0
         assert json.loads(out)["count"] == str(6 * 17)
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_exits_two(self, capsys, n, jobs):
+        # n = 2 enumerates no pairs, and is refused all the same
+        code, out, err = run(capsys, "bound", "--m", "3", "--n", n, "--pi", "single-crossing", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert "jobs must be at least 1" in err
 
     def test_pair_cap(self, capsys):
         code, _, err = run(

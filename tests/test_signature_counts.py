@@ -2,6 +2,7 @@
 
 import functools
 import math
+import operator
 import random
 from itertools import permutations, product
 
@@ -13,6 +14,7 @@ from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _medium_sig, _peak
 from votelace.elections import all_elections
 from votelace.enumeration import brute_force_count
 from votelace.errors import GuardExceeded
+from votelace.perms import FoldRule, _count_slice, count_accepted
 
 SMALL_CELLS = [
     (m, n) for m in range(1, 9) for n in range(1, 7) if math.factorial(m) ** n <= 20_000
@@ -243,3 +245,84 @@ def test_rule_matches_the_per_tuple_combine_on_samples(domain):
                 verdicts.add(verdict)
         # em needs four candidates to fail, the others three
         assert verdicts == ({True, False} if m >= (4 if domain == "em" else 3) else {True}), (domain, m)
+
+
+# ---------------------------------------------------------------------------
+# the fold walk over distinct signatures, weighted by their multiplicities
+
+
+@pytest.mark.parametrize("domain", FOLDED)
+def test_weighted_walk_matches_the_rule_on_every_tuple(domain):
+    recognizer = DOMAINS[domain]
+    for m, n in SMALL_CELLS:
+        rule = recognizer.rule(m)
+        table = [recognizer.signature(order) for order in permutations(range(1, m + 1))]
+        oracle = sum(map(rule, product(table, repeat=n)))
+        assert count_accepted(m, n, recognizer.signature, rule) == oracle, (domain, m, n)
+
+
+def _top_bit(values):
+    # m distinct signatures among the m! permutations
+    return 1 << values[0]
+
+
+def _top_two_parity(values):
+    # two distinct signatures: whether the first value is below the second
+    return 1 << (values[0] < values[1]) if len(values) > 1 else 1
+
+
+#: fold rules whose signatures collide heavily: the OR rules accept a tuple
+#: whose last signature misses the mask of the others' OR, the AND rules one
+#: whose last signature meets the mask of the others' AND, a mask that keeps
+#: only bits of that AND
+COLLIDING_RULES = {
+    "or-top": (_top_bit, FoldRule(operator.or_, operator.pos)),
+    "or-top-complement": (_top_bit, FoldRule(operator.or_, functools.partial(operator.xor, 0b11110))),
+    "and-top": (_top_bit, FoldRule(operator.and_, operator.pos)),
+    "and-top-odd": (_top_bit, FoldRule(operator.and_, functools.partial(operator.and_, 0b1010))),
+    "or-parity": (_top_two_parity, FoldRule(operator.or_, operator.pos)),
+    "and-parity": (_top_two_parity, FoldRule(operator.and_, operator.pos)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLIDING_RULES))
+def test_shares_of_colliding_rules_sum_to_the_solo_count(name):
+    signature, rule = COLLIDING_RULES[name]
+    verdicts = set()
+    for m in (3, 4):
+        table = [signature(values) for values in permutations(range(1, m + 1))]
+        for n in range(1, 5):
+            if m == 4 and n == 4:
+                continue
+            oracle = [rule(tup) for tup in product(table, repeat=n)]
+            verdicts.update(oracle)
+            solo = count_accepted(m, n, signature, rule)
+            assert solo == sum(oracle), (name, m, n)
+            for jobs in range(1, 5):
+                shares = [_count_slice((m, n, signature, rule, i, jobs)) for i in range(jobs)]
+                assert sum(shares) == solo, (name, m, n, jobs)
+    assert verdicts == {True, False}, name
+
+
+def test_colliding_rule_counts_the_same_through_the_worker_pool():
+    # the third voter's top is neither of the first two voters' tops
+    signature, rule = COLLIDING_RULES["or-top"]
+    assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == 24**3 * 9 // 16
+
+
+@pytest.mark.parametrize("domain", FOLDED)
+def test_signature_runs_once_per_permutation_and_share(domain):
+    recognizer = DOMAINS[domain]
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return recognizer.signature(values)
+
+    for m, n in [(1, 3), (3, 1), (3, 3), (4, 2)]:
+        rule = recognizer.rule(m)
+        for jobs in (1, 2, 5):
+            for share in range(jobs):
+                calls.clear()
+                _count_slice((m, n, counted, rule, share, jobs))
+                assert sorted(calls) == sorted(permutations(range(1, m + 1))), (domain, m, n, jobs, share)
