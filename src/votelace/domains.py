@@ -14,8 +14,8 @@ that folds all voters but the last with one bitwise op and tests the last
 signature against a mask of the fold.  For the other three it is a combine
 over the whole tuple.  The recognizer checks the cap, runs ``rule(m)`` on its
 voters' signatures and, when that fails, returns a verdict with a lazy
-witness; exhaustive counting computes the m! signatures once and builds no
-election.  A fold rule is walked over the distinct signatures: each
+witness; exhaustive counting and the verification suites compute the m!
+signatures once and build no election.  A fold rule is walked over the distinct signatures: each
 distinct signature tuple is tested once, with one mask AND for its last
 voter, and counted with the number of elections that share it, and no fold
 state is merged.  A combine runs on every tuple.  Per-ranking masks that

@@ -12,7 +12,8 @@ import math
 import operator
 from dataclasses import dataclass
 from collections import Counter
-from itertools import compress, permutations as _itertools_permutations, product
+from functools import reduce
+from itertools import chain, compress, permutations as _itertools_permutations, product
 from typing import Callable, Iterable, Iterator
 
 from votelace import _pykernels, kernels
@@ -170,6 +171,38 @@ class FoldRule:
         return bool(self.mask(prefix) & last) == meets
 
 
+def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> Iterator[bool]:
+    """The verdict of ``test`` on every n-tuple of permutations of 1..m, in
+    lexicographic order, as :func:`count_accepted` reads them.
+
+    ``signature`` runs once per permutation.  For a :class:`FoldRule` each
+    (n-1)-prefix is folded once and its last voters are decided with one
+    C-level pass of ``mask(state) & last``; any other test runs on every
+    tuple of signatures.  The verdicts are streamed, not stored.  The
+    callers guard the size.
+
+    >>> list(verdicts(2, 2, tuple, lambda pair: pair[0] < pair[1]))
+    [False, True, False, False]
+    >>> list(verdicts(3, 1, lambda values: 1 << values[0], FoldRule(operator.and_, lambda state: state & 0b1010)))
+    [True, True, False, False, True, True]
+    """
+    table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
+    return _verdicts(table, table, n, test)
+
+
+def _verdicts(heads: list, table: list, n: int, test: Callable[..., bool]) -> Iterator[bool]:
+    # the verdicts on the n-tuples of signatures whose first is one of ``heads``
+    # and whose others are any of ``table``, in lexicographic order
+    *layers, last = [heads, *[table] * (n - 1)]
+    if not isinstance(test, FoldRule):
+        return map(test, product(*layers, last))
+    op, mask = test.op, test.mask
+    init, decide = (-1, bool) if op is operator.and_ else (0, operator.not_)
+    return chain.from_iterable(
+        map(decide, map(mask(reduce(op, prefix, init)).__and__, last)) for prefix in product(*layers)
+    )
+
+
 def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool], jobs: int = 1) -> int:
     """Number of n-tuples of permutations of 1..m whose signatures pass ``test``.
 
@@ -182,7 +215,8 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     one C-level pass of ``mask(state) & last``.  So each distinct signature
     tuple is tested once and counted with the number of tuples that share
     it, and no fold state is merged.  Any other test runs on every one of the
-    (m!)^n tuples, in lexicographic order.  With ``jobs > 1`` the tuples are
+    (m!)^n tuples, in lexicographic order, through the walk of
+    :func:`verdicts`.  With ``jobs > 1`` the tuples are
     partitioned by their first permutation into one share per worker, at
     most m! of them: worker i of J takes the first permutations at
     lexicographic positions i, i + J, ...  Partial counts merge by addition,
@@ -213,7 +247,7 @@ def _count_slice(args) -> int:
     table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
     heads = table[share::shares]
     if not isinstance(test, FoldRule):
-        return sum(map(test, product(heads, *[table] * (n - 1))))
+        return sum(_verdicts(heads, table, n, test))
     # tuples with equal signatures get equal verdicts, so each layer holds
     # the distinct signatures with their multiplicities (in first-seen order)
     *prefix, last = [Counter(heads), *[Counter(table)] * (n - 1)]

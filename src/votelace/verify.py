@@ -5,10 +5,15 @@ independent routes over exhaustive small ranges (plus seeded random samples
 where the exhaustive range would be too large): recognizer vs recognizer,
 recurrence vs brute force, strong-order reduction vs generic containment.
 Failures carry the full counterexample; its text is built only when a check
-fails, so a passing suite pays for nothing but its two routes.  The 3-voter
-host elections (id, pi, rho) are built once per number of candidates and
-shared by every configuration checked against them.  Every suite counts in
-process: its cells are too small to pay for starting a process pool.
+fails, so a passing suite pays for nothing but its two routes.  Recognizers
+are compared as two verdict streams (:func:`votelace.perms.verdicts`), each
+read from a recognizer's signature table and ``rule(m)``, zipped with the
+elections' rankings in enumeration order; an election object is built only
+to print a failure (or, for prop33, for the configuration search it
+checks against).  The 3-voter host elections (id, pi, rho) are built once
+per number of candidates and shared by every configuration checked against
+them.  Every suite counts in process: its cells are too small to pay for
+starting a process pool.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import permutations as _itertools_permutations
+from itertools import permutations as _itertools_permutations, product
 from typing import Callable
 
 from votelace import domains
-from votelace.elections import Election, _unchecked_election, all_elections, contains_configuration
+from votelace.elections import Election, _unchecked_election, contains_configuration
 from votelace.enumeration import (
     brute_force_count,
     contains_3voter,
@@ -33,7 +38,7 @@ from votelace.enumeration import (
     upper_bound_3config,
 )
 from votelace.pairs import PairPattern, strong_contains, weak_bruhat_le
-from votelace.perms import Permutation, count_avoiders
+from votelace.perms import Permutation, count_avoiders, verdicts
 
 DEFAULT_SEED = 1729
 
@@ -78,21 +83,37 @@ def _three_voter_hosts(perms: list[Permutation]) -> list[tuple[Permutation, Perm
     return [(pi, rho, _three_voter_election(pi, rho)) for pi in perms for rho in perms]
 
 
+def _two_verdict_streams(res: SuiteResult, cells, first, second, names: tuple[str, str]) -> None:
+    # one check per election of each (m, n) cell: the verdict streams of two
+    # recognizers, each read as its signature table and rule(m), must agree
+    for m, n in cells:
+        rankings = list(_itertools_permutations(range(1, m + 1)))
+        for prefs, a, b in zip(
+            product(rankings, repeat=n),
+            verdicts(m, n, first.signature, first.rule(m)),
+            verdicts(m, n, second.signature, second.rule(m)),
+        ):
+            res.check(a == b, lambda: f"(m,n)=({m},{n}) election {_text(m, prefs)}: {names[0]}={a} {names[1]}={b}")
+
+
+def _text(m: int, prefs: tuple[tuple[int, ...], ...]) -> str:
+    # the election as a failure prints it
+    return repr(_unchecked_election(m, prefs).to_text())
+
+
 def suite_bh_equivalence(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Direct group-separability agrees with the forbidden-configuration form."""
     res = SuiteResult("bh-equivalence")
-    for m in range(1, 5):
-        for n in range(1, 4):
-            for e in all_elections(m, n):
-                a = domains.is_group_separable_direct(e).holds
-                b = domains.is_group_separable_bh(e).holds
-                res.check(a == b, lambda: f"(m,n)=({m},{n}) election {e.to_text()!r}: direct={a} bh={b}")
+    direct, bh = domains.is_group_separable_direct, domains.is_group_separable_bh
+    cells = [(m, n) for m in range(1, 5) for n in range(1, 4)]
+    _two_verdict_streams(res, cells, direct, bh, ("direct", "bh"))
     rng = random.Random(seed)
+    direct_rule, bh_rule = direct.rule(5), bh.rule(5)
     for _ in range(10_000):
-        e = _unchecked_election(5, tuple(_random_values(rng, 5) for _ in range(4)))
-        a = domains.is_group_separable_direct(e).holds
-        b = domains.is_group_separable_bh(e).holds
-        res.check(a == b, lambda: f"sampled (5,4) election {e.to_text()!r}: direct={a} bh={b}")
+        orders = tuple(_random_values(rng, 5) for _ in range(4))
+        a = direct_rule(map(direct.signature, orders))
+        b = bh_rule(map(bh.signature, orders))
+        res.check(a == b, lambda: f"sampled (5,4) election {_text(5, orders)}: direct={a} bh={b}")
     return res
 
 
@@ -100,21 +121,21 @@ def suite_thm32(seed: int = DEFAULT_SEED) -> SuiteResult:
     """The recursive characterization agrees with the configuration-based recognizer."""
     res = SuiteResult("thm32")
     cells = [(m, n) for m in range(1, 5) for n in range(1, 4)] + [(5, 2)]
-    for m, n in cells:
-        for e in all_elections(m, n):
-            a = domains.is_enriched_group_separable(e).holds
-            b = domains.is_enriched_recursive(e).holds
-            res.check(a == b, lambda: f"(m,n)=({m},{n}) election {e.to_text()!r}: configuration={a} recursive={b}")
+    _two_verdict_streams(
+        res, cells, domains.is_enriched_group_separable, domains.is_enriched_recursive, ("configuration", "recursive")
+    )
     return res
 
 
 def suite_prop33(seed: int = DEFAULT_SEED) -> SuiteResult:
     """The extremes-vs-middles condition equals avoidance of the four forbidden configurations."""
     res = SuiteResult("prop33")
+    em = domains.em_condition
     cells = [(m, 2) for m in range(1, 6)] + [(4, 3)]
     for m, n in cells:
-        for e in all_elections(m, n):
-            a = domains.em_condition(e).holds
+        rankings = list(_itertools_permutations(range(1, m + 1)))
+        for prefs, a in zip(product(rankings, repeat=n), verdicts(m, n, em.signature, em.rule(m))):
+            e = _unchecked_election(m, prefs)
             b = not any(
                 contains_configuration(e, cfg) for cfg in domains.ENRICHED_FORBIDDEN_CONFIGURATIONS
             )
@@ -260,7 +281,9 @@ SUITES = {
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, jobs: int = 1) -> SuiteResult:
     """Run one suite.  ``jobs`` is accepted for compatibility and ignored:
-    no suite opens a process pool."""
+    no suite opens a process pool.  ``jobs`` below 1 raises ``ValueError``."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
     return SUITES[name](seed=seed)

@@ -118,6 +118,17 @@ class TestCount:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "recurrence", "--jobs", "0"],
+        ["count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "formula", "--jobs", "-1"],
+        ["verify", "--suite", "closed-forms", "--jobs", "0"],
+    ], ids=["count-recurrence", "count-formula", "verify"])
+    def test_nonpositive_jobs_exits_two_whatever_the_jobs_drive(self, capsys, argv):
+        # recurrences, formulas and suites start no workers, and refuse the flag all the same
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "jobs must be at least 1" in err
+
     def test_nonpositive_guard_reads_like_the_environment_guard(self, capsys, monkeypatch):
         _, _, flag_err = run(
             capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute", "--guard", "0"
@@ -230,6 +241,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "recurrence")
         assert code == 0
         assert "(5,2): brute-force=8160 recurrence=8160" in out
+
+    def test_thm32_prints_one_summary_line(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "thm32")
+        assert (code, out) == (0, "suite thm32: 29099 checks, ok\n")
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -14,7 +14,7 @@ from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _medium_sig, _peak
 from votelace.elections import all_elections
 from votelace.enumeration import brute_force_count
 from votelace.errors import GuardExceeded
-from votelace.perms import FoldRule, _count_slice, count_accepted
+from votelace.perms import FoldRule, _count_slice, count_accepted, verdicts
 
 SMALL_CELLS = [
     (m, n) for m in range(1, 9) for n in range(1, 7) if math.factorial(m) ** n <= 20_000
@@ -326,3 +326,29 @@ def test_signature_runs_once_per_permutation_and_share(domain):
                 calls.clear()
                 _count_slice((m, n, counted, rule, share, jobs))
                 assert sorted(calls) == sorted(permutations(range(1, m + 1))), (domain, m, n, jobs, share)
+
+
+# ---------------------------------------------------------------------------
+# the per-tuple verdict walk
+
+WALK_CELLS = [(m, n) for m in range(1, 9) for n in range(1, 7) if math.factorial(m) ** n <= 15_000]
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_verdict_walk_matches_recognizing_every_election(domain):
+    recognizer = DOMAINS[domain]
+    for m, n in WALK_CELLS:
+        walk = verdicts(m, n, recognizer.signature, recognizer.rule(m))
+        assert list(walk) == [recognizer(e).holds for e in all_elections(m, n)], (domain, m, n)
+
+
+@pytest.mark.parametrize("name", ["or-top-complement", "and-top-odd"])
+def test_verdict_walk_starts_the_fold_from_its_initial_state(name):
+    # at n = 1 the mask of the empty fold decides: 0b11110 for the OR fold
+    # (every top is rejected), 0b1010 for the AND fold (tops 1 and 3 pass)
+    signature, rule = COLLIDING_RULES[name]
+    for m, n in WALK_CELLS:
+        oracle = [rule(tuple(map(signature, e.preferences))) for e in all_elections(m, n)]
+        assert list(verdicts(m, n, signature, rule)) == oracle, (name, m, n)
+    expected = {"or-top-complement": [False] * 24, "and-top-odd": ([True] * 6 + [False] * 6) * 2}
+    assert list(verdicts(4, 1, signature, rule)) == expected[name]

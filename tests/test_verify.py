@@ -58,26 +58,41 @@ def test_suite_runs_in_process(monkeypatch, suite, checked):
         assert result.info == ["(3,3): count=204 bound=216", "(4,3): count=9168 bound=13680"]
 
 
-def _flipped(route, picks, verdict=False):
-    # ``route`` with the result of the calls numbered in ``picks`` (from 0) negated
-    calls = itertools.count()
+def _flipped(route, picks, calls=None):
+    # ``route`` with the result of the calls numbered in ``picks`` (from 0,
+    # on ``calls`` when several routes share one numbering) negated
+    calls = itertools.count() if calls is None else calls
 
     def flipped(*args):
         out = route(*args)
-        if next(calls) not in picks:
-            return out
-        return types.SimpleNamespace(holds=not out.holds) if verdict else not out
+        return not out if next(calls) in picks else out
 
     return flipped
 
 
+def _stand_in(recognizer, wrap):
+    # ``recognizer`` as the suites read it, its signature and rule(m), with
+    # every rule passed through ``wrap`` (which sees one call per election,
+    # in the order the suite checks them)
+    return types.SimpleNamespace(signature=recognizer.signature, rule=lambda m: wrap(recognizer.rule(m)))
+
+
 def test_failures_carry_counterexamples(monkeypatch):
-    # one injected disagreement per suite; the text is pinned character for character
-    bh = _flipped(verify.domains.is_group_separable_bh, {100, 24698}, verdict=True)
+    # one injected disagreement per suite; the text is pinned character for
+    # character.  A recognizer's rules share one call numbering across cells
+    calls = itertools.count()
+    bh = _stand_in(verify.domains.is_group_separable_bh, lambda rule: _flipped(rule, {100, 24698}, calls))
     monkeypatch.setattr(verify.domains, "is_group_separable_bh", bh)
     assert run_suite("bh-equivalence").failures == [
         "(m,n)=(3,3) election '1 3 2\\n1 2 3\\n3 2 1': direct=True bh=False",
         "sampled (5,4) election '2 5 1 3 4\\n2 5 3 1 4\\n1 3 5 2 4\\n1 5 2 3 4': direct=False bh=True",
+    ]
+    calls = itertools.count()
+    recursive = _stand_in(verify.domains.is_enriched_recursive, lambda rule: _flipped(rule, {7, 20000}, calls))
+    monkeypatch.setattr(verify.domains, "is_enriched_recursive", recursive)
+    assert run_suite("thm32").failures == [
+        "(m,n)=(2,2) election '2 1\\n1 2': configuration=True recursive=False",
+        "(m,n)=(5,2) election '2 5 3 1 4\\n1 5 3 4 2': configuration=True recursive=False",
     ]
     monkeypatch.setattr(verify, "contains_3voter", _flipped(verify.contains_3voter, {5000, 24183}))
     assert run_suite("thm41").failures == [
@@ -94,13 +109,17 @@ def _sampled_digest(monkeypatch, suite, seed):
     # sha256 of the inputs of the suite's seeded samples, which are its last route calls
     seen = []
     if suite == "bh-equivalence":
-        route = verify.domains.is_group_separable_direct
+        # the direct recognizer's signature is the ranking itself
+        def record(rule):
+            def recorded(sigs):
+                sigs = tuple(sigs)
+                seen.append(sigs)
+                return rule(sigs)
 
-        def record(e):
-            seen.append(e.preferences)
-            return route(e)
+            return recorded
 
-        monkeypatch.setattr(verify.domains, "is_group_separable_direct", record)
+        direct = _stand_in(verify.domains.is_group_separable_direct, record)
+        monkeypatch.setattr(verify.domains, "is_group_separable_direct", direct)
         samples = 10_000
     else:
         route = verify.contains_3voter
