@@ -14,10 +14,10 @@ import sys
 from pathlib import Path
 
 from votelace import domains, enumeration, verify
-from votelace.elections import contains_configuration, find_embedding, parse_election
+from votelace.elections import find_embedding, parse_election
 from votelace.errors import GuardExceeded, ParseError
-from votelace.pairs import DEFAULT_MAX_M, PairPattern, strong_contains, strong_occurrences
-from votelace.perms import Permutation, contains_pattern, occurrences
+from votelace.pairs import DEFAULT_MAX_M, PairPattern, strong_occurrences
+from votelace.perms import Permutation, occurrences
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,48 +101,49 @@ def _expect_operands(args, count: int, usage: str) -> list[str]:
 
 
 def cmd_contains(args) -> int:
+    # one search per request: its first occurrence decides, and is the witness
     if args.kind == "pattern":
         pat_line, host_line = _expect_operands(args, 2, "PATTERN HOST (one-line permutations)")
         pattern = Permutation.from_line(pat_line)
         host = Permutation.from_line(host_line)
-        found = contains_pattern(pattern, host)
+        indices = next(occurrences(pattern, host), None)
+        found = indices is not None
         print("true" if found else "false")
         if found and args.witness:
-            indices = next(iter(occurrences(pattern, host)))
             print("witness indices:", " ".join(map(str, indices)))
     elif args.kind == "pair":
         small_line, big_line = _expect_operands(args, 2, 'SMALL BIG (each "perm | perm")')
         small = PairPattern.from_line(small_line)
         big = PairPattern.from_line(big_line)
-        found = strong_contains(small, big)
+        values = next(strong_occurrences(small, big), None)
+        found = values is not None
         print("true" if found else "false")
         if found and args.witness:
-            values = next(iter(strong_occurrences(small, big)))
             print("witness values:", " ".join(map(str, sorted(values))))
     elif args.kind == "config":
         e_path, cfg_path = _expect_operands(args, 2, "ELECTION_FILE CONFIG_FILE")
         election = parse_election(Path(e_path).read_text(encoding="utf-8"))
         config = parse_election(Path(cfg_path).read_text(encoding="utf-8"))
-        found = contains_configuration(election, config)
+        embedding = find_embedding(election, config)
+        found = embedding is not None
         print("true" if found else "false")
         if found and args.witness:
-            f, g = find_embedding(election, config)
+            f, g = embedding
             print("witness voter map:", " ".join(f"{i + 1}->{v}" for i, v in enumerate(f)))
             print("witness candidate map:", " ".join(f"{s + 1}->{c}" for s, c in enumerate(g)))
     else:
         pi_l, rho_l, tau_l, sigma_l = _expect_operands(args, 4, "PI RHO TAU SIGMA (one-line permutations)")
         pi, rho = Permutation.from_line(pi_l), Permutation.from_line(rho_l)
         tau, sigma = Permutation.from_line(tau_l), Permutation.from_line(sigma_l)
-        found = enumeration.contains_3voter(pi, rho, tau, sigma)
+        big = PairPattern(pi, rho)
+        pats = enumeration.three_voter_pattern_set(tau, sigma)
+        occurrence = next(((q, values) for q in pats for values in strong_occurrences(q, big)), None)
+        found = occurrence is not None
         print("true" if found else "false")
         if found and args.witness:
-            big = PairPattern(pi, rho)
-            for q in enumeration.three_voter_pattern_set(tau, sigma):
-                if strong_contains(q, big):
-                    values = next(iter(strong_occurrences(q, big)))
-                    print(f"witness pattern: {q.to_line()}")
-                    print("witness values:", " ".join(map(str, sorted(values))))
-                    break
+            q, values = occurrence
+            print(f"witness pattern: {q.to_line()}")
+            print("witness values:", " ".join(map(str, sorted(values))))
     return 0 if found else 1
 
 

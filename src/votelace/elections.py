@@ -7,19 +7,22 @@ checked.  A configuration is a small election used as a forbidden
 sub-structure: an election contains it when injective voter and candidate
 maps preserve every stated preference.  Voters are significant as tuple
 positions; elections with equal ranking multisets in different orders are
-distinct objects.  The search is ``_pykernels.configuration_embeddings``;
-:func:`find_embedding` takes its first embedding, voters made 1-based.
+distinct objects.  :func:`contains_configuration` is one set lookup: the
+configuration's canonical key among the host's key set, each built once and
+kept on its election (``kernels.configuration_keys``).  The search is
+``kernels.configuration_embeddings``; :func:`find_embedding` takes its first
+embedding, voters made 1-based.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations as _itertools_permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from votelace import _pykernels, kernels
+from votelace import kernels
 from votelace.errors import GuardExceeded, ParseError
 from votelace.guards import brute_call_guard
 from votelace.perms import Permutation
@@ -57,6 +60,21 @@ class Election:
             ranks = self.__dict__["_rank_vectors"] = tuple(map(_rank_vector, self.preferences))
         return ranks
 
+    @cached_property
+    def configuration_keys(self) -> dict:
+        """Per shape (l, h), the canonical keys of the configurations of l
+        voters and h candidates that embed in this election
+        (``kernels.configuration_keys``).
+
+        Each key set is built on first use and kept on the election.
+        """
+        return _KeySets(self.rank_vectors())
+
+    @cached_property
+    def configuration_key(self) -> tuple:
+        """This election's own canonical key as a configuration, kept on it."""
+        return kernels.configuration_key(self.rank_vectors())
+
     def to_text(self) -> str:
         """One voter per line, candidates space-separated best-to-worst."""
         return "\n".join(" ".join(map(str, r)) for r in self.preferences)
@@ -65,6 +83,17 @@ class Election:
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> Election:
         rows = tuple(rows)
         return cls(len(rows[0]) if rows else 0, rows)
+
+
+class _KeySets(dict):
+    # key sets by (l, h), each built when first looked up
+    def __init__(self, ranks: tuple[tuple[int, ...], ...]):
+        super().__init__()
+        self.ranks = ranks
+
+    def __missing__(self, shape: tuple[int, int]) -> set:
+        keys = self[shape] = kernels.configuration_keys(self.ranks, *shape)
+        return keys
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +158,9 @@ def sub_election(e: Election, voters: Iterable[int], candidates: Iterable[int]) 
 
 def contains_configuration(e: Election, cfg: Election) -> bool:
     """True iff injective voter and candidate maps embed ``cfg`` into ``e``
-    preserving all stated preferences.  Exhaustive over all injections."""
-    return kernels.contains_configuration(e.rank_vectors(), cfg.rank_vectors())
+    preserving all stated preferences: the configuration's key among the
+    election's keys for its shape."""
+    return cfg.configuration_key in e.configuration_keys[len(cfg.preferences), cfg.num_candidates]
 
 
 def find_embedding(
@@ -141,7 +171,7 @@ def find_embedding(
     Returns (f, g): f[i] is the 1-based election voter hosting configuration
     voter i+1, g[s] the election candidate hosting configuration candidate s+1.
     """
-    for f, g in _pykernels.configuration_embeddings(e.rank_vectors(), cfg.rank_vectors()):
+    for f, g in kernels.configuration_embeddings(e.rank_vectors(), cfg.rank_vectors()):
         return tuple(i + 1 for i in f), g
     return None
 

@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import and_
 from typing import Callable, Iterable, Optional
 
 from votelace import kernels
@@ -203,17 +205,26 @@ def three_voter_pattern_set(tau: Permutation, sigma: Permutation) -> tuple[PairP
     return tuple(sorted(pats, key=lambda q: (q.first.values, q.second.values)))
 
 
+@lru_cache(maxsize=None)
+def _pattern_components(tau: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[tuple, tuple]:
+    # the first components of the pattern set, and its second components
+    pats = three_voter_pattern_set(Permutation(tau), Permutation(sigma))
+    return tuple(q.first.values for q in pats), tuple(q.second.values for q in pats)
+
+
 def contains_3voter(pi: Permutation, rho: Permutation, tau: Permutation, sigma: Permutation) -> bool:
     """Containment of the 3-voter configuration (id, tau, sigma) in the
-    3-voter election (id, pi, rho), decided through the strong order.  A
-    configuration larger than the election is not contained."""
-    if len(pi) != len(rho):
-        raise ValueError(f"election lengths differ: {len(pi)} vs {len(rho)}")
-    pv, rv = pi.values, rho.values
-    return any(
-        kernels.strong_contains(pv, rv, q.first.values, q.second.values)
-        for q in three_voter_pattern_set(tau, sigma)
-    )
+    3-voter election (id, pi, rho), decided through the strong order: one
+    signature per host component, looked up for every pattern of the set.
+    A configuration larger than the election is not contained."""
+    pv, rv, k = pi.values, rho.values, len(tau.values)
+    if len(pv) != len(rv):
+        raise ValueError(f"election lengths differ: {len(pv)} vs {len(rv)}")
+    firsts, seconds = _pattern_components(tau.values, sigma.values)
+    if math.comb(len(pv), k) > kernels.MAX_SUBSETS:
+        return any(map(kernels.strong_contains, repeat(pv), repeat(rv), firsts, seconds))
+    first, second = kernels.strong_signature(pv, k), kernels.strong_signature(rv, k)
+    return any(map(and_, map(first.get, firsts, repeat(0)), map(second.get, seconds, repeat(0))))
 
 
 def count_avoiding_pairs(m: int, tau: Permutation, sigma: Permutation) -> CountReport:

@@ -5,19 +5,24 @@ A pair pattern [small.first, small.second] is strongly contained in
 component inside big.first and the second component inside big.second.
 Witnesses are therefore reported as value sets, not index tuples: the same
 values sit at different positions in the two host permutations.  The search
-is ``_pykernels.strong_occurrences``; :func:`strong_occurrences` only makes sets.
+is ``kernels.strong_occurrences``; :func:`strong_occurrences` only makes sets.
+:func:`strong_contains` and :func:`count_pair_avoiders` read value-subset
+signatures instead (``kernels.strong_signature``): per pattern, the value
+subsets on which a permutation forms it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import comb
+from operator import or_
 from typing import Iterable, Iterator
 
-from votelace import _pykernels, kernels
+from votelace import kernels
 from votelace.domains import _pair_bits
 from votelace.errors import GuardExceeded, ParseError
-from votelace.perms import Permutation, count_accepted
+from votelace.perms import FoldRule, Permutation, count_accepted
 
 #: default cap for pair enumeration: (6!)^2 pairs is comfortable, m = 7 is
 #: tens of millions of matching calls and needs an explicit opt-in
@@ -77,7 +82,7 @@ def strong_occurrences(small: PairPattern, big: PairPattern) -> Iterator[frozens
 
     The stream is empty iff :func:`strong_contains` is false.
     """
-    for values in _pykernels.strong_occurrences(
+    for values in kernels.strong_occurrences(
         big.first.values, big.second.values, small.first.values, small.second.values
     ):
         yield frozenset(values)
@@ -120,22 +125,33 @@ def count_pair_avoiders(
 ) -> int:
     """Number of pairs (pi, rho) in S_m x S_m avoiding every forbidden pair pattern.
 
-    :func:`votelace.perms.count_accepted` runs the strong-containment check
-    on every pair; with ``jobs > 1`` it partitions the pairs by the first
-    permutation, so the result is independent of ``jobs``.
+    Each permutation's signature packs, per pattern, the value subsets on
+    which it forms the pattern's first component, and above those, the same
+    for the second components; a pair (pi, rho) avoids every pattern iff the
+    first half of pi's signature misses the second half of rho's.
+    :func:`votelace.perms.count_accepted` counts that OR fold over the
+    distinct signatures; with ``jobs > 1`` it partitions the pairs by the
+    first permutation, so the result is independent of ``jobs``.
     """
     if m > max_m:
         raise GuardExceeded(f"refusing to enumerate (m!)^2 pairs at m={m} (cap {max_m})")
-    pats = tuple((q.first.values, q.second.values) for q in forbidden if len(q) <= m)
-    # each permutation is its own signature (tuple() returns a tuple unchanged)
-    return count_accepted(m, 2, tuple, partial(_avoids_all, pats), jobs)
+    pats = tuple((q.first.values, q.second.values) for q in forbidden)
+    width = sum(comb(m, len(first)) for first, _ in pats)
+    return count_accepted(m, 2, partial(_pair_signature, pats), FoldRule(or_, partial(_first_half, width)), jobs)
 
 
-def _avoids_all(pats: tuple, pair: tuple) -> bool:
-    # the pair (first, second) strongly contains none of ``pats``
-    first, second = pair
-    sc = kernels.strong_contains
-    for sf, ss in pats:
-        if sc(first, second, sf, ss):
-            return False
-    return True
+def _pair_signature(pats: tuple, values: tuple) -> int:
+    # the bits of every pattern's first component on ``values``, then above
+    # them those of every second component, in the same layout
+    firsts = seconds = shift = 0
+    for first, second in pats:
+        signature = kernels.strong_signature(values, len(first))
+        firsts |= signature.get(first, 0) << shift
+        seconds |= signature.get(second, 0) << shift
+        shift += comb(len(values), len(first))
+    return firsts | seconds << shift
+
+
+def _first_half(width: int, state: int) -> int:
+    # the first components' bits of the fold state, moved onto the second components'
+    return (state & ((1 << width) - 1)) << width

@@ -3,7 +3,7 @@
 A permutation of length n is stored as the tuple of its values at positions
 1..n; the empty permutation is legal and is a pattern of everything.
 Values and positions are 1-indexed throughout.  The search is
-``_pykernels.pattern_occurrences``; :func:`occurrences` only shifts its indices.
+``kernels.pattern_occurrences``; :func:`occurrences` only shifts its indices.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import chain, compress, permutations as _itertools_permutations, product
 from typing import Callable, Iterable, Iterator
 
-from votelace import _pykernels, kernels
+from votelace import kernels
 from votelace.errors import GuardExceeded, ParseError
 
 #: default exhaustive-generation cap: 9! permutations enumerate instantly,
@@ -119,7 +119,7 @@ def occurrences(pattern: Permutation, host: Permutation) -> Iterator[tuple[int, 
 
     The stream is empty iff :func:`contains_pattern` is false.
     """
-    for occ in _pykernels.pattern_occurrences(host.values, pattern.values):
+    for occ in kernels.pattern_occurrences(host.values, pattern.values):
         yield tuple(i + 1 for i in occ)
 
 

@@ -9,11 +9,12 @@ fails, so a passing suite pays for nothing but its two routes.  Recognizers
 are compared as two verdict streams (:func:`votelace.perms.verdicts`), each
 read from a recognizer's signature table and ``rule(m)``, zipped with the
 elections' rankings in enumeration order; an election object is built only
-to print a failure (or, for prop33, for the configuration search it
+to print a failure (or, for prop33, for the configuration containment it
 checks against).  The 3-voter host elections (id, pi, rho) are built once
 per number of candidates and shared by every configuration checked against
-them.  Every suite counts in process: its cells are too small to pay for
-starting a process pool.
+them, so each builds its configuration key set once per shape.  Every suite
+counts in process: its cells are too small to pay for starting a process
+pool.
 """
 
 from __future__ import annotations
@@ -231,8 +232,9 @@ def suite_weak_bruhat(seed: int = DEFAULT_SEED) -> SuiteResult:
     res = SuiteResult("weak-bruhat")
     rising_falling = PairPattern.of((1, 2), (2, 1))
     for m in range(1, 6):
-        for pi in _perms(m):
-            for rho in _perms(m):
+        perms = _perms(m)
+        for pi in perms:
+            for rho in perms:
                 avoids = not strong_contains(rising_falling, PairPattern(pi, rho))
                 below = weak_bruhat_le(rho, pi)
                 res.check(

@@ -1,9 +1,9 @@
 """The benchmark runs end to end on this checkout.
 
 Each workload of ``perfbench/run.py`` runs shrunk (``--tiny``) and traced
-(``--trace 1``), which runs it on both kernel backends, checks every output
-against its gates and wraps the package's entry points and recognizers in
-timing spans.  So a change under ``src/`` that breaks what the benchmark
+(``--trace 1``), which runs it in a fresh process, checks every output
+against its gates and wraps the package's entry points, recognizers and
+kernels in timing spans.  So a change under ``src/`` that breaks what the benchmark
 reaches into (a traced function, a recognizer attribute that has to survive
 ``functools.wraps``, a pinned count) fails here.  Each run takes a second or
 two.

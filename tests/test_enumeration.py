@@ -22,7 +22,7 @@ from votelace.enumeration import (
 )
 from votelace.errors import GuardExceeded
 from votelace.domains import ENRICHED_FORBIDDEN
-from votelace.pairs import PairPattern
+from votelace.pairs import PairPattern, strong_occurrences
 from votelace.perms import count_avoiders, identity
 
 
@@ -212,6 +212,24 @@ class TestContains3Voter:
         assert not contains_3voter(perm("12"), perm("21"), perm("123"), perm("132"))
         with pytest.raises(ValueError):
             contains_3voter(perm("12"), perm("123"), perm("12"), perm("12"))
+
+
+    def test_signature_lookups_match_the_search_per_pattern(self):
+        # one signature lookup per pattern against a strong search per
+        # pattern, on every pair of hosts up to m = 4 and configurations of
+        # 1 to 3 candidates, larger than the host included
+        smalls = [(tau, sigma) for h in (1, 2, 3) for tau in symmetric_group(h) for sigma in symmetric_group(h)]
+        for m in range(1, 5):
+            group = symmetric_group(m)
+            for pi in group:
+                for rho in group:
+                    big = PairPattern(pi, rho)
+                    for tau, sigma in smalls:
+                        searched = any(
+                            next(strong_occurrences(q, big), None) is not None
+                            for q in three_voter_pattern_set(tau, sigma)
+                        )
+                        assert contains_3voter(pi, rho, tau, sigma) == searched, (pi, rho, tau, sigma)
 
 
 class TestCountAvoidingPairs:

@@ -1,110 +1,20 @@
-"""The compiled kernels must agree with the pure-Python twins everywhere.
+"""Each boolean kernel answers as its search stream does, on every input.
 
-The compiled kernels come from the ``ckernels`` fixture, which builds the
-tracked ``_ckernels.c``; their tests skip only when no C compiler is on PATH.
+A boolean is a lookup (strong signatures, configuration keys) or the first
+step of a search; either way it must say whether the search's stream yields
+something, or raise the ``ValueError`` the stream raises: at and past the
+32-entry input cap, and on malformed input.
 """
 
-import importlib.util
-import os
-import random
-import subprocess
-import sys
-from itertools import permutations
+from votelace import kernels
+from votelace.elections import Election, contains_configuration
 
-import pytest
-
-from votelace import _pykernels
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-@pytest.fixture
-def ck(ckernels):
-    if ckernels is None:
-        pytest.skip("no C compiler on PATH")
-    return ckernels
-
-
-def test_c_source_quotes_the_current_pyx():
-    # the benchmark's own staleness check: _ckernels.c quotes every .pyx line
-    # it was generated from, and a .pyx edit without regenerating the C shows
-    spec = importlib.util.spec_from_file_location("perfbench_program", os.path.join(ROOT, "perfbench", "program.py"))
-    program = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(program)
-    with open(program.C_SOURCE, encoding="utf-8") as c, open(program.PYX_SOURCE, encoding="utf-8") as pyx:
-        assert program.stale_lines(c.read(), pyx.read()) == []
-
-
-def test_contains_pattern_agrees_exhaustively(ck):
-    hosts = [p for n in range(6) for p in permutations(range(1, n + 1))]
-    pats = [p for k in range(4) for p in permutations(range(1, k + 1))]
-    for host in hosts:
-        for pat in pats:
-            assert ck.contains_pattern(host, pat) == _pykernels.contains_pattern(host, pat)
-
-
-def test_strong_contains_agrees_exhaustively(ck):
-    # hosts of length 0-5 and patterns of length 0-3: the empty pattern, and
-    # patterns longer than the host, included
-    def pairs(lengths):
-        return [
-            (a, b) for k in lengths for a in permutations(range(1, k + 1)) for b in permutations(range(1, k + 1))
-        ]
-
-    bigs, smalls = pairs(range(6)), pairs(range(4))
-    for b1, b2 in bigs:
-        for s1, s2 in smalls:
-            assert ck.strong_contains(b1, b2, s1, s2) == _pykernels.strong_contains(b1, b2, s1, s2)
-
-
-def test_contains_configuration_agrees_on_random_cases(ck):
-    rng = random.Random(99)
-
-    def ranks(m):
-        order = list(range(m))
-        rng.shuffle(order)
-        return tuple(order)
-
-    for _ in range(400):
-        n, m = rng.randint(1, 4), rng.randint(1, 5)
-        l, h = rng.randint(1, 4), rng.randint(1, 5)
-        host = tuple(ranks(m) for _ in range(n))
-        cfg = tuple(ranks(h) for _ in range(l))
-        assert ck.contains_configuration(host, cfg) == _pykernels.contains_configuration(host, cfg)
-
-
-def test_fits_axis_agrees_exhaustively(ck):
-    for order in permutations((1, 2, 3, 4)):
-        for axis in permutations(range(4)):
-            assert ck.fits_axis(order, axis) == _pykernels.fits_axis(order, axis)
-
-
-def _import_kernels(backend):
-    probe = "from votelace import kernels; print(kernels.active_backend())"
-    return subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "VOTELACE_BACKEND": backend},
-        capture_output=True,
-        text=True,
-    )
-
-
-def test_unknown_backend_rejected():
-    out = _import_kernels("fortran")
-    assert out.returncode != 0
-    assert "ValueError" in out.stderr and "fortran" in out.stderr
-
-
-def test_backend_env_var_honored():
-    out = _import_kernels("python")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"
-
-
-def test_compiled_kernels_reject_oversized_input(ck):
-    big = tuple(range(1, 40))
-    with pytest.raises(ValueError):
-        ck.contains_pattern(big, (1, 2))
+#: each boolean kernel with the search whose stream it decides
+STREAMS = {
+    "contains_pattern": kernels.pattern_occurrences,
+    "strong_contains": kernels.strong_occurrences,
+    "contains_configuration": kernels.configuration_embeddings,
+}
 
 
 def _outcome(kernel, *args):
@@ -147,20 +57,75 @@ def _cap_cases():
         yield n, "fits_axis", ((1,), tuple(range(n)))
 
 
-def test_both_backends_refuse_alike_at_the_input_cap(ck):
+def _stream_outcome(name, args):
+    # what the boolean should answer: whether the stream yields something
+    if name == "fits_axis":
+        return _outcome(_fits_axis_by_intervals, *args)
+    return _outcome(lambda *a: next(STREAMS[name](*a), None) is not None, *args)
+
+
+def _fits_axis_by_intervals(order, axis_pos):
+    # fits_axis has no stream: every prefix of the order must span an
+    # interval of axis positions
+    kernels._refuse_long(order, axis_pos)
+    return all(
+        max(axis_pos[c - 1] for c in order[:k]) - min(axis_pos[c - 1] for c in order[:k]) == k - 1
+        for k in range(1, len(order) + 1)
+    )
+
+
+def test_each_boolean_answers_as_its_stream_at_the_input_cap():
     outcomes = set()
     for n, name, args in _cap_cases():
-        want = _outcome(getattr(ck, name), *args)
-        assert _outcome(getattr(_pykernels, name), *args) == want, (n, name, args)
-        outcomes.add(want)
-    assert outcomes == {True, False, "ValueError: kernel input longer than 32"}
+        want = _stream_outcome(name, args)
+        assert _outcome(getattr(kernels, name), *args) == want, (n, name, args)
+        outcomes.add(want if isinstance(want, bool) else want.split(":")[0])
+    assert outcomes == {True, False, "ValueError"}
+
+
+def test_malformed_input_is_refused_as_the_stream_refuses_it():
+    long = tuple(range(1, 32))
+    cases = [
+        ("strong_contains", ((1, 2), (2, 1), (1,), long)),  # unequal pattern components
+        ("strong_contains", ((1, 2), (1, 2), (31, 1), (1, 2))),  # not a permutation
+        ("strong_contains", ((1, 2, 3), (1, 2), (1,), (1,))),  # unequal host components
+        ("strong_contains", ((2, 2), (1, 2), (1,), (1,))),
+        ("strong_contains", ((1, 2), (2, 1), (1, 2), (1, 1))),
+        ("strong_contains", ((1, 2), (2, 1), (2, 1), (2, 1))),  # formed nowhere
+        ("strong_contains", ((1, 2), (2, 1), (1, 2, 3), (1, 2, 3))),  # longer than the host
+        ("strong_contains", (long[:20], long[:20][::-1], long[:10], long[:10][::-1])),  # past MAX_SUBSETS
+        ("strong_contains", (long[:20], long[:20], long[:10], long[:10])),
+        ("contains_configuration", (((0, 1), (1, 1)), ((0, 1),))),
+        ("contains_configuration", (((0, 1), (1, 0)), ((0, 2),))),
+        ("contains_configuration", (((0, 1), (1, 0)), ((0, 1), (0,)))),
+        ("contains_configuration", (((0, 1), (1, 0)), ((1, 0), (0, 1)))),
+    ]
+    outcomes = set()
+    for name, args in cases:
+        want = _stream_outcome(name, args)
+        assert _outcome(getattr(kernels, name), *args) == want, (name, args)
+        outcomes.add(want if isinstance(want, bool) else want.split(":")[1].strip().split()[0])
+    assert outcomes == {True, False, "components", "not"}
+
+
+def test_configuration_keys_refuse_past_the_cap():
+    # the key route of elections refuses a host with more than 32 voters or
+    # candidates, as the search does, and decides one with at most 32
+    cfg = Election.from_rows([(1, 2), (2, 1)])
+    for n in range(31, 35):
+        wide = Election.from_rows([tuple(range(1, n + 1)), tuple(range(n, 0, -1))])
+        tall = Election.from_rows([(1, 2)] * (n - 1) + [(2, 1)])
+        for host in (wide, tall):
+            want = _stream_outcome("contains_configuration", (host.rank_vectors(), cfg.rank_vectors()))
+            assert _outcome(contains_configuration, host, cfg) == want
+            assert want == (True if n <= 32 else "ValueError: kernel input longer than 32")
 
 
 def test_python_kernels_refuse_past_the_cap():
-    # the same refusals where no compiler is at hand: nothing up to 32
-    # entries, and every pattern, strong or axis search past it
+    # the cap refuses nothing up to 32 entries, and every pattern, strong or
+    # axis check past it
     for n, name, args in _cap_cases():
-        refused = isinstance(_outcome(getattr(_pykernels, name), *args), str)
+        refused = _outcome(getattr(kernels, name), *args) == "ValueError: kernel input longer than 32"
         if n <= 32:
             assert not refused, (name, args)
         elif name != "contains_configuration":

@@ -199,6 +199,32 @@ class TestCountPairAvoiders:
         wb = [pp("12", "21")]
         assert count_pair_avoiders(3, wb, jobs=2) == 17
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_signature_fold_matches_the_search_on_every_pair(self, jobs):
+        # the packed-signature fold against a per-pair oracle on the strong
+        # search, for m <= 4: pattern sets of mixed sizes, the empty pattern
+        # (contained in every pair) and patterns longer than m
+        pattern_sets = [
+            [pp("12", "21")],
+            [pp("1", "1")],
+            [pp("", "")],
+            [pp("12", "21"), pp("", "")],
+            [pp("21", "21"), pp("132", "231")],
+            [pp("213", "132"), pp("2413", "3142"), pp("1", "1")],
+            [pp("12", "12"), pp("321", "123"), pp("1234", "4321"), pp("12345", "12345")],
+            [pp("12345", "54321")],
+        ]
+        for m in range(1, 5):
+            group = symmetric_group(m)
+            for pats in pattern_sets:
+                oracle = sum(
+                    all(next(strong_occurrences(q, PairPattern(pi, rho)), None) is None for q in pats)
+                    for pi in group
+                    for rho in group
+                )
+                assert count_pair_avoiders(m, pats, jobs=jobs) == oracle, (m, pats)
+        assert count_pair_avoiders(3, [pp("", "")], jobs=jobs) == 0
+
 
 class TestSerialization:
     def test_pair_line_round_trip(self):

@@ -1,12 +1,12 @@
-"""The three containment searches of ``_pykernels`` against brute-force definitions.
+"""The three containment searches of ``kernels`` against brute-force
+definitions, and the lookups against the searches.
 
 Each generator must yield exactly the witnesses of its definition, in the
-definition's order, and the active backend's boolean kernel must say whether
-that stream is empty.  The definitions enumerate candidate witnesses with
-``itertools`` and test each one from scratch: no shared state, no pruning.
-The random tests also hold the compiled kernels (the ``ckernels`` fixture,
-when a C compiler is on PATH) to the same streams; their inputs are
-well-formed, as the compiled kernels check only lengths.
+definition's order, and each boolean must say whether that stream is empty:
+the pattern search itself, the strong signatures, and the configuration keys,
+both as ``kernels`` builds them and as an ``Election`` keeps them.  The
+definitions enumerate candidate witnesses with ``itertools`` and test each
+one from scratch: no shared state, no pruning.
 """
 
 from collections import defaultdict
@@ -15,7 +15,8 @@ from itertools import combinations, permutations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votelace import _pykernels, kernels
+from votelace import kernels
+from votelace.elections import Election, contains_configuration, find_embedding
 
 
 def _standard(values):
@@ -75,28 +76,30 @@ def brute_embeddings(host_ranks, l, h):
     return found
 
 
-def _check_pattern(host, pattern, compiled=None):
-    found = next(_pykernels.pattern_occurrences(host, pattern), None) is not None
+def _election(ranks):
+    """The election whose voters have these rank vectors."""
+    return Election.from_rows([sorted(range(1, len(r) + 1), key=lambda c: r[c - 1]) for r in ranks])
+
+
+def _check_pattern(host, pattern):
+    found = next(kernels.pattern_occurrences(host, pattern), None) is not None
     assert kernels.contains_pattern(host, pattern) == found
-    if compiled is not None:
-        assert compiled.contains_pattern(host, pattern) == found
-    assert list(_pykernels.pattern_occurrences(host, pattern)) == brute_pattern(host, pattern)
+    assert list(kernels.pattern_occurrences(host, pattern)) == brute_pattern(host, pattern)
 
 
-def _check_strong(b1, b2, s1, s2, compiled=None):
-    found = next(_pykernels.strong_occurrences(b1, b2, s1, s2), None) is not None
+def _check_strong(b1, b2, s1, s2):
+    found = next(kernels.strong_occurrences(b1, b2, s1, s2), None) is not None
     assert kernels.strong_contains(b1, b2, s1, s2) == found
-    if compiled is not None:
-        assert compiled.strong_contains(b1, b2, s1, s2) == found
-    assert list(_pykernels.strong_occurrences(b1, b2, s1, s2)) == brute_strong(b1, b2, s1, s2)
+    assert list(kernels.strong_occurrences(b1, b2, s1, s2)) == brute_strong(b1, b2, s1, s2)
 
 
-def _check_embeddings(host, cfg, expected, compiled=None):
-    found = next(_pykernels.configuration_embeddings(host, cfg), None) is not None
+def _check_embeddings(host, cfg, expected, host_election, cfg_election):
+    assert list(kernels.configuration_embeddings(host, cfg)) == expected.get(cfg, [])
+    found = cfg in expected
     assert kernels.contains_configuration(host, cfg) == found
-    if compiled is not None:
-        assert compiled.contains_configuration(host, cfg) == found
-    assert list(_pykernels.configuration_embeddings(host, cfg)) == expected.get(cfg, [])
+    # the key sets kept on the elections, against the elections' own search
+    assert contains_configuration(host_election, cfg_election) == found
+    assert (find_embedding(host_election, cfg_election) is not None) == found
 
 
 def test_pattern_occurrences_exhaustive():
@@ -125,12 +128,13 @@ def _elections(m, n):
 
 def test_configuration_embeddings_exhaustive():
     for h, l in product(range(1, 4), range(1, 3)):
-        configs = list(product([_rank_vector(order) for order in _perms(h)], repeat=l))
+        configs = {cfg: _election(cfg) for cfg in product([_rank_vector(order) for order in _perms(h)], repeat=l)}
         for m, n in product(range(1, 5), range(1, 4)):
             for host in _elections(m, n):
                 expected = brute_embeddings(host, l, h)
-                for cfg in configs:
-                    _check_embeddings(host, cfg, expected)
+                host_election = _election(host)
+                for cfg, cfg_election in configs.items():
+                    _check_embeddings(host, cfg, expected, host_election, cfg_election)
 
 
 @st.composite
@@ -150,18 +154,18 @@ def _rank_vectors(draw, voters, candidates):
 
 @settings(max_examples=150, deadline=None)
 @given(_permutation(0, 9), _permutation(0, 5))
-def test_pattern_occurrences_random(ckernels, host, pattern):
-    _check_pattern(host, pattern, ckernels)
+def test_pattern_occurrences_random(host, pattern):
+    _check_pattern(host, pattern)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_strong_occurrences_random(ckernels, data):
+def test_strong_occurrences_random(data):
     m = data.draw(st.integers(0, 7))
     h = data.draw(st.integers(0, 5))
     b1, b2 = (tuple(data.draw(st.permutations(range(1, m + 1)))) for _ in range(2))
     s1, s2 = (tuple(data.draw(st.permutations(range(1, h + 1)))) for _ in range(2))
-    _check_strong(b1, b2, s1, s2, ckernels)
+    _check_strong(b1, b2, s1, s2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -169,5 +173,6 @@ def test_strong_occurrences_random(ckernels, data):
     _rank_vectors(st.integers(1, 4), st.integers(1, 5)),
     _rank_vectors(st.integers(1, 3), st.integers(1, 4)),
 )
-def test_configuration_embeddings_random(ckernels, host, cfg):
-    _check_embeddings(host, cfg, brute_embeddings(host, len(cfg), len(cfg[0])), ckernels)
+def test_configuration_embeddings_random(host, cfg):
+    expected = brute_embeddings(host, len(cfg), len(cfg[0]))
+    _check_embeddings(host, cfg, expected, _election(host), _election(cfg))
