@@ -3,51 +3,53 @@
 Each restriction the package knows about is implemented in every formulation
 available for it (direct definition, forbidden configurations, recursive
 characterization, ...), so the formulations can be tested against each other.
-Recognizers are exponential-time by design: subset and axis exhaustion at
-desk scale, guarded by a hard cap.
+Recognizers are exponential-time by design: subset exhaustion at desk
+scale, guarded by a hard cap.
 
 Every recognizer carries two attributes, and its callers read nothing else:
 a per-ranking ``signature(order)`` and ``rule(m)``, the test over the voters'
 signatures for m candidates.  Five domains fold over their voters: the
 signature is one int, and ``rule(m)`` is a :class:`votelace.perms.FoldRule`
-that folds all voters but the last with one bitwise op and tests the last
-signature against a mask of the fold.  For the other three it is a combine
-over the whole tuple.  The recognizer checks the cap, runs ``rule(m)`` on its
-voters' signatures and, when that fails, returns a verdict with a lazy
-witness; exhaustive counting and the verification suites compute the m!
-signatures once and build no election.  A fold rule is walked over the distinct signatures: each
-distinct signature tuple is tested once, with one mask AND for its last
-voter, and counted with the number of elections that share it, and no fold
-state is merged.  A combine runs on every tuple.  Per-ranking masks that
-cost more than a lookup, the packed signatures among them, are cached on
-the ranking, and each fold rule once per number of candidates.
+that ORs all voters but the last and tests the last signature against a
+mask of the OR.  For the other three it is a combine over the whole tuple.
+The recognizer checks the cap, runs ``rule(m)`` on its voters' signatures
+and, when that fails, returns a verdict with a lazy witness; exhaustive
+counting and the verification suites compute the m! signatures once and
+build no election.  A fold rule is walked over the distinct signatures:
+each distinct signature tuple is tested once, with one mask AND for its
+last voter, and counted with the number of elections that share it, and no
+fold state is merged.  A combine runs on every tuple.  Per-ranking masks
+that cost more than a lookup, the packed signatures among them, are cached
+on the ranking, and each fold rule once per number of candidates.
 
-* medium, em, group-separable-bh and enriched share one signature layout:
-  three medium fields of C(m,3) bits, bit i of field k set when the middle
-  of triple i is its k-th member (empty for em), then two pair fields of
-  slots * C(m,4) bits (none for medium).  em has 6 slots per 4-subset, one
-  per pair of its members: the first field marks the ranking's {top,
-  bottom}, the second its middle pair.  group-separable-bh has 24, one per
-  order of the subset: the first marks the order the ranking gives it, the
-  second the orders that would form 2413/3142 with that one (one 24x24
-  table, built at import).  enriched is the medium fields, then em's.  An
-  election fails iff some triple is set in the OR of all three medium
-  fields, or the OR of the first pair field meets the OR of the second; so
-  the OR fold of a prefix forbids a triple's middle position wherever the
-  other two are set, and each pair field wherever the other is set.
-  enriched is medium-restriction plus the em condition, which is pairwise
-  avoidance of the four enriched patterns;
+* medium, em, group-separable-bh, enriched and single-peaked share one
+  signature layout, each deciding its domain by forbidden configurations:
+  three triple fields of C(m,3) bits (empty for em), then two pair fields
+  of slots * C(m,4) bits (none for medium).  One loop over the triples and
+  one over the 4-subsets build every signature from per-order tables.  Bit
+  i of triple field k is set when the table picks the k-th member of triple
+  i: its middle for medium, its last for single-peaked.  Per 4-subset, the
+  first pair field marks the slot of the order the ranking gives it, and
+  the second the slots it conflicts with.  em has 6 slots, one per pair of
+  members: the first field marks the ranking's {top, bottom}, the second
+  its middle pair.  group-separable-bh has 24, one per order of the subset:
+  the second field marks the orders that would form 2413/3142 with the
+  ranking's (one 24x24 table, built at import).  single-peaked has 12, one
+  per (third, last) pair of members: the second field marks those with the
+  same third and another last, which is Ballester and Haeringer's
+  alpha-configuration, and its triple fields are worst-restriction.
+  enriched is the medium fields, then em's.  An election fails iff some
+  triple is set in the OR of all three triple fields, or the OR of the
+  first pair field meets the OR of the second; so the OR fold of a prefix
+  forbids a triple field wherever the other two are set, and each pair
+  field wherever the other is set.  enriched is medium-restriction plus the
+  em condition, which is pairwise avoidance of the four enriched patterns;
 * group-separable (direct): the signature is the ranking; per subset size,
   one segment per subset holds the bipartitions a ranking keeps apart, and
   the AND over the voters leaves a segment empty exactly for a subset no
   split serves;
 * enriched-recursive: the signature is the ranking; the combine is the
   recursive characterization of the tuple of rankings;
-* single-peaked: a mask over the m! oriented axes, indexed by lexicographic
-  rank, of the 2^(m-1) axes a ranking fits, built by peeling the ranking
-  from the bottom onto the two ends of the axis; an election holds iff the
-  AND of the masks is nonzero, so the last mask must meet the AND of the
-  others;
 * single-crossing: one bit per candidate pair, set when the ranking puts the
   smaller candidate first; the election holds iff the XORs of the voters'
   bits with a voter farthest (most bits apart) from the first voter form a
@@ -64,9 +66,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce, wraps
 from itertools import combinations, permutations, product
-from math import comb, factorial
-from operator import and_, or_, pos
-from typing import Callable, Optional
+from math import comb
+from operator import or_
+from typing import Callable, Optional, Sequence
 
 from votelace.elections import Election, _pair_perm_values, _rank_vector, sub_election
 from votelace.errors import GuardExceeded
@@ -197,27 +199,60 @@ def _subsets(m: int, size: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# medium restriction, and the signature layout the OR-fold domains share
+# the signature layout the OR-fold domains share, and medium restriction
+
+
+#: the relative ranks a ranking gives a triple's (a 4-subset's) members,
+#: smallest candidate first, indexed by the order code that _triple_bits
+#: (_quad_bits) computes: the lexicographic rank of that tuple
+_TRIPLE_ORDERS = tuple(permutations(range(3)))
+_QUAD_ORDERS = tuple(permutations(range(4)))
+
+
+def _triple_bits(order: tuple[int, ...], field_of: Sequence[int]) -> int:
+    """The three triple fields of a signature: bit k * C(m,3) + i when the
+    ranking gives triple i (in _subsets order) an order o with
+    ``field_of[o] == k``."""
+    m = len(order)
+    ranks = (0, *_rank_vector(order))  # indexed by candidate
+    t = comb(m, 3)
+    shifts = [k * t for k in field_of]
+    sig = 0
+    for i, (a, b, c) in enumerate(_subsets(m, 3)):
+        ra, rb, rc = ranks[a], ranks[b], ranks[c]
+        sig |= 1 << (shifts[2 * ((rb < ra) + (rc < ra)) + (rc < rb)] + i)
+    return sig
+
+
+def _quad_bits(order: tuple[int, ...], slot_of: Sequence[int], row_of: Sequence[int], slots: int) -> int:
+    """The two pair fields of a signature, ``slots`` bits per 4-subset: for
+    the order o the ranking gives 4-subset s (in _subsets order), bit
+    ``slots * s + slot_of[o]`` of the first, and ``row_of[slot_of[o]]``
+    shifted by ``slots * s`` in the second."""
+    ranks = (0, *_rank_vector(order))  # indexed by candidate
+    first = second = base = 0
+    for a, b, c, d in _subsets(len(order), 4):
+        ra, rb, rc, rd = ranks[a], ranks[b], ranks[c], ranks[d]
+        slot = slot_of[6 * ((rb < ra) + (rc < ra) + (rd < ra)) + 2 * ((rc < rb) + (rd < rb)) + (rd < rc)]
+        first |= 1 << (base + slot)
+        second |= row_of[slot] << base
+        base += slots
+    return first | second << base
+
+
+#: triple order -> its middle member, and its last
+_MIDDLE = tuple(q.index(1) for q in _TRIPLE_ORDERS)
+_BOTTOM = tuple(q.index(2) for q in _TRIPLE_ORDERS)
 
 
 @lru_cache(maxsize=None)
 def _medium_sig(order: tuple[int, ...]) -> int:
     # bit k * C(m,3) + i: the middle of triple i (in _subsets order) is its k-th member
-    ranks = _rank_vector(order)
-    t = comb(len(order), 3)
-    sig = 0
-    for i, (a, b, c) in enumerate(_subsets(len(order), 3)):
-        ra, rb, rc = ranks[a - 1], ranks[b - 1], ranks[c - 1]
-        if ra < rb:
-            k = 1 if rb < rc else (2 if ra < rc else 0)
-        else:
-            k = 0 if ra < rc else (2 if rb < rc else 1)
-        sig |= 1 << (k * t + i)
-    return sig
+    return _triple_bits(order, _MIDDLE)
 
 
 def _fields(t: int, p: int, sig: int) -> tuple[int, int, int, int, int]:
-    """The three medium fields of ``t`` bits and the two pair fields of ``p``
+    """The three triple fields of ``t`` bits and the two pair fields of ``p``
     bits that follow them in a signature, or in an OR of signatures (either
     part may be empty)."""
     full = (1 << t) - 1
@@ -230,11 +265,11 @@ def _forbid(t: int, p: int, state: int) -> int:
     signatures so far (laid out as :func:`_fields` reads them).  All bits
     when the voters so far already conflict.
 
-    A medium field is forbidden on a triple where the other two are set, and
+    A triple field is forbidden on a triple where the other two are set, and
     each pair field wherever the other is set.  That is exact because a
-    single ranking never conflicts with itself: it sets exactly one medium
-    field per triple, and its two pair fields are disjoint (its ends and its
-    mids are, and no order clashes with itself).
+    single ranking never conflicts with itself: it sets exactly one triple
+    field per triple, and its two pair fields are disjoint (no order
+    conflicts with itself).
     """
     a0, a1, a2, first, second = _fields(t, p, state)
     if a0 & a1 & a2 or first & second:
@@ -243,14 +278,14 @@ def _forbid(t: int, p: int, state: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _or_rule(medium: bool, pair_slots: int, m: int) -> FoldRule:
-    # the rule of medium-restriction (when ``medium``) plus a pair condition
+def _or_rule(triples: bool, pair_slots: int, m: int) -> FoldRule:
+    # the rule of a triple condition (when ``triples``) plus a pair condition
     # with ``pair_slots`` slots per 4-subset (when nonzero), for m candidates
-    return FoldRule(or_, partial(_forbid, comb(m, 3) if medium else 0, pair_slots * comb(m, 4)))
+    return FoldRule(partial(_forbid, comb(m, 3) if triples else 0, pair_slots * comb(m, 4)))
 
 
-def _or_witness(e: Election, signature: Callable, medium: bool, pair_slots: int, pats: tuple = ()) -> Witness:
-    """The witness of a domain that ``_or_rule(medium, pair_slots)`` decides.
+def _or_witness(e: Election, signature: Callable, triples: bool, pair_slots: int, pats: tuple = ()) -> Witness:
+    """The witness of a domain that ``_or_rule(triples, pair_slots)`` decides.
 
     The first conflicting triple, with the first voter for each middle;
     otherwise the first ordered voter pair whose first and second pair fields
@@ -259,7 +294,7 @@ def _or_witness(e: Election, signature: Callable, medium: bool, pair_slots: int,
     that has one, or with no ``pats`` the lowest 4-subset where they meet.
     """
     m = e.num_candidates
-    t, p = comb(m, 3) if medium else 0, pair_slots * comb(m, 4)
+    t, p = comb(m, 3) if triples else 0, pair_slots * comb(m, 4)
     fields = [_fields(t, p, signature(r)) for r in e.preferences]
     any0, any1, any2, _, _ = [reduce(or_, column) for column in zip(*fields)]
     bad = any0 & any1 & any2
@@ -369,11 +404,6 @@ def _split_mask(order: tuple[int, ...], size: int) -> int:
 # forbidden-configuration formulations (pairwise voter permutations)
 
 
-#: the relative ranks a ranking gives a 4-subset's members (smallest candidate
-#: first), in the order the 24 slots of a subset's segment index them
-_QUAD_ORDERS = tuple(permutations(range(4)))
-
-
 #: row o: the orders that form 2413/3142 with order o, as the pair permutation
 #: of two voters on a 4-subset.  For pattern p, the other voter's k-th member
 #: is the one this voter ranks p[k] - 1, so a member of rank r comes at
@@ -387,18 +417,11 @@ _GS_CLASH_ROWS = tuple(
 
 @lru_cache(maxsize=None)
 def _bh_sig(order: tuple[int, ...]) -> int:
-    # the medium fields, then two pair fields of 24 slots per 4-subset: bit
-    # 24s+o of the first when the ranking gives 4-subset s (in _subsets order)
-    # order o, of the second when order o on subset s would form 2413/3142 with it
-    m = len(order)
-    ranks = _rank_vector(order)
-    p = 24 * comb(m, 4)
-    pairs = 0
-    for s, (a, b, c, d) in enumerate(_subsets(m, 4)):
-        ra, rb, rc, rd = ranks[a - 1], ranks[b - 1], ranks[c - 1], ranks[d - 1]
-        o = 6 * ((rb < ra) + (rc < ra) + (rd < ra)) + 2 * ((rc < rb) + (rd < rb)) + (rd < rc)
-        pairs |= 1 << (24 * s + o) | _GS_CLASH_ROWS[o] << (p + 24 * s)
-    return _medium_sig(order) | pairs << 3 * comb(m, 3)
+    # the medium fields, then two pair fields of 24 slots per 4-subset, one
+    # per order: the first marks the order the ranking gives the subset, the
+    # second the orders that would form 2413/3142 with it
+    pairs = _quad_bits(order, range(24), _GS_CLASH_ROWS, 24)
+    return _medium_sig(order) | pairs << 3 * comb(len(order), 3)
 
 
 @lru_cache(maxsize=None)
@@ -473,27 +496,20 @@ def _recursive_ok(normalized: tuple[tuple[int, ...], ...]) -> bool:
 # extremes-vs-middles condition
 
 
-#: slot of each pair of positions within a 4-subset, keyed both ways round;
-#: pair slots p and 5 - p are complementary
-_QUAD_PAIRS = {
-    key: p for p, (i, j) in enumerate(combinations(range(4), 2)) for key in ((i, j), (j, i))
-}
+#: 4-subset order -> the slot of its {top, bottom}, one slot per pair of
+#: members (in combinations order); slot 5 - p holds the members slot p does not
+_EM_SLOTS = tuple(
+    tuple(combinations(range(4), 2)).index(tuple(sorted((q.index(0), q.index(3))))) for q in _QUAD_ORDERS
+)
+_EM_ROWS = tuple(1 << 5 - slot for slot in range(6))
 
 
 @lru_cache(maxsize=None)
 def _em_sig(order: tuple[int, ...]) -> int:
-    # two pair fields of 6 slots per 4-subset: bit 6s+p of the first (second)
-    # when pair p of 4-subset s (in _subsets order) is this ranking's
-    # {top, bottom} (middle pair) within the subset
-    m = len(order)
-    ranks = _rank_vector(order)
-    p = 6 * comb(m, 4)
-    sig = 0
-    for s, (a, b, c, d) in enumerate(_subsets(m, 4)):
-        r = (ranks[a - 1], ranks[b - 1], ranks[c - 1], ranks[d - 1])
-        slot = _QUAD_PAIRS[r.index(min(r)), r.index(max(r))]
-        sig |= 1 << (6 * s + slot) | 1 << (p + 6 * s + 5 - slot)
-    return sig
+    # two pair fields of 6 slots per 4-subset, one per pair of its members:
+    # the first marks the ranking's {top, bottom} within the subset, the
+    # second its middle pair
+    return _quad_bits(order, _EM_SLOTS, _EM_ROWS, 6)
 
 
 @_recognizer(_em_sig, partial(_or_rule, False, 6))
@@ -508,52 +524,38 @@ def em_condition(e: Election) -> Witness:
 # single-peaked
 
 
+#: 4-subset order -> the slot of its (third, last) members, one slot per
+#: ordered pair of members
+_THIRD_LAST = tuple(permutations(range(4), 2))
+_SP_SLOTS = tuple(_THIRD_LAST.index((q.index(2), q.index(3))) for q in _QUAD_ORDERS)
+
+#: slot (t, l): the slots with third member t and a last member other than
+#: l.  Two voters form Ballester and Haeringer's alpha-configuration on a
+#: 4-subset (a > b > c for one, c > b > a for the other, and a fourth member
+#: d above b for both) exactly when they rank the same member third (b) and
+#: different members last (c and a)
+_SP_ROWS = tuple(
+    sum(1 << j for j, (third, last) in enumerate(_THIRD_LAST) if third == t and last != l) for t, l in _THIRD_LAST
+)
+
+
 @lru_cache(maxsize=None)
-def _peak_mask(order: tuple[int, ...]) -> int:
-    # bit r: the oriented axis of lexicographic rank r among the orderings of
-    # the candidates fits the ranking (every prefix of the ranking is an
-    # interval on it).  Those axes are built by peeling the ranking from the
-    # bottom, each candidate taking the next free position at the left or
-    # the right end of the axis, and the top two the last two positions, in
-    # either order: 2^(m-1) of them, each unoriented axis both ways round.
-    # The rank adds up on the way: the candidate at position i adds
-    # (m-1-i)! times the smaller candidates not left of it, which are the
-    # smaller ones not yet placed on the left for a left placement and the
-    # smaller ones already placed on the right for a right placement (and,
-    # for the first of the top two, the second when it is smaller)
-    m = len(order)
-    if m == 1:
-        return 1
-    weights = [factorial(k) for k in range(m)]
-    partial_axes = [(0, 0, 0)]  # (rank so far, left-placed bits, right-placed bits), bit c per candidate c
-    for c in order[:1:-1]:
-        smaller = (1 << c) - 1
-        grown = []
-        for rank, left, right in partial_axes:
-            grown.append((rank + (c - 1 - (left & smaller).bit_count()) * weights[m - 1 - left.bit_count()],
-                          left | 1 << c, right))
-            grown.append((rank + (right & smaller).bit_count() * weights[right.bit_count()], left, right | 1 << c))
-        partial_axes = grown
-    top, second = order[0], order[1]
-    below_top, below_second = (1 << top) - 1, (1 << second) - 1
-    mask = 0
-    for rank, left, right in partial_axes:
-        near, far = weights[m - 1 - left.bit_count()], weights[m - 2 - left.bit_count()]
-        under_top, under_second = (right & below_top).bit_count(), (right & below_second).bit_count()
-        mask |= 1 << (rank + (under_top + (second < top)) * near + under_second * far)
-        mask |= 1 << (rank + (under_second + (top < second)) * near + under_top * far)
-    return mask
+def _peak_sig(order: tuple[int, ...]) -> int:
+    # the triple fields mark the member of each triple ranked last, then two
+    # pair fields of 12 slots per 4-subset: the first marks the ranking's
+    # (third, last) on the subset, the second those that form an
+    # alpha-configuration with it
+    pairs = _quad_bits(order, _SP_SLOTS, _SP_ROWS, 12)
+    return _triple_bits(order, _BOTTOM) | pairs << 3 * comb(len(order), 3)
 
 
-#: the same fold for every number of candidates: the last voter's peak mask
-#: must meet the AND of the others as it stands (``pos`` is the identity)
-_SINGLE_PEAKED_RULE = FoldRule(and_, pos)
-
-
-@_recognizer(_peak_mask, lambda m: _SINGLE_PEAKED_RULE)
+@_recognizer(_peak_sig, partial(_or_rule, True, 12))
 def is_single_peaked(e: Election) -> Witness:
     """Some candidate axis exists on which every prefix of every voter's
-    ranking is an interval.  Exhaustive over the 2^(m-1) axes each ranking fits."""
+    ranking is an interval.  Decided by Ballester and Haeringer's forbidden
+    configurations: no triple has each of its members ranked last by some
+    voter (worst-restriction), and no two voters form an alpha-configuration
+    on a 4-subset."""
     return _minimized_witness(e, is_single_peaked)
 
 

@@ -71,13 +71,14 @@ def brute_force_count(
     ``rule`` are read.  :func:`votelace.perms.count_accepted` computes the
     signature once per ranking and runs ``rule(m)`` over the tuples of
     signatures, without building the elections: a fold rule is walked over
-    the distinct signatures with their multiplicities, folding each distinct
+    the distinct signatures with their multiplicities, ORing each distinct
     (n-1)-voter prefix once and deciding each distinct last signature with
-    one mask AND; a combine runs on every one of the (m!)^n tuples, in the
-    lexicographic order of :func:`votelace.elections.all_elections`.  Each
-    distinct signature tuple is tested once and counted with the number of
-    elections that share it, no tuple is skipped and no fold state is
-    merged, so the count is brute force either way.  With ``jobs > 1`` the
+    one AND against the mask of that OR; a combine runs on every one of the
+    (m!)^n tuples, in the lexicographic order of
+    :func:`votelace.elections.all_elections`.  Each distinct signature tuple
+    is tested once and counted with the number of elections that share it,
+    no tuple is skipped and no fold state is merged, so the count is brute
+    force either way.  With ``jobs > 1`` the
     tuples are partitioned by the first voter's ranking, so the result is
     independent of the worker count.  A ``guard`` or ``jobs`` below 1 raises
     ``ValueError``.
@@ -241,6 +242,10 @@ def upper_bound_3config(
     """m! times |S_m(pi_set)| to the power C(n-1, 2), exactly.
 
     At n = 2 the exponent is zero and the pair count is not evaluated at all.
+    The value is exact, but as a bound it is loose.  When |S_m(pi_set)|
+    exceeds m!, as it does for the single-crossing patterns at every m >= 2,
+    the value exceeds the trivial bound (m!)^n from n = 4 on: at m = 3, n = 4
+    it is 279,936, while 6^4 = 1,296.
     """
     if n < 1:
         raise ValueError("need at least one voter")

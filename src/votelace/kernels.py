@@ -15,7 +15,8 @@ yields something:
   pattern, the value subsets on which each host component forms it.
 - :func:`contains_configuration` looks the configuration's
   :func:`configuration_key` up in the host's :func:`configuration_keys`.
-- :func:`fits_axis` reads an order against an axis.
+- :func:`fits_axis` reads an order against an axis.  No recognizer calls
+  it: it is the definition the tests hold single-peaked verdicts to.
 
 On malformed input a boolean raises the ``ValueError`` its stream raises,
 and tuples longer than :data:`MAX_LEN` are refused at the same points by

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import comb
-from operator import or_
 from typing import Iterable, Iterator
 
 from votelace import kernels
@@ -137,7 +136,7 @@ def count_pair_avoiders(
         raise GuardExceeded(f"refusing to enumerate (m!)^2 pairs at m={m} (cap {max_m})")
     pats = tuple((q.first.values, q.second.values) for q in forbidden)
     width = sum(comb(m, len(first)) for first, _ in pats)
-    return count_accepted(m, 2, partial(_pair_signature, pats), FoldRule(or_, partial(_first_half, width)), jobs)
+    return count_accepted(m, 2, partial(_pair_signature, pats), FoldRule(partial(_first_half, width)), jobs)
 
 
 def _pair_signature(pats: tuple, values: tuple) -> int:

@@ -141,34 +141,26 @@ def count_avoiders(n: int, forbidden: Iterable[Permutation], max_n: int = DEFAUL
 
 
 class FoldRule:
-    """A test that folds over the voters' signatures, which are ints.
+    """A test that ORs the voters' signatures, which are ints.
 
-    ``op`` (``operator.or_`` or ``operator.and_``) folds every voter but the
-    last into a state, from 0 or from all bits; the tuple is accepted iff the
-    last signature misses ``mask(state)`` (an OR fold) or meets it (an AND
-    fold); calling the rule on the signatures tests them.  An AND fold's
-    ``mask(state)`` lies within ``state``, so an empty fold fails whatever
-    follows.  For a count with ``jobs > 1``, ``mask`` must be a module-level
-    function or a ``partial`` of one, so that the rule pickles.
+    The signatures of every voter but the last are ORed into ``state``,
+    from 0; the tuple is accepted iff the last signature misses
+    ``mask(state)``, and calling the rule on the signatures tests them.  For
+    a count with ``jobs > 1``, ``mask`` must be a module-level function or a
+    ``partial`` of one, so that the rule pickles.
     """
 
-    __slots__ = ("op", "mask")
+    __slots__ = ("mask",)
 
-    def __init__(self, op: Callable[[int, int], int], mask: Callable[[int], int]):
-        self.op = op
+    def __init__(self, mask: Callable[[int], int]):
         self.mask = mask
 
     def __call__(self, sigs) -> bool:
         """The verdict on an iterable of at least one signature."""
-        meets = self.op is operator.and_
-        state = -1 if meets else 0
+        state = 0
         for last in sigs:
-            prefix, state = state, self.op(state, last)
-            # an AND fold that is already empty fails whatever follows, so
-            # the signatures of later voters are never computed
-            if meets and not state:
-                return False
-        return bool(self.mask(prefix) & last) == meets
+            prefix, state = state, state | last
+        return not self.mask(prefix) & last
 
 
 def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> Iterator[bool]:
@@ -176,15 +168,15 @@ def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> 
     lexicographic order, as :func:`count_accepted` reads them.
 
     ``signature`` runs once per permutation.  For a :class:`FoldRule` each
-    (n-1)-prefix is folded once and its last voters are decided with one
-    C-level pass of ``mask(state) & last``; any other test runs on every
+    (n-1)-prefix is ORed once and its last voters are decided with one
+    C-level pass of ``not mask(state) & last``; any other test runs on every
     tuple of signatures.  The verdicts are streamed, not stored.  The
     callers guard the size.
 
     >>> list(verdicts(2, 2, tuple, lambda pair: pair[0] < pair[1]))
     [False, True, False, False]
-    >>> list(verdicts(3, 1, lambda values: 1 << values[0], FoldRule(operator.and_, lambda state: state & 0b1010)))
-    [True, True, False, False, True, True]
+    >>> list(verdicts(3, 1, lambda values: 1 << values[0], FoldRule(lambda state: state | 0b1010)))
+    [False, False, True, True, False, False]
     """
     table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
     return _verdicts(table, table, n, test)
@@ -196,10 +188,9 @@ def _verdicts(heads: list, table: list, n: int, test: Callable[..., bool]) -> It
     *layers, last = [heads, *[table] * (n - 1)]
     if not isinstance(test, FoldRule):
         return map(test, product(*layers, last))
-    op, mask = test.op, test.mask
-    init, decide = (-1, bool) if op is operator.and_ else (0, operator.not_)
+    mask = test.mask
     return chain.from_iterable(
-        map(decide, map(mask(reduce(op, prefix, init)).__and__, last)) for prefix in product(*layers)
+        map(operator.not_, map(mask(reduce(operator.or_, prefix, 0)).__and__, last)) for prefix in product(*layers)
     )
 
 
@@ -210,23 +201,23 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     reads; it runs once per permutation.  ``test`` maps a tuple of signatures
     to a verdict.  A :class:`FoldRule` is walked over the distinct signatures
     instead, each with the number of permutations that share it: each
-    distinct (n-1)-signature prefix is folded once, depth first, carrying the
-    product of its weights, and the distinct last signatures are decided with
-    one C-level pass of ``mask(state) & last``.  So each distinct signature
-    tuple is tested once and counted with the number of tuples that share
-    it, and no fold state is merged.  Any other test runs on every one of the
-    (m!)^n tuples, in lexicographic order, through the walk of
-    :func:`verdicts`.  With ``jobs > 1`` the tuples are
-    partitioned by their first permutation into one share per worker, at
-    most m! of them: worker i of J takes the first permutations at
-    lexicographic positions i, i + J, ...  Partial counts merge by addition,
-    so the result is independent of the worker count; ``signature`` and
-    ``test`` must then pickle.  ``jobs`` below 1 raises ``ValueError``.  The
-    callers guard the size.
+    distinct (n-1)-signature prefix is ORed once, depth first, carrying the
+    product of its weights, and the distinct last signatures that meet
+    ``mask(state)`` are found with one C-level pass and subtracted from the
+    total.  So each distinct signature tuple is tested once and counted with
+    the number of tuples that share it, and no fold state is merged.  Any
+    other test runs on every one of the (m!)^n tuples, in lexicographic
+    order, through the walk of :func:`verdicts`.  With ``jobs > 1`` the
+    tuples are partitioned by their first permutation into one share per
+    worker, at most m! of them: worker i of J takes the first permutations
+    at lexicographic positions i, i + J, ...  Partial counts merge by
+    addition, so the result is independent of the worker count;
+    ``signature`` and ``test`` must then pickle.  ``jobs`` below 1 raises
+    ``ValueError``.  The callers guard the size.
 
     >>> count_accepted(3, 2, tuple, lambda pair: pair[0] < pair[1])
     15
-    >>> count_accepted(3, 2, lambda values: 1 << values[0], FoldRule(operator.or_, lambda state: state))
+    >>> count_accepted(3, 2, lambda values: 1 << values[0], FoldRule(lambda state: state))
     24
     """
     if jobs < 1:
@@ -252,8 +243,7 @@ def _count_slice(args) -> int:
     # the distinct signatures with their multiplicities (in first-seen order)
     *prefix, last = [Counter(heads), *[Counter(table)] * (n - 1)]
     sigs, weights = list(last), list(last.values())
-    op, mask = test.op, test.mask
-    meets = op is operator.and_
+    mask = test.mask
 
     def met(state, depth: int) -> int:
         # the tuples, below a prefix folded to ``state``, whose last signature
@@ -261,8 +251,7 @@ def _count_slice(args) -> int:
         if depth == len(prefix):
             return sum(compress(weights, map(mask(state).__and__, sigs)))
         if depth + 1 < len(prefix):
-            return sum(w * met(op(state, s), depth + 1) for s, w in prefix[depth].items())
-        return sum(w * sum(compress(weights, map(mask(op(state, s)).__and__, sigs))) for s, w in prefix[depth].items())
+            return sum(w * met(state | s, depth + 1) for s, w in prefix[depth].items())
+        return sum(w * sum(compress(weights, map(mask(state | s).__and__, sigs))) for s, w in prefix[depth].items())
 
-    hits = met(-1 if meets else 0, 0)
-    return hits if meets else len(heads) * len(table) ** (n - 1) - hits
+    return len(heads) * len(table) ** (n - 1) - met(0, 0)

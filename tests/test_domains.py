@@ -2,7 +2,7 @@ import ast
 import inspect
 import math
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -25,7 +25,8 @@ from votelace.domains import (
     is_single_peaked,
     replay_witness,
 )
-from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _fields, _medium_sig, _pair_bits, _peak_mask
+from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _fields, _medium_sig, _pair_bits, _peak_sig
+from votelace.domains import _QUAD_ORDERS, _SP_ROWS, _SP_SLOTS
 from votelace.elections import Election, all_elections
 from votelace.errors import GuardExceeded
 from votelace.perms import Permutation
@@ -137,7 +138,8 @@ class TestSignatureLayout:
                 assert m0 | m1 | m2 == (1 << t) - 1, order
 
     @pytest.mark.parametrize(
-        "signature, medium, slots", [(_em_sig, False, 6), (_bh_sig, True, 24), (_enriched_sig, True, 6)]
+        "signature, medium, slots",
+        [(_em_sig, False, 6), (_bh_sig, True, 24), (_enriched_sig, True, 6), (_peak_sig, True, 12)],
     )
     def test_pair_fields_are_disjoint(self, signature, medium, slots):
         for m in range(1, 8):
@@ -202,36 +204,67 @@ class TestSinglePeaked:
             for axis_pos in axes[:40]:
                 assert kernels.fits_axis(order, axis_pos) == oracle(order, axis_pos)
 
-    def test_peak_mask_is_the_axes_that_fit(self):
-        # bit r stands for the r-th ordering of the candidates, as an axis
-        for m in range(1, 7):
+    def test_verdict_is_the_axis_definition(self):
+        # some axis fits every voter's ranking; the fits are tabled once per
+        # candidate count, and the seeded elections read kernels.fits_axis
+        def holds(e, axes, fits):
+            return any(all(fits(order, pos) for order in e.preferences) for pos in axes)
+
+        for m, n in [(1, 2), (2, 3), (3, 3), (4, 3), (5, 2)]:
             axes = [_positions(a) for a in permutations(range(1, m + 1))]
-            for order in permutations(range(1, m + 1)):
-                mask = _peak_mask(order)
-                assert mask >> len(axes) == 0
-                assert [mask >> r & 1 == 1 for r in range(len(axes))] == [
-                    kernels.fits_axis(order, pos) for pos in axes
-                ], order
+            table = {
+                order: [kernels.fits_axis(order, pos) for pos in axes] for order in permutations(range(1, m + 1))
+            }
+            index = range(len(axes))
+            for e in all_elections(m, n):
+                assert is_single_peaked(e).holds == holds(e, index, lambda order, i: table[order][i]), e
+        rng = random.Random(16)
+        seen = set()
+        for m, count in [(6, 40), (7, 20), (8, 8)]:
+            axes = [_positions(a) for a in permutations(range(1, m + 1))]
+            for k in range(count):
+                base = list(range(1, m + 1))
+                rng.shuffle(base)
+                rows = []
+                for _ in range(rng.randint(2, 6)):
+                    row = list(base)
+                    if k % 2:
+                        rng.shuffle(row)
+                    for _ in range(rng.randint(0, 2)):
+                        i = rng.randrange(m - 1)
+                        row[i], row[i + 1] = row[i + 1], row[i]
+                    rows.append(tuple(row))
+                e = Election.from_rows(rows)
+                verdict = holds(e, axes, kernels.fits_axis)
+                assert is_single_peaked(e).holds == verdict, rows
+                seen.add(verdict)
+        assert seen == {True, False}
 
-    def test_peak_mask_matches_the_top_down_build(self):
-        # the axes built from the top of the ranking (each candidate joins the
-        # interval above it at either end), each ranked by a scan over its positions
-        def top_down(order):
-            m = len(order)
-            axes = [order[:1]]
-            for c in order[1:]:
-                axes = [x for a in axes for x in ((c, *a), (*a, c))]
-            mask = 0
-            for axis in axes:
-                rank = 0
-                for i, c in enumerate(axis):
-                    rank = rank * (m - i) + sum(1 for d in axis[i + 1:] if d < c)
-                mask |= 1 << rank
-            return mask
+    def test_alpha_configuration_is_same_third_other_last(self):
+        # Ballester and Haeringer's alpha-configuration of voters i and j on
+        # a 4-subset, for some labeling a, b, c, d of its members:
+        # a >_i b >_i c, c >_j b >_j a, d >_i b and d >_j b.  Orders are
+        # read as the ranks (0 best) they give the members
+        def alpha(ri, rj):
+            return any(
+                ri[a] < ri[b] < ri[c] and rj[c] < rj[b] < rj[a] and ri[d] < ri[b] and rj[d] < rj[b]
+                for a, b, c, d in permutations(range(4))
+            )
 
-        for m in range(1, 8):
+        for o, qi in enumerate(_QUAD_ORDERS):
+            for p, qj in enumerate(_QUAD_ORDERS):
+                clash = qi.index(2) == qj.index(2) and qi.index(3) != qj.index(3)
+                assert (alpha(qi, qj) or alpha(qj, qi)) == clash, (qi, qj)
+                assert (_SP_ROWS[_SP_SLOTS[o]] >> _SP_SLOTS[p] & 1 == 1) == clash, (qi, qj)
+
+    def test_triple_fields_mark_the_member_ranked_last(self):
+        for m in range(3, 7):
+            t, p = math.comb(m, 3), 12 * math.comb(m, 4)
             for order in permutations(range(1, m + 1)):
-                assert _peak_mask(order) == top_down(order), order
+                fields = _fields(t, p, _peak_sig(order))[:3]
+                for i, triple in enumerate(combinations(range(1, m + 1), 3)):
+                    last = max(triple, key=order.index)
+                    assert [f >> i & 1 for f in fields] == [int(c == last) for c in triple], (order, triple)
 
     def test_axis_exists(self):
         assert is_single_peaked(election("2134", "3421")).holds

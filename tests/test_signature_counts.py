@@ -10,7 +10,7 @@ import pytest
 
 from helpers import or_layout, split_fields
 from votelace.domains import DOMAINS, ENRICHED_FORBIDDEN, GROUP_SEPARABLE_FORBIDDEN
-from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _medium_sig, _peak_mask
+from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _medium_sig, _peak_sig
 from votelace.elections import all_elections
 from votelace.enumeration import brute_force_count
 from votelace.errors import GuardExceeded
@@ -162,8 +162,8 @@ def test_folded_jobs_split_gives_the_same_count():
 
 
 # The per-tuple combines the fold rules replaced, over the packed signatures
-# cut into their fields: each ORs (or ANDs) every voter's fields and tests
-# the result once.
+# cut into their fields: each ORs every voter's fields and tests the result
+# once.
 
 
 def _or_oracle(signature, medium: bool, pair_slots: int):
@@ -182,19 +182,12 @@ def _or_oracle(signature, medium: bool, pair_slots: int):
     return accepts
 
 
-def _single_peaked_oracle(orders) -> bool:
-    common = -1
-    for mask in map(_peak_mask, orders):
-        common &= mask
-    return common != 0
-
-
 ORACLES = {
     "medium": _or_oracle(_medium_sig, True, 0),
     "em": _or_oracle(_em_sig, False, 6),
     "group-separable-bh": _or_oracle(_bh_sig, True, 24),
     "enriched": _or_oracle(_enriched_sig, True, 6),
-    "single-peaked": _single_peaked_oracle,
+    "single-peaked": _or_oracle(_peak_sig, True, 12),
 }
 
 
@@ -271,17 +264,12 @@ def _top_two_parity(values):
     return 1 << (values[0] < values[1]) if len(values) > 1 else 1
 
 
-#: fold rules whose signatures collide heavily: the OR rules accept a tuple
-#: whose last signature misses the mask of the others' OR, the AND rules one
-#: whose last signature meets the mask of the others' AND, a mask that keeps
-#: only bits of that AND
+#: fold rules whose signatures collide heavily: each accepts a tuple whose
+#: last signature misses the mask of the others' OR
 COLLIDING_RULES = {
-    "or-top": (_top_bit, FoldRule(operator.or_, operator.pos)),
-    "or-top-complement": (_top_bit, FoldRule(operator.or_, functools.partial(operator.xor, 0b11110))),
-    "and-top": (_top_bit, FoldRule(operator.and_, operator.pos)),
-    "and-top-odd": (_top_bit, FoldRule(operator.and_, functools.partial(operator.and_, 0b1010))),
-    "or-parity": (_top_two_parity, FoldRule(operator.or_, operator.pos)),
-    "and-parity": (_top_two_parity, FoldRule(operator.and_, operator.pos)),
+    "or-top": (_top_bit, FoldRule(operator.pos)),
+    "or-top-complement": (_top_bit, FoldRule(functools.partial(operator.xor, 0b11110))),
+    "or-parity": (_top_two_parity, FoldRule(operator.pos)),
 }
 
 
@@ -342,13 +330,11 @@ def test_verdict_walk_matches_recognizing_every_election(domain):
         assert list(walk) == [recognizer(e).holds for e in all_elections(m, n)], (domain, m, n)
 
 
-@pytest.mark.parametrize("name", ["or-top-complement", "and-top-odd"])
+@pytest.mark.parametrize("name", ["or-top-complement"])
 def test_verdict_walk_starts_the_fold_from_its_initial_state(name):
-    # at n = 1 the mask of the empty fold decides: 0b11110 for the OR fold
-    # (every top is rejected), 0b1010 for the AND fold (tops 1 and 3 pass)
+    # at n = 1 the mask of the empty fold, 0b11110, decides: every top is rejected
     signature, rule = COLLIDING_RULES[name]
     for m, n in WALK_CELLS:
         oracle = [rule(tuple(map(signature, e.preferences))) for e in all_elections(m, n)]
         assert list(verdicts(m, n, signature, rule)) == oracle, (name, m, n)
-    expected = {"or-top-complement": [False] * 24, "and-top-odd": ([True] * 6 + [False] * 6) * 2}
-    assert list(verdicts(4, 1, signature, rule)) == expected[name]
+    assert list(verdicts(4, 1, signature, rule)) == [False] * 24
