@@ -11,6 +11,10 @@ single-peaked are pinned against the voter-ordering search and the axis scan
 samples at (8,6) and (6,4).  Group-separable-bh, enriched and
 enriched-recursive are pinned against the pairwise pattern-search combine
 and the per-call re-normalizing recursion, at (4,3) and on the (8,4) sample.
+The three minimized domains are also pinned at the largest sizes a ``check``
+request reaches them with (single-peaked and enriched-recursive at (8,6),
+single-crossing at (6,4)), taken while every minimizer trial still built
+its sub-election.
 """
 
 import hashlib
@@ -33,12 +37,15 @@ PINNED = {
     ("single-crossing", "8x6"): (181, "7a69315dbb29ff93f428de31c7de4f83fa55b2f203a0aa311c0ec0bed92734c0"),
     ("single-peaked", "4x3"): (8832, "933d09d4afcb32bbc081a44f00500ef773df5b89e52b0014e343f2cf5c83722b"),
     ("single-peaked", "6x4"): (238, "2711858f0481635ba84362024753053930c3190263d1bc1d9e259f0f288d67ee"),
+    ("single-peaked", "8x6"): (282, "df6911d42b1c75b55d843ce9ac4384aac8ced62cb6d978c22c3a32de493b74f4"),
+    ("single-crossing", "6x4"): (154, "0ec66da8b1c2b17634381f69932211ffa6f01183b5360ede6b828a83dc9ac31d"),
     ("group-separable-bh", "4x3"): (7968, "7fa2845d894df8d2caa483e15d122651cbc8a5a8c9d5879e1a820d6dab463c5f"),
     ("group-separable-bh", "8x4"): (231, "7165ce9bfb9e5ce5106dee26d4773f035790f81030c491fb4e8e98cfb5a27d01"),
     ("enriched", "4x3"): (8832, "15f9ff0847f65a00e7b1398a3f24c5aec098eb6e9c6906205fd17838beb1ab9a"),
     ("enriched", "8x4"): (271, "3c74d504f49b859e9be138b0af9dd6dd2279ea2a1195a395884a5370e8315904"),
     ("enriched-recursive", "4x3"): (8832, "583c8a7dccd21b17dbb13f07e8002bac7eaad3736a971618424bd3075bd28d07"),
     ("enriched-recursive", "8x4"): (271, "6c9dfa9ab5ee7593c4b70021a6a39459815700ce69745125f6f944e272c13c57"),
+    ("enriched-recursive", "8x6"): (283, "c023837227ca8bb0b09f704e26cd3838af5987d7cdc2fdd33fa56b96b38032b7"),
 }
 
 
