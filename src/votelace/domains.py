@@ -58,7 +58,15 @@ on the ranking, and each fold rule once per number of candidates.
 A failing verdict carries a witness naming voters (1-based) and candidates
 whose induced sub-election still violates the domain condition; witnesses are
 read in a fixed scan order when first asked for, so bulk counting only pays
-for the verdict.
+for the verdict.  Single-peaked, single-crossing and enriched-recursive
+shrink the election greedily, and each trial decides a sub-election without
+building one.  Forbidden configurations are hereditary: dropping a
+candidate only drops the configurations that contain it.  So single-peaked
+and single-crossing rerun their rule on the election's own signatures with
+the bits of every triple, 4-subset or pair that holds a dropped candidate
+cleared; enriched-recursive runs its rule on the kept rankings, relabeled
+as a sub-election relabels them.  Only :func:`replay_witness` builds
+sub-elections.
 """
 
 from __future__ import annotations
@@ -371,6 +379,20 @@ def _segment_lows(m: int, size: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _split_table(m: int, size: int) -> dict:
+    # per subset of this size (in _subsets order), keyed by its candidate
+    # bitmask (bit c - 1 for candidate c): the first bit of its segment in a
+    # _split_mask, and the bits each member, keyed the same way, flips in a
+    # bipartition's key: bit i - 1 for its i-th smallest, all for its smallest
+    width = 1 << (size - 1)
+    flips = (width - 1, *(1 << i for i in range(size - 1)))
+    return {
+        sum(members): (j * width, dict(zip(members, flips)))
+        for j, members in enumerate(combinations([1 << c for c in range(m)], size))
+    }
+
+
+@lru_cache(maxsize=None)
 def _split_mask(order: tuple[int, ...], size: int) -> int:
     """The bipartitions of each candidate subset of this size that this
     ranking keeps apart: those cut at a proper prefix of the ranking
@@ -380,23 +402,19 @@ def _split_mask(order: tuple[int, ...], size: int) -> int:
     on.  An unordered bipartition is keyed by the members other than the
     subset's smallest (bit i for subset[i + 1]) that share that member's
     block, so the all-ones key (an empty second block) never occurs.
+    ``combinations`` yields each subset in ranking order, so a prefix grows
+    one member at a time: a member other than the smallest flips its own
+    bit of the key, and the smallest flips them all, since the key then
+    switches from the complement of the prefix to the prefix.
     """
-    ranks = _rank_vector(order)
-    width = 1 << (size - 1)
-    full = width - 1
+    table = _split_table(len(order), size)
     mask = 0
-    for j, subset in enumerate(_subsets(len(order), size)):
-        r = [ranks[c - 1] for c in subset]
-        by_rank = sorted(range(size), key=r.__getitem__)
-        base = j * width
-        prefix = 0
-        pivot_in_prefix = False
-        for i in by_rank[:-1]:
-            if i:
-                prefix |= 1 << (i - 1)
-            else:
-                pivot_in_prefix = True
-            mask |= 1 << (base + (prefix if pivot_in_prefix else full ^ prefix))
+    for members in combinations([1 << c - 1 for c in order], size):
+        base, flips = table[sum(members)]
+        key = (1 << (size - 1)) - 1  # the empty prefix: the smallest member lies in the rest
+        for member in members[:-1]:
+            key ^= flips[member]
+            mask |= 1 << (base + key)
     return mask
 
 
@@ -466,7 +484,7 @@ def is_enriched_recursive(e: Election) -> Witness:
     reverse-identity block or one of two branch shapes (fixed prefix or fixed
     suffix), with the restriction to the free candidates again enriched.
     """
-    return _minimized_witness(e, is_enriched_recursive)
+    return _minimized_witness(e, _relabeled_trial(e, is_enriched_recursive))
 
 
 @lru_cache(maxsize=1 << 17)
@@ -556,7 +574,7 @@ def is_single_peaked(e: Election) -> Witness:
     configurations: no triple has each of its members ranked last by some
     voter (worst-restriction), and no two voters form an alpha-configuration
     on a 4-subset."""
-    return _minimized_witness(e, is_single_peaked)
+    return _minimized_witness(e, _masked_trial(e, is_single_peaked, _peak_touching(e.num_candidates)))
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +621,22 @@ def is_single_crossing(e: Election) -> Witness:
     """Some ordering of the voter tuple makes every candidate pair switch at
     most once.  Decided without trying orderings: the voters' disagreement
     sets with a voter farthest from the first one must be nested."""
-    return _minimized_witness(e, is_single_crossing)
+    return _minimized_witness(e, _masked_trial(e, is_single_crossing, _pair_touching(e.num_candidates)))
 
 
 # ---------------------------------------------------------------------------
 # generic witness minimizer
 
 
-def _minimized_witness(e: Election, recognizer) -> Witness:
-    """Greedily shrink the election while the recognizer still rejects it."""
+def _minimized_witness(e: Election, fails: Callable[[list, list], bool]) -> Witness:
+    """Greedily shrink a failing election: try dropping each voter in turn,
+    then each candidate, keeping every drop after which ``fails(voters,
+    candidates)`` still holds, until a round drops nothing.
+
+    ``fails`` decides the sub-election that the voters (1-based) and the
+    candidates, both listed in increasing order, induce; it builds no
+    election (see :func:`_masked_trial` and :func:`_relabeled_trial`).
+    """
     voters = list(range(1, e.num_voters + 1))
     candidates = list(range(1, e.num_candidates + 1))
     changed = True
@@ -620,16 +645,83 @@ def _minimized_witness(e: Election, recognizer) -> Witness:
         for v in list(voters):
             if len(voters) > 1:
                 trial = [x for x in voters if x != v]
-                if not recognizer(sub_election(e, trial, candidates)).holds:
+                if fails(trial, candidates):
                     voters = trial
                     changed = True
         for c in list(candidates):
             if len(candidates) > 1:
                 trial = [x for x in candidates if x != c]
-                if not recognizer(sub_election(e, voters, trial)).holds:
+                if fails(voters, trial):
                     candidates = trial
                     changed = True
     return Witness(tuple(voters), tuple(candidates))
+
+
+def _masked_trial(e: Election, recognizer, touching: Sequence[int]) -> Callable[[list, list], bool]:
+    """Trials on the election's own signatures: the kept voters', with the
+    bits of every candidate subset that contains a dropped candidate cleared
+    (``touching[c - 1]`` holds candidate c's), under the rule for all m
+    candidates.
+
+    Exact for a signature that gives every candidate triple, 4-subset or
+    pair its own bits, set from the relative order of its members alone, and
+    a rule that fails on some subset's bits and never on cleared ones.  A
+    sub-election relabels its candidates in increasing order, so each kept
+    subset carries the same bits there as here, only elsewhere in the
+    layout: single-peaked fails on a triple or 4-subset whose bits conflict
+    in the OR (empty bits never do), and single-crossing compares the sizes
+    and inclusions of its voters' XORs, which bits cleared in every voter
+    leave alone.
+    """
+    m = e.num_candidates
+    sigs = [recognizer.signature(order) for order in e.preferences]
+    test = recognizer.rule(m)
+
+    def fails(voters: list, candidates: list) -> bool:
+        drop = reduce(or_, (touching[c - 1] for c in range(1, m + 1) if c not in candidates), 0)
+        return not test(sigs[v - 1] & ~drop for v in voters)
+
+    return fails
+
+
+def _relabeled_trial(e: Election, recognizer) -> Callable[[list, list], bool]:
+    """Trials on the kept voters' rankings less the dropped candidates, the
+    rest renumbered 1..k in increasing order as :func:`elections.restrict`
+    does: the sub-election's own preferences, run through the rule for k
+    candidates without validating an election or checking the cap."""
+
+    def fails(voters: list, candidates: list) -> bool:
+        label = {c: i for i, c in enumerate(candidates, start=1)}
+        orders = [tuple(label[c] for c in e.preferences[v - 1] if c in label) for v in voters]
+        return not recognizer.rule(len(candidates))(map(recognizer.signature, orders))
+
+    return fails
+
+
+@lru_cache(maxsize=None)
+def _peak_touching(m: int) -> tuple[int, ...]:
+    # per candidate c, at index c - 1: the bits of every triple and 4-subset
+    # that contains it, in all five fields of a _peak_sig signature
+    t, p = comb(m, 3), 12 * comb(m, 4)
+    masks = [0] * m
+    for i, triple in enumerate(_subsets(m, 3)):
+        for c in triple:
+            masks[c - 1] |= (1 | 1 << t | 1 << 2 * t) << i
+    for s, quad in enumerate(_subsets(m, 4)):
+        for c in quad:
+            masks[c - 1] |= (0xFFF | 0xFFF << p) << 3 * t + 12 * s
+    return tuple(masks)
+
+
+@lru_cache(maxsize=None)
+def _pair_touching(m: int) -> tuple[int, ...]:
+    # per candidate c, at index c - 1: the bits of every pair that contains it
+    # in a _pair_bits signature
+    masks = [0] * m
+    for t, pair in enumerate(_subsets(m, 2)):
+        for c in pair:
+            masks[c - 1] |= 1 << t
+    return tuple(masks)
 
 
 #: recognizers by their command-line names

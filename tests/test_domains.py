@@ -26,8 +26,9 @@ from votelace.domains import (
     replay_witness,
 )
 from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _fields, _medium_sig, _pair_bits, _peak_sig
+from votelace.domains import _masked_trial, _pair_touching, _peak_touching, _relabeled_trial, _split_mask
 from votelace.domains import _QUAD_ORDERS, _SP_ROWS, _SP_SLOTS
-from votelace.elections import Election, all_elections
+from votelace.elections import Election, _rank_vector, all_elections, sub_election
 from votelace.errors import GuardExceeded
 from votelace.perms import Permutation
 
@@ -64,6 +65,33 @@ class TestGroupSeparableDirect:
 
     def test_reversed_pair(self):
         assert is_group_separable_direct(election("1234", "4321")).holds
+
+    def test_split_mask_matches_the_sorting_definition(self):
+        for m in range(1, 7):
+            for order in permutations(range(1, m + 1)):
+                for size in range(1, m + 1):
+                    assert _split_mask(order, size) == _split_mask_by_sorting(order, size), (order, size)
+
+
+def _split_mask_by_sorting(order, size):
+    """_split_mask by its definition: sort each subset's members by rank and
+    key the bipartition at every proper prefix by the members other than
+    the smallest on the smallest's side."""
+    ranks = _rank_vector(order)
+    width = 1 << (size - 1)
+    full = width - 1
+    mask = 0
+    for j, subset in enumerate(combinations(range(1, len(order) + 1), size)):
+        by_rank = sorted(range(size), key=lambda i: ranks[subset[i] - 1])
+        prefix = 0
+        pivot_in_prefix = False
+        for i in by_rank[:-1]:
+            if i:
+                prefix |= 1 << (i - 1)
+            else:
+                pivot_in_prefix = True
+            mask |= 1 << (j * width + (prefix if pivot_in_prefix else full ^ prefix))
+    return mask
 
 
 class TestGroupSeparableBH:
@@ -343,6 +371,99 @@ def _near_single_crossing(rng: random.Random, m: int, n: int) -> Election:
     return Election.from_rows(rows)
 
 
+#: per minimized domain: its recognizer, and the trial its witness search
+#: runs on an election
+_TRIALS = {
+    "single-peaked": (
+        is_single_peaked,
+        lambda e: _masked_trial(e, is_single_peaked, _peak_touching(e.num_candidates)),
+    ),
+    "single-crossing": (
+        is_single_crossing,
+        lambda e: _masked_trial(e, is_single_crossing, _pair_touching(e.num_candidates)),
+    ),
+    "enriched-recursive": (is_enriched_recursive, lambda e: _relabeled_trial(e, is_enriched_recursive)),
+}
+
+
+class TestWitnessTrials:
+    """A minimizer trial decides the sub-election it names, as the
+    recognizer does on that sub-election, without building it."""
+
+    def test_trials_match_sub_elections_exhaustively(self):
+        # a trial keeps its voters in order, so the trials on the voter
+        # subsets of every election at (4,3) are the trials that keep every
+        # voter of every election at (4,n), n <= 3.  The sub-election is
+        # built, and the recognizers run, once per candidate subset and
+        # rankings restricted to it
+        subsets = [list(c) for k in range(1, 5) for c in combinations(range(1, 5), k)]
+        expected = {}
+        for n in range(1, 4):
+            voters = list(range(1, n + 1))
+            for e in all_elections(4, n):
+                trials = [make(e) for _, make in _TRIALS.values()]
+                for candidates in subsets:
+                    kept = tuple(tuple(c for c in order if c in candidates) for order in e.preferences)
+                    key = tuple(candidates), kept
+                    if key not in expected:
+                        sub = sub_election(e, voters, candidates)
+                        expected[key] = [not recognizer(sub).holds for recognizer, _ in _TRIALS.values()]
+                    got = [fails(voters, candidates) for fails in trials]
+                    assert got == expected[key], (e.to_text(), candidates)
+        for outcomes in zip(*expected.values()):
+            assert set(outcomes) == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(_TRIALS))
+    def test_trials_match_sub_elections_on_samples(self, name):
+        recognizer, make = _TRIALS[name]
+        rng = random.Random(1700 + len(name))
+        seen = set()
+        for k in range(1500):
+            m, n = rng.randint(6, 8), rng.randint(2, 6)
+            if k % 2:
+                e = Election.from_rows([rng.sample(range(1, m + 1), m) for _ in range(n)])
+            else:
+                e = _near_single_crossing(rng, m, n)
+            voters = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            candidates = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
+            expected = not recognizer(sub_election(e, voters, candidates)).holds
+            assert make(e)(voters, candidates) == expected, (e.to_text(), voters, candidates)
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_peak_touching_masks_hold_the_subsets_of_each_candidate(self):
+        # every bit of the layout, placed by _fields: triple field k holds
+        # one bit per triple, a pair field 12 bits per 4-subset
+        for m in range(1, 9):
+            t, p = math.comb(m, 3), 12 * math.comb(m, 4)
+            triples, quads = list(combinations(range(1, m + 1), 3)), list(combinations(range(1, m + 1), 4))
+            owners = []
+            for bit in range(3 * t + 2 * p):
+                fields = _fields(t, p, 1 << bit)
+                k = next(k for k, field in enumerate(fields) if field)
+                i = fields[k].bit_length() - 1
+                owners.append(triples[i] if k < 3 else quads[i // 12])
+            masks = _peak_touching(m)
+            assert len(masks) == m
+            for c in range(1, m + 1):
+                expected = sum(1 << bit for bit, owner in enumerate(owners) if c in owner)
+                assert masks[c - 1] == expected, (m, c)
+
+    def test_pair_touching_masks_hold_the_pairs_of_each_candidate(self):
+        # the bit of pair {a, b} is the one two rankings flip when they
+        # differ only in their order of a and b
+        for m in range(1, 9):
+            masks = _pair_touching(m)
+            assert len(masks) == m
+            for c in range(1, m + 1):
+                expected = 0
+                for a, b in combinations(range(1, m + 1), 2):
+                    if c in (a, b):
+                        rest = tuple(x for x in range(1, m + 1) if x not in (a, b))
+                        expected |= _pair_bits((a, b, *rest)) ^ _pair_bits((b, a, *rest))
+                assert masks[c - 1] == expected, (m, c)
+
+
 class TestVerdicts:
     def test_bool_and_witness_access(self):
         v = DomainVerdict(True)
@@ -414,6 +535,33 @@ class TestGenericProperties:
         for recognizer in DOMAINS.values():
             with pytest.raises(GuardExceeded):
                 recognizer(big)
+
+
+def _calls(node) -> set:
+    # the names a node's calls go through: f(...) and f.g(...) both give f
+    called = set()
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            while isinstance(func, ast.Attribute):
+                func = func.value
+            if isinstance(func, ast.Name):
+                called.add(func.id)
+    return called
+
+
+def test_witness_trials_build_no_election():
+    # sub-elections are built to replay a witness, never to search for one
+    definitions = {
+        node.name: node
+        for node in ast.parse(inspect.getsource(domains)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    builders = {"Election", "DomainVerdict", "check_cap", "sub_election", "restrict"}
+    assert {name for name, node in definitions.items() if "sub_election" in _calls(node)} == {"replay_witness"}
+    for name in ("_minimized_witness", "_masked_trial", "_relabeled_trial"):
+        called = _calls(definitions[name])
+        assert not called & builders, (name, called)
 
 
 def test_domains_do_not_import_the_kernels():
