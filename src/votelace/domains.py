@@ -15,12 +15,12 @@ mask of the OR.  For the other three it is a combine over the whole tuple.
 The recognizer checks the cap, runs ``rule(m)`` on its voters' signatures
 and, when that fails, returns a verdict with a lazy witness; exhaustive
 counting and the verification suites compute the m! signatures once and
-build no election.  A fold rule is walked over the distinct signatures:
-each distinct signature tuple is tested once, with one mask AND for its
-last voter, and counted with the number of elections that share it, and no
-fold state is merged.  A combine runs on every tuple.  Per-ranking masks
-that cost more than a lookup, the packed signatures among them, are cached
-on the ranking, and each fold rule once per number of candidates.
+build no election.  A count tests each distinct signature tuple once (a
+fold rule's with one mask AND for its last voter) and counts it with the
+number of elections that share it, merging no fold state; a combine whose
+m! signatures all differ runs on every tuple.  Per-ranking masks that cost
+more than a lookup, the packed signatures among them, are cached on the
+ranking, and each fold rule once per number of candidates.
 
 * medium, em, group-separable-bh, enriched and single-peaked share one
   signature layout, each deciding its domain by forbidden configurations:
@@ -44,10 +44,10 @@ on the ranking, and each fold rule once per number of candidates.
   forbids a triple field wherever the other two are set, and each pair
   field wherever the other is set.  enriched is medium-restriction plus the
   em condition, which is pairwise avoidance of the four enriched patterns;
-* group-separable (direct): the signature is the ranking; per subset size,
-  one segment per subset holds the bipartitions a ranking keeps apart, and
-  the AND over the voters leaves a segment empty exactly for a subset no
-  split serves;
+* group-separable (direct): the signature is the ranking up to reversal,
+  m!/2 of them; per subset size, one segment per subset holds the
+  bipartitions a ranking keeps apart, and the AND over the voters leaves a
+  segment empty exactly for a subset no split serves;
 * enriched-recursive: the signature is the ranking; the combine is the
   recursive characterization of the tuple of rankings;
 * single-crossing: one bit per candidate pair, set when the ranking puts the
@@ -363,11 +363,17 @@ def _group_separable_accepts(orders) -> bool:
     return _first_unsplit(tuple(orders)) is None
 
 
-@_recognizer(tuple, lambda m: _group_separable_accepts)
+def _up_to_reversal(order: tuple[int, ...]) -> tuple[int, ...]:
+    # min(order, order[::-1]), read off the ends: a ranking and its reverse
+    # keep the same bipartitions apart, and no other two rankings do
+    return order if order[0] < order[-1] else order[::-1]
+
+
+@_recognizer(_up_to_reversal, lambda m: _group_separable_accepts)
 def is_group_separable_direct(e: Election) -> Witness:
     """Every candidate subset of size >= 2 splits into two blocks that each
     voter ranks entirely above or entirely below one another."""
-    size, j = _first_unsplit(e.preferences)
+    size, j = _first_unsplit(tuple(map(_up_to_reversal, e.preferences)))
     return Witness(tuple(range(1, e.num_voters + 1)), _subsets(e.num_candidates, size)[j])
 
 
@@ -472,7 +478,7 @@ def _recursive_accepts(orders) -> bool:
     # relabel the candidates once so that the first preference is the identity;
     # every restriction _recursive_ok makes keeps it the identity
     orders = tuple(orders)
-    return _recursive_ok(tuple(_pair_perm_values(orders[0], p) for p in orders))
+    return _recursive_ok(tuple(map(partial(_pair_perm_values, orders[0]), orders)))
 
 
 @_recognizer(tuple, lambda m: _recursive_accepts)

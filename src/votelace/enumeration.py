@@ -70,15 +70,15 @@ def brute_force_count(
     ``functools.wraps`` wrapper of one), and only its ``signature`` and
     ``rule`` are read.  :func:`votelace.perms.count_accepted` computes the
     signature once per ranking and runs ``rule(m)`` over the tuples of
-    signatures, without building the elections: a fold rule is walked over
-    the distinct signatures with their multiplicities, ORing each distinct
-    (n-1)-voter prefix once and deciding each distinct last signature with
-    one AND against the mask of that OR; a combine runs on every one of the
-    (m!)^n tuples, in the lexicographic order of
-    :func:`votelace.elections.all_elections`.  Each distinct signature tuple
-    is tested once and counted with the number of elections that share it,
-    no tuple is skipped and no fold state is merged, so the count is brute
-    force either way.  With ``jobs > 1`` the
+    signatures, without building the elections, walking the distinct
+    signatures with their multiplicities: a fold rule ORs each distinct
+    (n-1)-voter prefix once and decides each distinct last signature with
+    one AND against the mask of that OR; a combine runs once per distinct
+    signature tuple, which is every one of the (m!)^n tuples when no two
+    rankings share a signature.  Each distinct signature tuple is tested
+    once and counted with the number of elections that share it, no tuple
+    is skipped and no fold state is merged, so the count is brute force
+    either way.  With ``jobs > 1`` the
     tuples are partitioned by the first voter's ranking, so the result is
     independent of the worker count.  A ``guard`` or ``jobs`` below 1 raises
     ``ValueError``.

@@ -199,15 +199,16 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
 
     ``signature`` maps a permutation (a tuple of values) to what ``test``
     reads; it runs once per permutation.  ``test`` maps a tuple of signatures
-    to a verdict.  A :class:`FoldRule` is walked over the distinct signatures
-    instead, each with the number of permutations that share it: each
-    distinct (n-1)-signature prefix is ORed once, depth first, carrying the
-    product of its weights, and the distinct last signatures that meet
-    ``mask(state)`` are found with one C-level pass and subtracted from the
-    total.  So each distinct signature tuple is tested once and counted with
-    the number of tuples that share it, and no fold state is merged.  Any
-    other test runs on every one of the (m!)^n tuples, in lexicographic
-    order, through the walk of :func:`verdicts`.  With ``jobs > 1`` the
+    to a verdict.  The walk is over the distinct signatures, each with the
+    number of permutations that share it: each distinct signature tuple is
+    tested once and counted with the product of its weights.  For a
+    :class:`FoldRule` each distinct (n-1)-signature prefix is ORed once,
+    depth first, carrying the product of its weights, and the distinct last
+    signatures that meet ``mask(state)`` are found with one C-level pass and
+    subtracted from the total; no fold state is merged.  Any other test runs
+    on each distinct signature tuple, or, when no two permutations share a
+    signature, on every one of the (m!)^n tuples through the walk of
+    :func:`verdicts`.  With ``jobs > 1`` the
     tuples are partitioned by their first permutation into one share per
     worker, at most m! of them: worker i of J takes the first permutations
     at lexicographic positions i, i + J, ...  Partial counts merge by
@@ -237,11 +238,18 @@ def _count_slice(args) -> int:
     m, n, signature, test, share, shares = args
     table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
     heads = table[share::shares]
-    if not isinstance(test, FoldRule):
-        return sum(_verdicts(heads, table, n, test))
     # tuples with equal signatures get equal verdicts, so each layer holds
     # the distinct signatures with their multiplicities (in first-seen order)
-    *prefix, last = [Counter(heads), *[Counter(table)] * (n - 1)]
+    counts = Counter(table)
+    layers = [Counter(heads), *[counts] * (n - 1)]
+    if not isinstance(test, FoldRule):
+        if len(counts) == len(table):
+            # no signature repeats: walking the tuples themselves skips
+            # multiplying weights of 1
+            return sum(_verdicts(heads, table, n, test))
+        weights = map(math.prod, product(*(layer.values() for layer in layers)))
+        return sum(compress(weights, map(test, product(*layers))))
+    *prefix, last = layers
     sigs, weights = list(last), list(last.values())
     mask = test.mask
 

@@ -72,6 +72,23 @@ class TestGroupSeparableDirect:
                 for size in range(1, m + 1):
                     assert _split_mask(order, size) == _split_mask_by_sorting(order, size), (order, size)
 
+    def test_a_ranking_and_its_reverse_keep_the_same_bipartitions_apart(self):
+        for m in range(1, 7):
+            for order in permutations(range(1, m + 1)):
+                for size in range(1, m + 1):
+                    assert _split_mask(order, size) == _split_mask(order[::-1], size), (order, size)
+
+    def test_signature_is_the_ranking_up_to_reversal(self):
+        # m!/2 signatures, and the split masks tell exactly that many
+        # rankings apart, so the signature merges no rankings the rule could
+        # tell apart
+        signature = is_group_separable_direct.signature
+        for m in range(3, 7):
+            orders = list(permutations(range(1, m + 1)))
+            masks = {tuple(_split_mask(order, size) for size in range(3, m + 1)) for order in orders}
+            assert all(signature(order) == min(order, order[::-1]) for order in orders), m
+            assert len(set(map(signature, orders))) == len(masks) == math.factorial(m) // 2, m
+
 
 def _split_mask_by_sorting(order, size):
     """_split_mask by its definition: sort each subset's members by rank and

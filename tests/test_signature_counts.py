@@ -161,6 +161,14 @@ def test_folded_jobs_split_gives_the_same_count():
         assert brute_force_count(4, 3, DOMAINS[domain], jobs=2).count == PINNED_COUNTS[domain][4, 3], domain
 
 
+@pytest.mark.parametrize("m, n, want", [(4, 4, 53_952), (5, 3, 285_600), (6, 2, 720 * 394)])
+def test_direct_and_bh_group_separable_counts_agree_beyond_the_equivalence_cells(m, n, want):
+    # cells past bh-equivalence's exhaustive range; at (6,2) each first ranking
+    # admits 394 second rankings, the large Schroeder number
+    assert brute_force_count(m, n, DOMAINS["group-separable"]).count == want
+    assert brute_force_count(m, n, DOMAINS["group-separable-bh"]).count == want
+
+
 # The per-tuple combines the fold rules replaced, over the packed signatures
 # cut into their fields: each ORs every voter's fields and tests the result
 # once.
@@ -241,10 +249,10 @@ def test_rule_matches_the_per_tuple_combine_on_samples(domain):
 
 
 # ---------------------------------------------------------------------------
-# the fold walk over distinct signatures, weighted by their multiplicities
+# the walk over distinct signatures, weighted by their multiplicities
 
 
-@pytest.mark.parametrize("domain", FOLDED)
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_weighted_walk_matches_the_rule_on_every_tuple(domain):
     recognizer = DOMAINS[domain]
     for m, n in SMALL_CELLS:
@@ -264,20 +272,35 @@ def _top_two_parity(values):
     return 1 << (values[0] < values[1]) if len(values) > 1 else 1
 
 
-#: fold rules whose signatures collide heavily: each accepts a tuple whose
-#: last signature misses the mask of the others' OR
+def _distinct(sigs) -> bool:
+    sigs = tuple(sigs)
+    return len(set(sigs)) == len(sigs)
+
+
+def _rising(sigs) -> bool:
+    # reads the first voter, whose layer is a share's heads, and the last
+    sigs = tuple(sigs)
+    return sigs[0] < sigs[-1]
+
+
+#: rules whose signatures collide heavily.  The fold rules accept a tuple
+#: whose last signature misses the mask of the others' OR; the combines read
+#: the whole tuple
 COLLIDING_RULES = {
     "or-top": (_top_bit, FoldRule(operator.pos)),
     "or-top-complement": (_top_bit, FoldRule(functools.partial(operator.xor, 0b11110))),
     "or-parity": (_top_two_parity, FoldRule(operator.pos)),
+    "distinct-tops": (_top_bit, _distinct),
+    "rising-parity": (_top_two_parity, _rising),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COLLIDING_RULES))
 def test_shares_of_colliding_rules_sum_to_the_solo_count(name):
+    # at m = 2 there are more shares than first rankings
     signature, rule = COLLIDING_RULES[name]
     verdicts = set()
-    for m in (3, 4):
+    for m in (2, 3, 4):
         table = [signature(values) for values in permutations(range(1, m + 1))]
         for n in range(1, 5):
             if m == 4 and n == 4:
@@ -298,7 +321,13 @@ def test_colliding_rule_counts_the_same_through_the_worker_pool():
     assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == 24**3 * 9 // 16
 
 
-@pytest.mark.parametrize("domain", FOLDED)
+def test_colliding_combine_counts_the_same_through_the_worker_pool():
+    # the three voters' tops differ
+    signature, rule = COLLIDING_RULES["distinct-tops"]
+    assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == 24**3 * 3 // 8
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_signature_runs_once_per_permutation_and_share(domain):
     recognizer = DOMAINS[domain]
     calls = []
