@@ -69,6 +69,8 @@ def cmd_check(args) -> int:
 def cmd_count(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+    if args.m < 1:
+        raise ValueError("an election needs at least one candidate")
     if args.method == "brute":
         report = enumeration.brute_force_count(
             args.m, args.n, domains.DOMAINS[args.domain], label=args.domain,

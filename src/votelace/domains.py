@@ -15,12 +15,10 @@ mask of the OR.  For the other three it is a combine over the whole tuple.
 The recognizer checks the cap, runs ``rule(m)`` on its voters' signatures
 and, when that fails, returns a verdict with a lazy witness; exhaustive
 counting and the verification suites compute the m! signatures once and
-build no election.  A count tests each distinct signature tuple once (a
-fold rule's with one mask AND for its last voter) and counts it with the
-number of elections that share it, merging no fold state; a combine whose
-m! signatures all differ runs on every tuple.  Per-ranking masks that cost
-more than a lookup, the packed signatures among them, are cached on the
-ranking, and each fold rule once per number of candidates.
+build no election, walking the distinct signatures as
+:func:`votelace.perms.count_accepted` describes.  Per-ranking masks that
+cost more than a lookup, the packed signatures among them, are cached on
+the ranking, and each fold rule once per number of candidates.
 
 * medium, em, group-separable-bh, enriched and single-peaked share one
   signature layout, each deciding its domain by forbidden configurations:
@@ -48,8 +46,8 @@ ranking, and each fold rule once per number of candidates.
   m!/2 of them; per subset size, one segment per subset holds the
   bipartitions a ranking keeps apart, and the AND over the voters leaves a
   segment empty exactly for a subset no split serves;
-* enriched-recursive: the signature is the ranking; the combine is the
-  recursive characterization of the tuple of rankings;
+* enriched-recursive: the signature is the ranking up to reversal, which
+  the domain is closed under; the combine is the recursive characterization;
 * single-crossing: one bit per candidate pair, set when the ranking puts the
   smaller candidate first; the election holds iff the XORs of the voters'
   bits with a voter farthest (most bits apart) from the first voter form a
@@ -364,8 +362,9 @@ def _group_separable_accepts(orders) -> bool:
 
 
 def _up_to_reversal(order: tuple[int, ...]) -> tuple[int, ...]:
-    # min(order, order[::-1]), read off the ends: a ranking and its reverse
-    # keep the same bipartitions apart, and no other two rankings do
+    # min(order, order[::-1]), read off the ends.  A ranking and its reverse
+    # keep the same bipartitions apart, and no other two rankings do; the
+    # enriched domain is closed under reversing a voter
     return order if order[0] < order[-1] else order[::-1]
 
 
@@ -481,7 +480,7 @@ def _recursive_accepts(orders) -> bool:
     return _recursive_ok(tuple(map(partial(_pair_perm_values, orders[0]), orders)))
 
 
-@_recognizer(tuple, lambda m: _recursive_accepts)
+@_recognizer(_up_to_reversal, lambda m: _recursive_accepts)
 def is_enriched_recursive(e: Election) -> Witness:
     """Recursive characterization of the enriched domain.
 

@@ -70,15 +70,10 @@ def brute_force_count(
     ``functools.wraps`` wrapper of one), and only its ``signature`` and
     ``rule`` are read.  :func:`votelace.perms.count_accepted` computes the
     signature once per ranking and runs ``rule(m)`` over the tuples of
-    signatures, without building the elections, walking the distinct
-    signatures with their multiplicities: a fold rule ORs each distinct
-    (n-1)-voter prefix once and decides each distinct last signature with
-    one AND against the mask of that OR; a combine runs once per distinct
-    signature tuple, which is every one of the (m!)^n tuples when no two
-    rankings share a signature.  Each distinct signature tuple is tested
-    once and counted with the number of elections that share it, no tuple
-    is skipped and no fold state is merged, so the count is brute force
-    either way.  With ``jobs > 1`` the
+    signatures, without building the elections; its walk tests each
+    distinct signature tuple once and counts it with the number of
+    elections that share it, skipping no tuple and merging no fold state,
+    so the count is brute force.  With ``jobs > 1`` the
     tuples are partitioned by the first voter's ranking, so the result is
     independent of the worker count.  A ``guard`` or ``jobs`` below 1 raises
     ``ValueError``.
@@ -247,6 +242,8 @@ def upper_bound_3config(
     the value exceeds the trivial bound (m!)^n from n = 4 on: at m = 3, n = 4
     it is 279,936, while 6^4 = 1,296.
     """
+    if m < 1:
+        raise ValueError("need at least one candidate")
     if n < 1:
         raise ValueError("need at least one voter")
     if jobs < 1:

@@ -165,13 +165,8 @@ class FoldRule:
 
 def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> Iterator[bool]:
     """The verdict of ``test`` on every n-tuple of permutations of 1..m, in
-    lexicographic order, as :func:`count_accepted` reads them.
-
-    ``signature`` runs once per permutation.  For a :class:`FoldRule` each
-    (n-1)-prefix is ORed once and its last voters are decided with one
-    C-level pass of ``not mask(state) & last``; any other test runs on every
-    tuple of signatures.  The verdicts are streamed, not stored.  The
-    callers guard the size.
+    lexicographic order, streamed through the walk :func:`count_accepted`
+    describes.  The callers guard the size.
 
     >>> list(verdicts(2, 2, tuple, lambda pair: pair[0] < pair[1]))
     [False, True, False, False]
@@ -179,18 +174,18 @@ def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> 
     [False, False, True, True, False, False]
     """
     table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
-    return _verdicts(table, table, n, test)
+    return _walk([table] * n, test)
 
 
-def _verdicts(heads: list, table: list, n: int, test: Callable[..., bool]) -> Iterator[bool]:
-    # the verdicts on the n-tuples of signatures whose first is one of ``heads``
-    # and whose others are any of ``table``, in lexicographic order
-    *layers, last = [heads, *[table] * (n - 1)]
+def _walk(layers: list, test: Callable[..., bool]) -> Iterator[bool]:
+    # the verdicts on the tuples of one signature from each layer, in
+    # lexicographic order
+    *prefix, last = layers
     if not isinstance(test, FoldRule):
-        return map(test, product(*layers, last))
+        return map(test, product(*layers))
     mask = test.mask
     return chain.from_iterable(
-        map(operator.not_, map(mask(reduce(operator.or_, prefix, 0)).__and__, last)) for prefix in product(*layers)
+        map(operator.not_, map(mask(reduce(operator.or_, sigs, 0)).__and__, last)) for sigs in product(*prefix)
     )
 
 
@@ -199,16 +194,17 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
 
     ``signature`` maps a permutation (a tuple of values) to what ``test``
     reads; it runs once per permutation.  ``test`` maps a tuple of signatures
-    to a verdict.  The walk is over the distinct signatures, each with the
-    number of permutations that share it: each distinct signature tuple is
-    tested once and counted with the product of its weights.  For a
-    :class:`FoldRule` each distinct (n-1)-signature prefix is ORed once,
-    depth first, carrying the product of its weights, and the distinct last
-    signatures that meet ``mask(state)`` are found with one C-level pass and
-    subtracted from the total; no fold state is merged.  Any other test runs
-    on each distinct signature tuple, or, when no two permutations share a
-    signature, on every one of the (m!)^n tuples through the walk of
-    :func:`verdicts`.  With ``jobs > 1`` the
+    to a verdict.  The walk has one layer per voter, holding the distinct
+    signatures (in first-seen order) with the number of permutations that
+    share each: every tuple of one signature per layer is tested once, in
+    lexicographic order, and counted with the product of its weights.  A
+    :class:`FoldRule` ORs each (n-1)-signature prefix once and decides the
+    last signatures with one C-level pass of ``not mask(state) & last``; the
+    count does that depth first, carrying the product of the prefix's
+    weights, and subtracts the weights of the last signatures that meet
+    ``mask(state)`` from the total, merging no fold state.  :func:`verdicts`
+    streams the same walk with every permutation's signature in each layer.
+    With ``jobs > 1`` the
     tuples are partitioned by their first permutation into one share per
     worker, at most m! of them: worker i of J takes the first permutations
     at lexicographic positions i, i + J, ...  Partial counts merge by
@@ -243,12 +239,8 @@ def _count_slice(args) -> int:
     counts = Counter(table)
     layers = [Counter(heads), *[counts] * (n - 1)]
     if not isinstance(test, FoldRule):
-        if len(counts) == len(table):
-            # no signature repeats: walking the tuples themselves skips
-            # multiplying weights of 1
-            return sum(_verdicts(heads, table, n, test))
         weights = map(math.prod, product(*(layer.values() for layer in layers)))
-        return sum(compress(weights, map(test, product(*layers))))
+        return sum(compress(weights, _walk(layers, test)))
     *prefix, last = layers
     sigs, weights = list(last), list(last.values())
     mask = test.mask

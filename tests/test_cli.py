@@ -83,6 +83,13 @@ class TestCount:
         assert out == ""
         assert "voter" in err
 
+    @pytest.mark.parametrize("method", ["brute", "recurrence", "formula"])
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_every_method_refuses_no_candidates(self, capsys, method, m):
+        code, out, err = run(capsys, "count", "--m", m, "--n", "2", "--domain", "enriched", "--method", method)
+        assert (code, out) == (2, "")
+        assert "candidate" in err
+
     def test_formula_coverage_gap(self, capsys):
         code, _, err = run(
             capsys, "count", "--m", "6", "--n", "3", "--domain", "enriched", "--method", "formula"
@@ -280,6 +287,13 @@ class TestBound:
         code, out, err = run(capsys, "bound", "--m", "3", "--n", n, "--pi", "single-crossing", "--jobs", jobs)
         assert (code, out) == (2, "")
         assert "jobs must be at least 1" in err
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_no_candidates_exits_two(self, capsys, m, n):
+        code, out, err = run(capsys, "bound", "--m", m, "--n", n, "--pi", "single-crossing")
+        assert (code, out) == (2, "")
+        assert "candidate" in err
 
     def test_pair_cap(self, capsys):
         code, _, err = run(

@@ -26,7 +26,8 @@ from votelace.domains import (
     replay_witness,
 )
 from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _fields, _medium_sig, _pair_bits, _peak_sig
-from votelace.domains import _masked_trial, _pair_touching, _peak_touching, _relabeled_trial, _split_mask
+from votelace.domains import _masked_trial, _pair_touching, _peak_touching, _recursive_accepts, _relabeled_trial
+from votelace.domains import _split_mask
 from votelace.domains import _QUAD_ORDERS, _SP_ROWS, _SP_SLOTS
 from votelace.elections import Election, _rank_vector, all_elections, sub_election
 from votelace.errors import GuardExceeded
@@ -80,14 +81,15 @@ class TestGroupSeparableDirect:
 
     def test_signature_is_the_ranking_up_to_reversal(self):
         # m!/2 signatures, and the split masks tell exactly that many
-        # rankings apart, so the signature merges no rankings the rule could
-        # tell apart
-        signature = is_group_separable_direct.signature
+        # rankings apart, so the direct signature merges no rankings the rule
+        # could tell apart; the recursive rule gives a ranking and its
+        # reverse the same verdict (TestEnrichedRecursive)
         for m in range(3, 7):
             orders = list(permutations(range(1, m + 1)))
             masks = {tuple(_split_mask(order, size) for size in range(3, m + 1)) for order in orders}
-            assert all(signature(order) == min(order, order[::-1]) for order in orders), m
-            assert len(set(map(signature, orders))) == len(masks) == math.factorial(m) // 2, m
+            for signature in (is_group_separable_direct.signature, is_enriched_recursive.signature):
+                assert all(signature(order) == min(order, order[::-1]) for order in orders), m
+                assert len(set(map(signature, orders))) == len(masks) == math.factorial(m) // 2, m
 
 
 def _split_mask_by_sorting(order, size):
@@ -212,6 +214,16 @@ class TestEnrichedRecursive:
                     is_enriched_recursive(e).holds
                     == is_enriched_group_separable(e).holds
                 )
+
+    def test_reversing_one_voter_keeps_the_verdict(self):
+        # the fact that lets the signature read rankings up to reversal,
+        # checked on the raw rankings: 70,920 comparisons
+        for m, n in [(3, 3), (4, 3), (5, 2)]:
+            for orders in product(permutations(range(1, m + 1)), repeat=n):
+                verdict = _recursive_accepts(orders)
+                for i in range(n):
+                    flipped = (*orders[:i], orders[i][::-1], *orders[i + 1 :])
+                    assert _recursive_accepts(flipped) == verdict, (orders, i)
 
 
 class TestEmCondition:

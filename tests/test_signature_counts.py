@@ -283,15 +283,17 @@ def _rising(sigs) -> bool:
     return sigs[0] < sigs[-1]
 
 
-#: rules whose signatures collide heavily.  The fold rules accept a tuple
-#: whose last signature misses the mask of the others' OR; the combines read
-#: the whole tuple
+#: rules whose signatures collide heavily, and one whose signatures never
+#: repeat, so that the weighted walk meets layers of weight 1 only.  The
+#: fold rules accept a tuple whose last signature misses the mask of the
+#: others' OR; the combines read the whole tuple
 COLLIDING_RULES = {
     "or-top": (_top_bit, FoldRule(operator.pos)),
     "or-top-complement": (_top_bit, FoldRule(functools.partial(operator.xor, 0b11110))),
     "or-parity": (_top_two_parity, FoldRule(operator.pos)),
     "distinct-tops": (_top_bit, _distinct),
     "rising-parity": (_top_two_parity, _rising),
+    "distinct-rankings": (tuple, _distinct),
 }
 
 
@@ -322,9 +324,10 @@ def test_colliding_rule_counts_the_same_through_the_worker_pool():
 
 
 def test_colliding_combine_counts_the_same_through_the_worker_pool():
-    # the three voters' tops differ
-    signature, rule = COLLIDING_RULES["distinct-tops"]
-    assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == 24**3 * 3 // 8
+    # the three voters' tops, or their rankings, differ
+    for name, want in [("distinct-tops", 24**3 * 3 // 8), ("distinct-rankings", 24 * 23 * 22)]:
+        signature, rule = COLLIDING_RULES[name]
+        assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == want, name
 
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
