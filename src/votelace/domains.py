@@ -56,15 +56,15 @@ the ranking, and each fold rule once per number of candidates.
 A failing verdict carries a witness naming voters (1-based) and candidates
 whose induced sub-election still violates the domain condition; witnesses are
 read in a fixed scan order when first asked for, so bulk counting only pays
-for the verdict.  Single-peaked, single-crossing and enriched-recursive
-shrink the election greedily, and each trial decides a sub-election without
-building one.  Forbidden configurations are hereditary: dropping a
-candidate only drops the configurations that contain it.  So single-peaked
-and single-crossing rerun their rule on the election's own signatures with
-the bits of every triple, 4-subset or pair that holds a dropped candidate
-cleared; enriched-recursive runs its rule on the kept rankings, relabeled
-as a sub-election relabels them.  Only :func:`replay_witness` builds
-sub-elections.
+for the verdict.  Witness searches read the signatures the verdict computed.
+Single-peaked, single-crossing and enriched-recursive shrink the election
+greedily, and each trial decides a sub-election without building one.
+Forbidden configurations are hereditary: dropping a candidate only drops
+the configurations that contain it.  So single-peaked and single-crossing
+rerun their rule on those signatures with the bits of every triple,
+4-subset or pair that holds a dropped candidate cleared; enriched-recursive
+runs its rule on the kept rankings, relabeled as a sub-election relabels
+them.  Only :func:`replay_witness` builds sub-elections.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ ENRICHED_FORBIDDEN_CONFIGURATIONS = (
     Election.from_rows([(1, 3, 2, 4), (2, 1, 4, 3)]),
     Election.from_rows([(1, 3, 2, 4), (2, 4, 1, 3)]),
 )
-
-_GS_PATS = tuple(p.values for p in GROUP_SEPARABLE_FORBIDDEN)
-_ENRICHED_PATS = tuple(p.values for p in ENRICHED_FORBIDDEN)
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -178,18 +174,19 @@ def _recognizer(signature: Callable, rule: Callable[[int], Callable[..., bool]])
     ``rule(m)`` on the voters' signatures, where ``m`` is the number of
     candidates.
 
-    The decorated function maps an election the test rejects to its
-    witness; it runs when the witness is first read.  The test takes an
-    iterable of signatures in voter order and may stop before consuming it.
+    The decorated function maps an election the test rejects and the tuple
+    of signatures the test read to its witness, when the witness is first
+    read.  The test takes an iterable of signatures in voter order.
     """
 
-    def build(find_witness: Callable[[Election], Witness]) -> Callable[[Election], DomainVerdict]:
+    def build(find_witness: Callable[[Election, tuple], Witness]) -> Callable[[Election], DomainVerdict]:
         @wraps(find_witness, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
         def recognize(e: Election) -> DomainVerdict:
             check_cap(e.num_candidates, e.num_voters)
-            if rule(e.num_candidates)(map(signature, e.preferences)):
+            sigs = tuple(map(signature, e.preferences))
+            if rule(e.num_candidates)(sigs):
                 return DomainVerdict(True)
-            return DomainVerdict(False, finder=lambda: find_witness(e))
+            return DomainVerdict(False, finder=lambda: find_witness(e, sigs))
 
         recognize.signature = signature
         recognize.rule = rule
@@ -290,7 +287,23 @@ def _or_rule(triples: bool, pair_slots: int, m: int) -> FoldRule:
     return FoldRule(partial(_forbid, comb(m, 3) if triples else 0, pair_slots * comb(m, 4)))
 
 
-def _or_witness(e: Election, signature: Callable, triples: bool, pair_slots: int, pats: tuple = ()) -> Witness:
+@lru_cache(maxsize=None)
+def _or_touching(triples: bool, pair_slots: int, m: int) -> tuple[int, ...]:
+    # per candidate c, at index c - 1: the bits of every triple and 4-subset
+    # that contains it, in all five fields of the layout _or_rule decides
+    t, p = comb(m, 3) if triples else 0, pair_slots * comb(m, 4)
+    slots = (1 << pair_slots) - 1
+    masks = [0] * m
+    for i, triple in enumerate(_subsets(m, 3) if triples else ()):
+        for c in triple:
+            masks[c - 1] |= (1 | 1 << t | 1 << 2 * t) << i
+    for s, quad in enumerate(_subsets(m, 4)):
+        for c in quad:
+            masks[c - 1] |= (slots | slots << p) << 3 * t + pair_slots * s
+    return tuple(masks)
+
+
+def _or_witness(e: Election, sigs: tuple, triples: bool, pair_slots: int, pats: tuple = ()) -> Witness:
     """The witness of a domain that ``_or_rule(triples, pair_slots)`` decides.
 
     The first conflicting triple, with the first voter for each middle;
@@ -301,7 +314,7 @@ def _or_witness(e: Election, signature: Callable, triples: bool, pair_slots: int
     """
     m = e.num_candidates
     t, p = comb(m, 3) if triples else 0, pair_slots * comb(m, 4)
-    fields = [_fields(t, p, signature(r)) for r in e.preferences]
+    fields = [_fields(t, p, sig) for sig in sigs]
     any0, any1, any2, _, _ = [reduce(or_, column) for column in zip(*fields)]
     bad = any0 & any1 & any2
     if bad:
@@ -320,15 +333,15 @@ def _or_witness(e: Election, signature: Callable, triples: bool, pair_slots: int
                 return Witness(voters, _subsets(m, 4)[((meet & -meet).bit_length() - 1) // pair_slots])
             other = e.preferences[j]
             perm = Permutation(_pair_perm_values(e.preferences[i], other))
-            occ = next(occ for pat in pats for occ in occurrences(Permutation(pat), perm))
+            occ = next(occ for pat in pats for occ in occurrences(pat, perm))
             return Witness(voters, tuple(sorted(other[k - 1] for k in occ)))
     raise AssertionError("witness requested for a holding election")
 
 
 @_recognizer(_medium_sig, partial(_or_rule, True, 0))
-def is_medium_restricted(e: Election) -> Witness:
+def is_medium_restricted(e: Election, sigs: tuple) -> Witness:
     """No candidate triple has three voters each placing a different member in the middle."""
-    return _or_witness(e, _medium_sig, True, 0)
+    return _or_witness(e, sigs, True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +382,10 @@ def _up_to_reversal(order: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @_recognizer(_up_to_reversal, lambda m: _group_separable_accepts)
-def is_group_separable_direct(e: Election) -> Witness:
+def is_group_separable_direct(e: Election, sigs: tuple) -> Witness:
     """Every candidate subset of size >= 2 splits into two blocks that each
     voter ranks entirely above or entirely below one another."""
-    size, j = _first_unsplit(tuple(map(_up_to_reversal, e.preferences)))
+    size, j = _first_unsplit(sigs)
     return Witness(tuple(range(1, e.num_voters + 1)), _subsets(e.num_candidates, size)[j])
 
 
@@ -433,7 +446,7 @@ def _split_mask(order: tuple[int, ...], size: int) -> int:
 #: position p.index(r + 1); the pattern set is closed under inversion, so the
 #: rows do not depend on which voter is the reference
 _GS_CLASH_ROWS = tuple(
-    sum(1 << _QUAD_ORDERS.index(tuple(p.index(r + 1) for r in qa)) for p in _GS_PATS)
+    sum(1 << _QUAD_ORDERS.index(tuple(p.values.index(r + 1) for r in qa)) for p in GROUP_SEPARABLE_FORBIDDEN)
     for qa in _QUAD_ORDERS
 )
 
@@ -454,19 +467,19 @@ def _enriched_sig(order: tuple[int, ...]) -> int:
 
 
 @_recognizer(_bh_sig, partial(_or_rule, True, 24))
-def is_group_separable_bh(e: Election) -> Witness:
+def is_group_separable_bh(e: Election, sigs: tuple) -> Witness:
     """Group-separability via medium-restriction plus the forbidden 2-voter,
     4-candidate configuration (pairwise voter permutations avoiding 2413/3142)."""
-    return _or_witness(e, _bh_sig, True, 24, _GS_PATS)
+    return _or_witness(e, sigs, True, 24, GROUP_SEPARABLE_FORBIDDEN)
 
 
 @_recognizer(_enriched_sig, partial(_or_rule, True, 6))
-def is_enriched_group_separable(e: Election) -> Witness:
+def is_enriched_group_separable(e: Election, sigs: tuple) -> Witness:
     """Group-separable and additionally avoiding the two extra 2-voter
     configurations: pairwise voter permutations avoid all four forbidden
     patterns, and the election stays medium-restricted.  Decided as medium
     plus the em condition, which is the same pairwise condition."""
-    return _or_witness(e, _enriched_sig, True, 6, _ENRICHED_PATS)
+    return _or_witness(e, sigs, True, 6, ENRICHED_FORBIDDEN)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +494,7 @@ def _recursive_accepts(orders) -> bool:
 
 
 @_recognizer(_up_to_reversal, lambda m: _recursive_accepts)
-def is_enriched_recursive(e: Election) -> Witness:
+def is_enriched_recursive(e: Election, sigs: tuple) -> Witness:
     """Recursive characterization of the enriched domain.
 
     After relabeling candidates so the first preference is the identity, some
@@ -489,7 +502,7 @@ def is_enriched_recursive(e: Election) -> Witness:
     reverse-identity block or one of two branch shapes (fixed prefix or fixed
     suffix), with the restriction to the free candidates again enriched.
     """
-    return _minimized_witness(e, _relabeled_trial(e, is_enriched_recursive))
+    return _minimized_witness(e, _relabeled_trial(e, _recursive_accepts))
 
 
 @lru_cache(maxsize=1 << 17)
@@ -536,11 +549,11 @@ def _em_sig(order: tuple[int, ...]) -> int:
 
 
 @_recognizer(_em_sig, partial(_or_rule, False, 6))
-def em_condition(e: Election) -> Witness:
+def em_condition(e: Election, sigs: tuple) -> Witness:
     """For every 4-subset and ordered voter pair, one voter's {top, bottom}
     differs from the other's middle pair.  Equivalent to avoiding the four
     enriched forbidden configurations (without medium-restriction)."""
-    return _or_witness(e, _em_sig, False, 6)
+    return _or_witness(e, sigs, False, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +586,14 @@ def _peak_sig(order: tuple[int, ...]) -> int:
 
 
 @_recognizer(_peak_sig, partial(_or_rule, True, 12))
-def is_single_peaked(e: Election) -> Witness:
+def is_single_peaked(e: Election, sigs: tuple) -> Witness:
     """Some candidate axis exists on which every prefix of every voter's
     ranking is an interval.  Decided by Ballester and Haeringer's forbidden
     configurations: no triple has each of its members ranked last by some
     voter (worst-restriction), and no two voters form an alpha-configuration
     on a 4-subset."""
-    return _minimized_witness(e, _masked_trial(e, is_single_peaked, _peak_touching(e.num_candidates)))
+    m = e.num_candidates
+    return _minimized_witness(e, _masked_trial(sigs, _or_rule(True, 12, m), _or_touching(True, 12, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +636,11 @@ def _single_crossing_accepts(sigs) -> bool:
 
 
 @_recognizer(_pair_bits, lambda m: _single_crossing_accepts)
-def is_single_crossing(e: Election) -> Witness:
+def is_single_crossing(e: Election, sigs: tuple) -> Witness:
     """Some ordering of the voter tuple makes every candidate pair switch at
     most once.  Decided without trying orderings: the voters' disagreement
     sets with a voter farthest from the first one must be nested."""
-    return _minimized_witness(e, _masked_trial(e, is_single_crossing, _pair_touching(e.num_candidates)))
+    return _minimized_witness(e, _masked_trial(sigs, _single_crossing_accepts, _pair_touching(e.num_candidates)))
 
 
 # ---------------------------------------------------------------------------
@@ -662,11 +676,11 @@ def _minimized_witness(e: Election, fails: Callable[[list, list], bool]) -> Witn
     return Witness(tuple(voters), tuple(candidates))
 
 
-def _masked_trial(e: Election, recognizer, touching: Sequence[int]) -> Callable[[list, list], bool]:
-    """Trials on the election's own signatures: the kept voters', with the
-    bits of every candidate subset that contains a dropped candidate cleared
-    (``touching[c - 1]`` holds candidate c's), under the rule for all m
-    candidates.
+def _masked_trial(sigs: tuple, test: Callable[..., bool], touching: Sequence[int]) -> Callable[[list, list], bool]:
+    """Trials on the election's own signatures ``sigs``: the kept voters',
+    with the bits of every candidate subset that contains a dropped candidate
+    cleared (``touching[c - 1]`` holds candidate c's), under ``test``, the
+    rule for all m = ``len(touching)`` candidates.
 
     Exact for a signature that gives every candidate triple, 4-subset or
     pair its own bits, set from the relative order of its members alone, and
@@ -678,44 +692,26 @@ def _masked_trial(e: Election, recognizer, touching: Sequence[int]) -> Callable[
     and inclusions of its voters' XORs, which bits cleared in every voter
     leave alone.
     """
-    m = e.num_candidates
-    sigs = [recognizer.signature(order) for order in e.preferences]
-    test = recognizer.rule(m)
 
     def fails(voters: list, candidates: list) -> bool:
-        drop = reduce(or_, (touching[c - 1] for c in range(1, m + 1) if c not in candidates), 0)
+        drop = reduce(or_, (mask for c, mask in enumerate(touching, start=1) if c not in candidates), 0)
         return not test(sigs[v - 1] & ~drop for v in voters)
 
     return fails
 
 
-def _relabeled_trial(e: Election, recognizer) -> Callable[[list, list], bool]:
+def _relabeled_trial(e: Election, test: Callable[..., bool]) -> Callable[[list, list], bool]:
     """Trials on the kept voters' rankings less the dropped candidates, the
     rest renumbered 1..k in increasing order as :func:`elections.restrict`
-    does: the sub-election's own preferences, run through the rule for k
-    candidates without validating an election or checking the cap."""
+    does: the sub-election's own preferences, run through ``test``, a rule
+    over rankings, without validating an election or checking the cap."""
 
     def fails(voters: list, candidates: list) -> bool:
         label = {c: i for i, c in enumerate(candidates, start=1)}
         orders = [tuple(label[c] for c in e.preferences[v - 1] if c in label) for v in voters]
-        return not recognizer.rule(len(candidates))(map(recognizer.signature, orders))
+        return not test(orders)
 
     return fails
-
-
-@lru_cache(maxsize=None)
-def _peak_touching(m: int) -> tuple[int, ...]:
-    # per candidate c, at index c - 1: the bits of every triple and 4-subset
-    # that contains it, in all five fields of a _peak_sig signature
-    t, p = comb(m, 3), 12 * comb(m, 4)
-    masks = [0] * m
-    for i, triple in enumerate(_subsets(m, 3)):
-        for c in triple:
-            masks[c - 1] |= (1 | 1 << t | 1 << 2 * t) << i
-    for s, quad in enumerate(_subsets(m, 4)):
-        for c in quad:
-            masks[c - 1] |= (0xFFF | 0xFFF << p) << 3 * t + 12 * s
-    return tuple(masks)
 
 
 @lru_cache(maxsize=None)

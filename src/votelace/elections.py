@@ -217,9 +217,9 @@ def all_elections(m: int, n: int, limit: Optional[int] = None) -> Iterator[Elect
     """Every ordered tuple of n rankings over [m], in lexicographic order."""
     if limit is None:
         limit = brute_call_guard()
-    total = math.factorial(m) ** n
-    if total > limit:
-        raise GuardExceeded(f"(m!)^n = {total} elections at (m,n)=({m},{n}) exceeds the guard {limit}")
+    if math.factorial(m) ** n > limit:
+        # the total goes unprinted: past 4,300 digits str() of an int raises
+        raise GuardExceeded(f"(m!)^n elections at (m,n)=({m},{n}) exceed the guard {limit}")
     for prefs in product(_rankings(m, n), repeat=n):
         yield _unchecked_election(m, prefs)
 

@@ -26,6 +26,31 @@ from votelace.perms import Permutation, compose, count_accepted
 METHODS = ("brute-force", "recurrence", "formula")
 
 
+def _digits(count: int) -> str:
+    """``count`` in decimal, at any width.
+
+    ``str`` of an int stops at 4,300 digits, and ``Decimal(count)`` takes
+    time quadratic in the width (about 28 s at 1.2M digits), so a wide count
+    is split in halves by bits and rejoined by products in an exact decimal
+    context, which libmpdec computes by number-theoretic transform (under
+    1 s at 1.2M digits).
+    """
+    if count.bit_length() <= 4096:
+        return str(count)
+    # imported here: the import alone is about 5% of the command line's start-up
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
+
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+
+    def convert(x: int) -> Decimal:
+        if x.bit_length() <= 4096:
+            return Decimal(x)
+        half = x.bit_length() // 2
+        return exact.add(exact.multiply(convert(x >> half), exact.power(2, half)), convert(x & ((1 << half) - 1)))
+
+    return str(convert(count))
+
+
 @dataclass(frozen=True)
 class CountReport:
     """One exact count, with the method that produced it recorded truthfully."""
@@ -47,13 +72,18 @@ class CountReport:
     def to_json(self) -> str:
         """Single-line JSON; the count is a decimal string to survive any integer width."""
         return json.dumps(
-            {"m": self.m, "n": self.n, "label": self.label, "count": str(self.count), "method": self.method}
+            {"m": self.m, "n": self.n, "label": self.label, "count": _digits(self.count), "method": self.method}
         )
 
     @classmethod
     def from_json(cls, line: str) -> "CountReport":
         raw = json.loads(line)
-        return cls(raw["m"], raw["n"], raw["label"], int(raw["count"]), raw["method"])
+        count = raw["count"]
+        if not (isinstance(count, str) and count.isascii() and count.isdigit()):
+            raise ValueError(f"a count is a plain decimal digit string, got {count!r:.40}")
+        from decimal import Decimal  # on demand, as in _digits; int() stops at 4,300 digits
+
+        return cls(raw["m"], raw["n"], raw["label"], int(Decimal(count)), raw["method"])
 
 
 def brute_force_count(
@@ -88,10 +118,10 @@ def brute_force_count(
         guard = brute_call_guard()
     if guard < 1:
         raise ValueError(f"the brute-force guard must be positive, got {guard}")
+    check_cap(m, n)  # first: past the cap, (m!)^n can be too wide to compute promptly or print
     total = math.factorial(m) ** n
     if total > guard:
         raise GuardExceeded(f"(m!)^n = {total} recognizer calls at (m,n)=({m},{n}) exceeds the guard {guard}")
-    check_cap(m, n)
     count = count_accepted(m, n, recognizer.signature, recognizer.rule(m), jobs)
     return CountReport(m, n, label, count, "brute-force")
 

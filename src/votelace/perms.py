@@ -19,8 +19,9 @@ from typing import Callable, Iterable, Iterator
 from votelace import kernels
 from votelace.errors import GuardExceeded, ParseError
 
-#: default exhaustive-generation cap: 9! permutations enumerate instantly,
-#: anything larger needs an explicit opt-in
+#: default exhaustive-generation cap.  The count runs one pattern search
+#: per permutation and pattern: n = 9 takes 12-17 s for the four enriched
+#: patterns (2 shared cores), and anything larger needs an explicit opt-in
 DEFAULT_MAX_N = 9
 
 
@@ -129,6 +130,8 @@ def count_avoiders(n: int, forbidden: Iterable[Permutation], max_n: int = DEFAUL
     >>> count_avoiders(3, [Permutation((1, 2))])
     1
     """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
     if n > max_n:
         raise GuardExceeded(f"refusing to enumerate {n}! permutations (cap {max_n}); raise max_n to opt in")
     pats = [p.values for p in forbidden if len(p) <= n]

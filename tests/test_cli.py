@@ -1,8 +1,18 @@
+import argparse
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
-from votelace.cli import main
+import votelace
+from votelace.cli import build_parser, main
+from votelace.enumeration import enriched_count
 
 
 #: a 40-entry permutation, past the kernels' 32-entry input cap
@@ -144,6 +154,21 @@ class TestCount:
         _, _, env_err = run(capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute")
         assert "must be positive" in flag_err and "must be positive" in env_err
 
+    @pytest.mark.parametrize("method", ["recurrence", "formula"])
+    def test_counts_past_the_int_to_str_digit_limit_print_exactly(self, capsys, method):
+        # enriched (1700, 2) has more than 4,300 digits, where str() of an int stops
+        code, out, err = run(capsys, "count", "--m", "1700", "--n", "2", "--domain", "enriched", "--method", method)
+        assert (code, err) == (0, "")
+        text = json.loads(out)["count"]
+        assert len(text) > 4300 and int(Decimal(text)) == enriched_count(1700, 2)
+
+    @pytest.mark.parametrize("m, n", [(20000, 6), (100000, 6), (2, 3000000), (9, 2)])
+    def test_brute_force_past_the_cap_is_refused_by_the_cap(self, capsys, m, n):
+        # the cap is checked before (m!)^n is computed, let alone printed
+        code, out, err = run(capsys, "count", "--m", str(m), "--n", str(n), "--domain", "medium", "--method", "brute")
+        assert (code, out) == (2, "")
+        assert "capped at m <= 8, n <= 6" in err
+
     def test_jobs_leave_the_count_unchanged(self, capsys):
         _, solo, _ = run(capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute")
         _, duo, _ = run(
@@ -273,6 +298,12 @@ class TestBound:
         assert code == 0
         assert json.loads(out)["count"] == str(362880)
 
+    def test_bound_past_the_int_to_str_digit_limit_prints_exactly(self, capsys):
+        # at n = 2 the bound is m!, and 2000! has 5,736 digits
+        code, out, err = run(capsys, "bound", "--m", "2000", "--n", "2", "--pi", "single-crossing")
+        assert (code, err) == (0, "")
+        assert int(Decimal(json.loads(out)["count"])) == math.factorial(2000)
+
     def test_pattern_file(self, tmp_path, capsys):
         f = tmp_path / "pi.txt"
         f.write_text("1 2 | 2 1\n")
@@ -306,3 +337,44 @@ def test_unknown_flags_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         main(["count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute", "--frobnicate"])
     assert err.value.code == 2
+
+
+def _readme_commands() -> dict:
+    # subcommand -> the options its line of README's command-line block names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = {}
+    for line in block.splitlines():
+        if line.startswith("votelace "):
+            usage = line.split("#", 1)[0]
+            commands[usage.split()[1]] = set(re.findall(r"--[a-z][a-z-]*", usage))
+    return commands
+
+
+def test_readme_command_block_names_every_option():
+    parser = build_parser()
+    (subparsers,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    defined = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert _readme_commands() == defined
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # 0 holds, 1 fails, 2 malformed input, through ``python -m votelace``
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(votelace.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+    ))
+    codes = {}
+    for name, text in [("holds", "1 2\n2 1\n"), ("fails", "1 2 3 4\n2 4 1 3\n"), ("malformed", "1 1 2\n")]:
+        f = tmp_path / f"{name}.txt"
+        f.write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-m", "votelace", "check", str(f), "--domain", "enriched"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        codes[name] = done.returncode
+        assert done.stdout.startswith("domain: enriched") == (name != "malformed"), done.stdout
+        assert ("error:" in done.stderr) == (name == "malformed"), done.stderr
+    assert codes == {"holds": 0, "fails": 1, "malformed": 2}

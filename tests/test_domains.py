@@ -26,7 +26,8 @@ from votelace.domains import (
     replay_witness,
 )
 from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _fields, _medium_sig, _pair_bits, _peak_sig
-from votelace.domains import _masked_trial, _pair_touching, _peak_touching, _recursive_accepts, _relabeled_trial
+from votelace.domains import _masked_trial, _or_rule, _or_touching, _pair_touching, _recursive_accepts, _relabeled_trial
+from votelace.domains import _single_crossing_accepts
 from votelace.domains import _split_mask
 from votelace.domains import _QUAD_ORDERS, _SP_ROWS, _SP_SLOTS
 from votelace.elections import Election, _rank_vector, all_elections, sub_election
@@ -400,18 +401,25 @@ def _near_single_crossing(rng: random.Random, m: int, n: int) -> Election:
     return Election.from_rows(rows)
 
 
+def _sigs(recognizer, e):
+    # the signatures the recognizer's verdict on e reads
+    return tuple(map(recognizer.signature, e.preferences))
+
+
 #: per minimized domain: its recognizer, and the trial its witness search
 #: runs on an election
 _TRIALS = {
     "single-peaked": (
         is_single_peaked,
-        lambda e: _masked_trial(e, is_single_peaked, _peak_touching(e.num_candidates)),
+        lambda e: _masked_trial(
+            _sigs(is_single_peaked, e), _or_rule(True, 12, e.num_candidates), _or_touching(True, 12, e.num_candidates)
+        ),
     ),
     "single-crossing": (
         is_single_crossing,
-        lambda e: _masked_trial(e, is_single_crossing, _pair_touching(e.num_candidates)),
+        lambda e: _masked_trial(_sigs(is_single_crossing, e), _single_crossing_accepts, _pair_touching(e.num_candidates)),
     ),
-    "enriched-recursive": (is_enriched_recursive, lambda e: _relabeled_trial(e, is_enriched_recursive)),
+    "enriched-recursive": (is_enriched_recursive, lambda e: _relabeled_trial(e, _recursive_accepts)),
 }
 
 
@@ -460,23 +468,25 @@ class TestWitnessTrials:
             seen.add(expected)
         assert seen == {True, False}
 
-    def test_peak_touching_masks_hold_the_subsets_of_each_candidate(self):
+    @pytest.mark.parametrize("triples, slots", [(True, 12), (True, 0), (False, 6), (True, 6), (True, 24)])
+    def test_or_touching_masks_hold_the_subsets_of_each_candidate(self, triples, slots):
         # every bit of the layout, placed by _fields: triple field k holds
-        # one bit per triple, a pair field 12 bits per 4-subset
+        # one bit per triple, a pair field ``slots`` bits per 4-subset.
+        # Single-peaked's (True, 12) is the layout its witness search masks
         for m in range(1, 9):
-            t, p = math.comb(m, 3), 12 * math.comb(m, 4)
-            triples, quads = list(combinations(range(1, m + 1), 3)), list(combinations(range(1, m + 1), 4))
+            t, p = math.comb(m, 3) if triples else 0, slots * math.comb(m, 4)
+            triple_list, quads = list(combinations(range(1, m + 1), 3)), list(combinations(range(1, m + 1), 4))
             owners = []
             for bit in range(3 * t + 2 * p):
                 fields = _fields(t, p, 1 << bit)
                 k = next(k for k, field in enumerate(fields) if field)
                 i = fields[k].bit_length() - 1
-                owners.append(triples[i] if k < 3 else quads[i // 12])
-            masks = _peak_touching(m)
+                owners.append(triple_list[i] if k < 3 else quads[i // slots])
+            masks = _or_touching(triples, slots, m)
             assert len(masks) == m
             for c in range(1, m + 1):
                 expected = sum(1 << bit for bit, owner in enumerate(owners) if c in owner)
-                assert masks[c - 1] == expected, (m, c)
+                assert masks[c - 1] == expected, (triples, slots, m, c)
 
     def test_pair_touching_masks_hold_the_pairs_of_each_candidate(self):
         # the bit of pair {a, b} is the one two rankings flip when they
@@ -591,6 +601,34 @@ def test_witness_trials_build_no_election():
     for name in ("_minimized_witness", "_masked_trial", "_relabeled_trial"):
         called = _calls(definitions[name])
         assert not called & builders, (name, called)
+    # nor does a witness search reach its recognizer: no call in the module
+    # passes a recognizer as an argument, so none reads one's signature or
+    # rule back off it
+    recognizers = {recognizer.__name__ for recognizer in DOMAINS.values()}
+    passed = {
+        arg.id
+        for call in ast.walk(ast.parse(inspect.getsource(domains)))
+        if isinstance(call, ast.Call)
+        for arg in (*call.args, *(keyword.value for keyword in call.keywords))
+        if isinstance(arg, ast.Name)
+    }
+    assert not passed & recognizers
+
+
+@pytest.mark.parametrize("name", ["em", "enriched", "group-separable-bh", "medium", "single-crossing", "single-peaked"])
+def test_witnesses_read_the_verdicts_signatures(name):
+    # a failing verdict's witness search reads the signatures the verdict
+    # computed: after the verdict, no further call reaches the recognizer's
+    # cached signature (hits and misses both count calls)
+    recognizer = DOMAINS[name]
+    e = election("15432", "13245", "45123", "12453")
+    recognizer.signature.cache_clear()
+    verdict = recognizer(e)
+    assert not verdict.holds
+    before = recognizer.signature.cache_info()
+    assert before.hits + before.misses == e.num_voters
+    assert verdict.witness is not None
+    assert recognizer.signature.cache_info() == before, name
 
 
 def test_domains_do_not_import_the_kernels():

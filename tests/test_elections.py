@@ -262,6 +262,11 @@ class TestAllElections:
         with pytest.raises(GuardExceeded):
             list(all_elections(3, 2, limit=10))
 
+    def test_guard_past_the_int_to_str_digit_limit(self):
+        # (3000!)^2 has more than 4,300 digits, where str() of an int stops
+        with pytest.raises(GuardExceeded, match=r"\(m,n\)=\(3000,2\)"):
+            next(all_elections(3000, 2))
+
     def test_split_by_first_ranking_covers_everything(self):
         whole = [e.preferences for e in all_elections(3, 2)]
         split = []

@@ -34,8 +34,19 @@ class TestCountReport:
         assert CountReport.from_json(line) == report
 
     def test_huge_counts_survive_serialization(self):
-        report = CountReport(40, 2, "enriched", enriched_count(40, 2), "recurrence")
-        assert CountReport.from_json(report.to_json()) == report
+        # 7 * 10**8999 + 12345 has 9,000 digits, past the 4,300 where str()
+        # of an int stops; 2**4096 is where the conversion starts splitting
+        for count in (enriched_count(40, 2), 2**4096 - 1, 2**4096, 7 * 10**8999 + 12345):
+            report = CountReport(40, 2, "enriched", count, "recurrence")
+            line = report.to_json()
+            assert json.loads(line)["count"].isdigit()
+            assert CountReport.from_json(line) == report
+
+    @pytest.mark.parametrize("count", ["1e3", "12.0", "+12", " 12", "", "NaN", "٣", 12])
+    def test_from_json_reads_only_plain_digit_strings(self, count):
+        line = json.dumps({"m": 1, "n": 1, "label": "x", "count": count, "method": "formula"})
+        with pytest.raises(ValueError):
+            CountReport.from_json(line)
 
     def test_validation(self):
         with pytest.raises(ValueError):

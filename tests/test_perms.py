@@ -147,6 +147,11 @@ class TestCountAvoiders:
             count_avoiders(4, [perm("12")], max_n=3)
         assert count_avoiders(4, [perm("12")], max_n=4) == 1
 
+    def test_negative_length(self):
+        # refused as identity(-1) is, not counted as the one empty permutation
+        with pytest.raises(ValueError):
+            count_avoiders(-1, ENRICHED_FORBIDDEN)
+
 
 class TestSerialization:
     def test_lines(self):
