@@ -76,22 +76,21 @@ def cmd_count(args) -> int:
             args.m, args.n, domains.DOMAINS[args.domain], label=args.domain,
             guard=args.guard, jobs=args.jobs,
         )
-    elif args.method == "recurrence":
-        if args.domain != "enriched":
-            raise ValueError("--method recurrence is only available for --domain enriched")
-        report = enumeration.CountReport(
-            args.m, args.n, "enriched", enumeration.enriched_count(args.m, args.n), "recurrence"
-        )
+    elif args.domain != "enriched":
+        raise ValueError(f"--method {args.method} is only available for --domain enriched")
     else:
-        if args.domain != "enriched":
-            raise ValueError("--method formula is only available for --domain enriched")
-        if args.m in (3, 4, 5):
+        # the recurrence's f(m) >= 2^(n-1) f(m-1) gives the count at least
+        # (n-1)(m-1) bits beyond those of m!
+        enumeration.check_width(args.m, args.n, max(args.n - 1, 0) * (args.m - 1), "the enriched count")
+        if args.method == "recurrence":
+            count = enumeration.enriched_count(args.m, args.n)
+        elif args.m in (3, 4, 5):
             count = enumeration.enriched_count_formula(f"m{args.m}", args.n)
         elif args.n == 2:
             count = enumeration.enriched_count_formula("n2", args.m)
         else:
             raise ValueError(f"no closed formula covers (m,n)=({args.m},{args.n})")
-        report = enumeration.CountReport(args.m, args.n, "enriched", count, "formula")
+        report = enumeration.CountReport(args.m, args.n, "enriched", count, args.method)
     print(report.to_json())
     return 0
 

@@ -76,7 +76,7 @@ from math import comb
 from operator import or_
 from typing import Callable, Optional, Sequence
 
-from votelace.elections import Election, _pair_perm_values, _rank_vector, sub_election
+from votelace.elections import Election, _pair_perm_values, _rank_vector, _restricted, sub_election
 from votelace.errors import GuardExceeded
 from votelace.perms import FoldRule, Permutation, occurrences
 
@@ -701,15 +701,13 @@ def _masked_trial(sigs: tuple, test: Callable[..., bool], touching: Sequence[int
 
 
 def _relabeled_trial(e: Election, test: Callable[..., bool]) -> Callable[[list, list], bool]:
-    """Trials on the kept voters' rankings less the dropped candidates, the
-    rest renumbered 1..k in increasing order as :func:`elections.restrict`
-    does: the sub-election's own preferences, run through ``test``, a rule
-    over rankings, without validating an election or checking the cap."""
+    """Trials on the kept voters' rankings restricted to the kept candidates
+    as :func:`elections.restrict` restricts them: the sub-election's own
+    preferences, run through ``test``, a rule over rankings, without building
+    an election or checking the cap."""
 
     def fails(voters: list, candidates: list) -> bool:
-        label = {c: i for i, c in enumerate(candidates, start=1)}
-        orders = [tuple(label[c] for c in e.preferences[v - 1] if c in label) for v in voters]
-        return not test(orders)
+        return not test(_restricted([e.preferences[v - 1] for v in voters], candidates))
 
     return fails
 

@@ -2,8 +2,11 @@
 
 A ranking is a tuple of candidates, best first.  An election is a labeled
 candidate set [m] plus an ordered tuple of voters' rankings, each a
-permutation of 1..m; the election's constructor is the one place a ranking is
-checked.  A configuration is a small election used as a forbidden
+permutation of 1..m.  Rankings are checked where they enter: by the
+election's constructor (``kernels._check_rankings``), and by
+:func:`parse_election`, which names the offending line.  Elections derived
+from a valid one (:func:`restrict`, :func:`sub_election`, the enumerations)
+are built unchecked.  A configuration is a small election used as a forbidden
 sub-structure: an election contains it when injective voter and candidate
 maps preserve every stated preference.  Voters are significant as tuple
 positions; elections with equal ranking multisets in different orders are
@@ -16,13 +19,13 @@ embedding, voters made 1-based.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import permutations as _itertools_permutations, product
+from functools import cached_property
+from itertools import chain, permutations as _itertools_permutations, product, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from votelace import kernels
+from votelace.kernels import _pair_perm_values, _rank_vector
 from votelace.errors import GuardExceeded, ParseError
 from votelace.guards import brute_call_guard
 from votelace.perms import Permutation
@@ -41,24 +44,15 @@ class Election:
         m = self.num_candidates
         if m < 1 or not prefs:
             raise ValueError("an election needs at least one candidate and one voter")
-        ident = list(range(1, m + 1))
-        for r in prefs:
-            if sorted(r) != ident:
-                raise ValueError(f"ranking {r} is not a permutation of 1..{m}")
+        kernels._check_rankings(prefs, m)
 
     @property
     def num_voters(self) -> int:
         return len(self.preferences)
 
     def rank_vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Per voter, the 0-based position of each candidate (indexed by candidate-1).
-
-        Built on first use and kept on the election, which is immutable.
-        """
-        ranks = self.__dict__.get("_rank_vectors")
-        if ranks is None:
-            ranks = self.__dict__["_rank_vectors"] = tuple(map(_rank_vector, self.preferences))
-        return ranks
+        """Per voter, the 0-based position of each candidate (indexed by candidate-1)."""
+        return tuple(map(_rank_vector, self.preferences))
 
     @cached_property
     def configuration_keys(self) -> dict:
@@ -68,12 +62,12 @@ class Election:
 
         Each key set is built on first use and kept on the election.
         """
-        return _KeySets(self.rank_vectors())
+        return _KeySets(self.preferences)
 
     @cached_property
     def configuration_key(self) -> tuple:
         """This election's own canonical key as a configuration, kept on it."""
-        return kernels.configuration_key(self.rank_vectors())
+        return kernels.configuration_key(self.preferences)
 
     def to_text(self) -> str:
         """One voter per line, candidates space-separated best-to-worst."""
@@ -87,21 +81,13 @@ class Election:
 
 class _KeySets(dict):
     # key sets by (l, h), each built when first looked up
-    def __init__(self, ranks: tuple[tuple[int, ...], ...]):
+    def __init__(self, preferences: tuple[tuple[int, ...], ...]):
         super().__init__()
-        self.ranks = ranks
+        self.preferences = preferences
 
     def __missing__(self, shape: tuple[int, int]) -> set:
-        keys = self[shape] = kernels.configuration_keys(self.ranks, *shape)
+        keys = self[shape] = kernels.configuration_keys(self.preferences, *shape)
         return keys
-
-
-@lru_cache(maxsize=None)
-def _rank_vector(order: tuple[int, ...]) -> tuple[int, ...]:
-    ranks = [0] * len(order)
-    for pos, c in enumerate(order):
-        ranks[c - 1] = pos
-    return tuple(ranks)
 
 
 def parse_election(text: str) -> Election:
@@ -109,7 +95,8 @@ def parse_election(text: str) -> Election:
 
     One voter per line, candidates space-separated best-to-worst; blank lines
     are ignored and "#" starts a comment line.  All lines must be permutations
-    of the same set {1..m}.
+    of the same set {1..m}, checked here line by line, so the election is
+    built unchecked.
     """
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -130,30 +117,35 @@ def parse_election(text: str) -> Election:
             raise ParseError(f"line {lineno}: duplicate candidate in {row}")
         if frozenset(row) != full:
             raise ParseError(f"line {lineno}: inconsistent candidate set {sorted(set(row))}, expected 1..{m}")
-    return Election(m, tuple(row for _, row in rows))
+    return _unchecked_election(m, tuple(row for _, row in rows))
 
 
 def restrict(e: Election, subset: Iterable[int]) -> Election:
     """Restrict to a candidate subset, relabeling to 1..|subset| in identifier order."""
-    chosen = sorted(set(subset))
+    return sub_election(e, range(1, e.num_voters + 1), subset)
+
+
+def sub_election(e: Election, voters: Iterable[int], candidates: Iterable[int]) -> Election:
+    """The election induced by a subset of voters (1-based indices) and
+    candidates, relabeled as :func:`restrict` relabels them."""
+    kept = sorted(set(voters))
+    if not kept:
+        raise ValueError("cannot keep zero voters")
+    if kept[0] < 1 or kept[-1] > e.num_voters:
+        raise ValueError(f"voter indices {kept} out of range 1..{e.num_voters}")
+    chosen = sorted(set(candidates))
     if not chosen:
         raise ValueError("cannot restrict to an empty candidate set")
     if chosen[0] < 1 or chosen[-1] > e.num_candidates:
         raise ValueError(f"subset {chosen} out of range 1..{e.num_candidates}")
-    relabel = {c: i + 1 for i, c in enumerate(chosen)}
-    keep = set(chosen)
-    return Election(len(chosen), tuple(tuple(relabel[c] for c in r if c in keep) for r in e.preferences))
+    return _unchecked_election(len(chosen), _restricted([e.preferences[v - 1] for v in kept], chosen))
 
 
-def sub_election(e: Election, voters: Iterable[int], candidates: Iterable[int]) -> Election:
-    """The election induced by a subset of voters (1-based indices) and candidates."""
-    chosen = sorted(set(voters))
-    if not chosen:
-        raise ValueError("cannot keep zero voters")
-    if chosen[0] < 1 or chosen[-1] > e.num_voters:
-        raise ValueError(f"voter indices {chosen} out of range 1..{e.num_voters}")
-    picked = Election(e.num_candidates, tuple(e.preferences[i - 1] for i in chosen))
-    return restrict(picked, candidates)
+def _restricted(preferences: Sequence[tuple[int, ...]], candidates: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The rankings with every candidate outside ``candidates`` (listed in
+    increasing order) dropped, and the kept ones renumbered 1..k in that order."""
+    label = {c: i for i, c in enumerate(candidates, start=1)}
+    return tuple(tuple(label[c] for c in r if c in label) for r in preferences)
 
 
 def contains_configuration(e: Election, cfg: Election) -> bool:
@@ -171,18 +163,9 @@ def find_embedding(
     Returns (f, g): f[i] is the 1-based election voter hosting configuration
     voter i+1, g[s] the election candidate hosting configuration candidate s+1.
     """
-    for f, g in kernels.configuration_embeddings(e.rank_vectors(), cfg.rank_vectors()):
+    for f, g in kernels.configuration_embeddings(e.preferences, cfg.preferences):
         return tuple(i + 1 for i in f), g
     return None
-
-
-@lru_cache(maxsize=1 << 10)
-def _pair_perm_values(ref_order: tuple[int, ...], other_order: tuple[int, ...]) -> tuple[int, ...]:
-    # bounded: an enumeration relabels against one first ranking at a time
-    # (at most 720 pairs for m <= 6), while a sweep of every pair at m = 5
-    # would keep 14,400 entries that are never hit again
-    ranks = _rank_vector(ref_order)
-    return tuple(ranks[c - 1] + 1 for c in other_order)
 
 
 def pair_permutation(reference: Sequence[int], other: Sequence[int]) -> Permutation:
@@ -217,9 +200,12 @@ def all_elections(m: int, n: int, limit: Optional[int] = None) -> Iterator[Elect
     """Every ordered tuple of n rankings over [m], in lexicographic order."""
     if limit is None:
         limit = brute_call_guard()
-    if math.factorial(m) ** n > limit:
-        # the total goes unprinted: past 4,300 digits str() of an int raises
-        raise GuardExceeded(f"(m!)^n elections at (m,n)=({m},{n}) exceed the guard {limit}")
+    # (m!)^n is multiplied out only until it passes the guard, and never printed
+    total = 1
+    for k in chain.from_iterable(repeat(range(2, m + 1), n if m > 1 else 0)):
+        total *= k
+        if total > limit:
+            raise GuardExceeded(f"(m!)^n elections at (m,n)=({m},{n}) exceed the guard {limit}")
     for prefs in product(_rankings(m, n), repeat=n):
         yield _unchecked_election(m, prefs)
 

@@ -25,6 +25,18 @@ from votelace.perms import Permutation, compose, count_accepted
 
 METHODS = ("brute-force", "recurrence", "formula")
 
+#: the widest count or bound computed and printed, in bits: about 315,000
+#: decimal digits, which take about a second to compute and print
+MAX_COUNT_BITS = 1 << 20
+
+
+def check_width(m: int, n: int, extra_bits: int, what: str) -> None:
+    """Raise ``GuardExceeded`` when a value of at least m! * 2**extra_bits,
+    for m >= 1, is wider than :data:`MAX_COUNT_BITS`.  log2(m!) is taken from
+    ``lgamma`` less a bit, so float error never refuses a value within the cap."""
+    if math.lgamma(m + 1) / math.log(2) - 1 + extra_bits > MAX_COUNT_BITS:
+        raise GuardExceeded(f"{what} at (m,n)=({m},{n}) is wider than MAX_COUNT_BITS = {MAX_COUNT_BITS} bits")
+
 
 def _digits(count: int) -> str:
     """``count`` in decimal, at any width.
@@ -74,16 +86,6 @@ class CountReport:
         return json.dumps(
             {"m": self.m, "n": self.n, "label": self.label, "count": _digits(self.count), "method": self.method}
         )
-
-    @classmethod
-    def from_json(cls, line: str) -> "CountReport":
-        raw = json.loads(line)
-        count = raw["count"]
-        if not (isinstance(count, str) and count.isascii() and count.isdigit()):
-            raise ValueError(f"a count is a plain decimal digit string, got {count!r:.40}")
-        from decimal import Decimal  # on demand, as in _digits; int() stops at 4,300 digits
-
-        return cls(raw["m"], raw["n"], raw["label"], int(Decimal(count)), raw["method"])
 
 
 def brute_force_count(
@@ -266,7 +268,9 @@ def upper_bound_3config(
 ) -> int:
     """m! times |S_m(pi_set)| to the power C(n-1, 2), exactly.
 
-    At n = 2 the exponent is zero and the pair count is not evaluated at all.
+    At n <= 2 the exponent is zero and the pair count is not evaluated at
+    all.  A bound wider than :data:`MAX_COUNT_BITS` is refused by
+    :func:`check_width` before the factorial or the power is computed.
     The value is exact, but as a bound it is loose.  When |S_m(pi_set)|
     exceeds m!, as it does for the single-crossing patterns at every m >= 2,
     the value exceeds the trivial bound (m!)^n from n = 4 on: at m = 3, n = 4
@@ -279,9 +283,8 @@ def upper_bound_3config(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     exponent = math.comb(n - 1, 2)
-    if exponent == 0:
-        return math.factorial(m)
-    base = count_pair_avoiders(m, pi_set, max_m=max_m, jobs=jobs)
+    base = count_pair_avoiders(m, pi_set, max_m=max_m, jobs=jobs) if exponent else 1
+    check_width(m, n, exponent * (base.bit_length() - 1), "the bound")
     return math.factorial(m) * base**exponent
 
 

@@ -22,8 +22,10 @@ On malformed input a boolean raises the ``ValueError`` its stream raises,
 and tuples longer than :data:`MAX_LEN` are refused at the same points by
 both.  :func:`active_backend` names the one implementation there is.
 
-Permutations are in one-line notation with values 1..n; rank vectors are
-0-based positions indexed by candidate-1.
+Permutations are in one-line notation with values 1..n.  Hosts and
+configurations are tuples of rankings, one per voter: each a tuple of the
+candidates 1..m, best first.  :func:`_check_rankings` decides what a
+permutation or a ranking is, here and for ``Permutation`` and ``Election``.
 """
 
 from functools import lru_cache
@@ -50,9 +52,12 @@ def _refuse_long(*tuples):
         raise ValueError(f"kernel input longer than {MAX_LEN}")
 
 
-def _check_permutation(values):
-    if sorted(values) != list(range(1, len(values) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(values)}: {values}")
+def _check_rankings(rankings, m):
+    """Raise ``ValueError`` unless each of ``rankings`` is a permutation of 1..m."""
+    ident = list(range(1, m + 1))
+    for values in rankings:
+        if sorted(values) != ident:
+            raise ValueError(f"not a permutation of 1..{m}: {values}")
 
 
 def _check_strong(big_first, big_second, small_first, small_second):
@@ -62,30 +67,44 @@ def _check_strong(big_first, big_second, small_first, small_second):
     for first, second in ((big_first, big_second), (small_first, small_second)):
         if len(first) != len(second):
             raise ValueError(f"components differ in length: {len(first)} vs {len(second)}")
-    for values in (big_first, big_second, small_first, small_second):
-        _check_permutation(values)
+    for first, second in ((big_first, big_second), (small_first, small_second)):
+        _check_rankings((first, second), len(first))
 
 
-def _check_ranks(voters, size):
-    ident = list(range(size))
-    for ranks in voters:
-        if sorted(ranks) != ident:
-            raise ValueError(f"not a rank vector of {size} candidates: {ranks}")
-
-
-def _host_size(host_ranks, l, h):
+def _host_size(host, l, h):
     """The host's number of candidates, or None when a configuration of l
     voters and h candidates has more of either than the host, so that
     nothing embeds.  Unless l or h is 0, a host past the cap and malformed
-    host rank vectors are refused."""
-    n = len(host_ranks)
-    m = len(host_ranks[0]) if n else 0
+    host rankings are refused."""
+    n = len(host)
+    m = len(host[0]) if n else 0
     if l > n or h > m:
         return None
     if l and h:
-        _refuse_long(host_ranks, host_ranks[0])
-        _check_ranks(host_ranks, m)
+        _refuse_long(host, host[0])
+        _check_rankings(host, m)
     return m
+
+
+@lru_cache(maxsize=None)
+def _rank_vector(order):
+    # the 0-based position of each candidate in the ranking ``order``,
+    # indexed by candidate - 1
+    ranks = [0] * len(order)
+    for pos, c in enumerate(order):
+        ranks[c - 1] = pos
+    return tuple(ranks)
+
+
+@lru_cache(maxsize=1 << 10)
+def _pair_perm_values(ref_order, other_order):
+    # the ranking ``other_order`` with each candidate named by its 1-based
+    # position in ``ref_order``.  Bounded: an enumeration relabels against
+    # one first ranking at a time (at most 720 pairs for m <= 6), while a
+    # sweep of every pair at m = 5 would keep 14,400 entries that are never
+    # hit again
+    ranks = _rank_vector(ref_order)
+    return tuple(ranks[c - 1] + 1 for c in other_order)
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +191,24 @@ def strong_occurrences(big_first, big_second, small_first, small_second):
     yield from extend(0, 1)
 
 
-def configuration_embeddings(host_ranks, cfg_ranks):
+def configuration_embeddings(host, cfg):
     """Yield every pair of injective maps (f, g) that embeds a configuration.
 
-    ``host_ranks``/``cfg_ranks`` are tuples of rank vectors, one per voter:
-    ranks[v][c-1] is the position of candidate c in voter v's ranking.
-    ``f[i]`` is the 0-based host voter for configuration voter i+1 and
-    ``g[s]`` the host candidate for configuration candidate s+1.  Voter maps
-    come in ``itertools.permutations`` order, then candidate maps in
-    lexicographic order.
+    ``host`` and ``cfg`` are tuples of rankings, one per voter.  ``f[i]`` is
+    the 0-based host voter for configuration voter i+1 and ``g[s]`` the host
+    candidate for configuration candidate s+1.  Voter maps come in
+    ``itertools.permutations`` order, then candidate maps in lexicographic
+    order.
     """
-    n, l = len(host_ranks), len(cfg_ranks)
-    h = len(cfg_ranks[0]) if l else 0
-    m = _host_size(host_ranks, l, h)
+    n, l = len(host), len(cfg)
+    h = len(cfg[0]) if l else 0
+    m = _host_size(host, l, h)
     if m is None:
         return
-    _check_ranks(cfg_ranks, h)
+    _check_rankings(cfg, h)
+    # ranks[v][c-1] is the position of candidate c in voter v's ranking
+    host_ranks = tuple(map(_rank_vector, host))
+    cfg_ranks = tuple(map(_rank_vector, cfg))
 
     assigned = [0] * h  # assigned[s] = host candidate (1-based) for cfg candidate s+1
     used = [False] * m
@@ -233,7 +254,7 @@ def subset_patterns(values, k):
     ((1, 2), (2, 1), (2, 1))
     """
     _refuse_long(values)
-    _check_permutation(values)
+    _check_rankings((values,), len(values))
     patterns = []
     for subset in combinations(range(1, len(values) + 1), k):
         rank = {v: r for r, v in enumerate(subset, 1)}
@@ -255,21 +276,14 @@ def strong_signature(values, k):
     return signature
 
 
-def _relative(reference, ranks):
-    # voter ``ranks``'s order with every candidate named by its 1-based
-    # position in voter ``reference``'s order: a permutation of 1..m
-    named = [r + 1 for r in reference]
-    return tuple(map(named.__getitem__, sorted(range(len(ranks)), key=ranks.__getitem__)))
-
-
 @lru_cache(maxsize=1 << 10)
-def _relative_patterns(reference, ranks, h):
+def _relative_patterns(reference, order, h):
     # bounded: a host's voters are looked up in pairs, and hosts that share
     # rankings share pairs
-    return subset_patterns(_relative(reference, ranks), h)
+    return subset_patterns(_pair_perm_values(reference, order), h)
 
 
-def configuration_keys(host_ranks, l, h):
+def configuration_keys(host, l, h):
     """The set of the :func:`configuration_key` of every configuration of
     l voters and h candidates that embeds in the host: empty when l or h
     exceeds the host's.
@@ -279,27 +293,28 @@ def configuration_keys(host_ranks, l, h):
     in voter f(1)'s order.  A configuration embeds by (f, S) iff its own
     key is that one, since voter f(1) fixes the candidate map.
     """
-    if _host_size(host_ranks, l, h) is None:
+    if _host_size(host, l, h) is None:
         return set()
     if l < 2 or not h:
         return {((),) * max(l - 1, 0)}
-    voters = range(len(host_ranks))
+    voters = range(len(host))
     keys = set()
-    for a, reference in enumerate(host_ranks):
+    for a, reference in enumerate(host):
         # row[b][i]: voter b's order relative to voter a's on the i-th subset
-        row = [_relative_patterns(reference, ranks, h) for ranks in host_ranks]
+        row = [_relative_patterns(reference, order, h) for order in host]
         for others in permutations([b for b in voters if b != a], l - 1):
             keys.update(zip(*map(row.__getitem__, others)))
     return keys
 
 
-def configuration_key(cfg_ranks):
+def configuration_key(cfg):
     """The orders of a configuration's voters 2..l with each candidate
-    named by its position in voter 1's order (see :func:`configuration_keys`)."""
-    if not cfg_ranks:
+    named by its position in voter 1's order (see :func:`configuration_keys`):
+    the key of (id, tau, sigma) is (tau, sigma)."""
+    if not cfg:
         return ()
-    _check_ranks(cfg_ranks, len(cfg_ranks[0]))
-    return tuple(_relative(cfg_ranks[0], ranks) for ranks in cfg_ranks[1:])
+    _check_rankings(cfg, len(cfg[0]))
+    return tuple(_pair_perm_values(cfg[0], order) for order in cfg[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +342,13 @@ def strong_contains(big_first, big_second, small_first, small_second):
     return False
 
 
-def contains_configuration(host_ranks, cfg_ranks):
-    """True iff some injective voter and candidate maps embed ``cfg_ranks``
-    in ``host_ranks`` (see :func:`configuration_embeddings`)."""
-    l = len(cfg_ranks)
-    keys = configuration_keys(host_ranks, l, len(cfg_ranks[0]) if l else 0)
+def contains_configuration(host, cfg):
+    """True iff some injective voter and candidate maps embed the rankings
+    ``cfg`` in the rankings ``host`` (see :func:`configuration_embeddings`)."""
+    l = len(cfg)
+    keys = configuration_keys(host, l, len(cfg[0]) if l else 0)
     # as in the search, a configuration larger than the host is not checked
-    return bool(keys) and configuration_key(cfg_ranks) in keys
+    return bool(keys) and configuration_key(cfg) in keys
 
 
 def fits_axis(order, axis_pos):

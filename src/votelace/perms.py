@@ -38,9 +38,7 @@ class Permutation:
     def __post_init__(self):
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
-        n = len(values)
-        if sorted(values) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {values}")
+        kernels._check_rankings((values,), len(values))
 
     def __len__(self) -> int:
         return len(self.values)

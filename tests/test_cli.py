@@ -5,14 +5,16 @@ import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import votelace
+from votelace import enumeration
 from votelace.cli import build_parser, main
-from votelace.enumeration import enriched_count
+from votelace.enumeration import MAX_COUNT_BITS, enriched_count
 
 
 #: a 40-entry permutation, past the kernels' 32-entry input cap
@@ -326,11 +328,45 @@ class TestBound:
         assert (code, out) == (2, "")
         assert "candidate" in err
 
+    def test_within_the_width_cap_prints(self, capsys):
+        code, out, _ = run(capsys, "bound", "--m", "6", "--n", "3", "--pi", "single-crossing")
+        assert (code, json.loads(out)["count"]) == (0, "336875040")
+
     def test_pair_cap(self, capsys):
         code, _, err = run(
             capsys, "bound", "--m", "7", "--n", "3", "--pi", "single-crossing", "--pair-cap", "6"
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bound --m 5 --n 3000 --pi single-crossing",
+        "bound --m 1000000 --n 2 --pi single-crossing",
+        "count --m 400000 --n 2 --domain enriched --method recurrence",
+        "count --m 400000 --n 2 --domain enriched --method formula",
+        "count --m 3 --n 100000000 --domain enriched --method formula",
+    ],
+)
+def test_counts_past_the_width_cap_are_refused_before_they_are_computed(capsys, argv):
+    # each would take from seconds to minutes to compute and print
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"wider than MAX_COUNT_BITS = {MAX_COUNT_BITS} bits" in err
+
+
+def test_counts_at_their_own_width_pass_the_width_cap(capsys, monkeypatch):
+    # a count is refused from a lower bound of its width, which never
+    # exceeds the exact width: with the cap at a count's width, it prints
+    cells = [(m, n, "recurrence") for m in range(1, 60) for n in range(1, 7)]
+    cells += [(m, n, "formula") for m in (3, 4, 5) for n in range(1, 40)] + [(m, 2, "formula") for m in range(1, 60)]
+    for m, n, method in cells:
+        monkeypatch.setattr(enumeration, "MAX_COUNT_BITS", enriched_count(m, n).bit_length())
+        code, out, err = run(capsys, "count", "--m", str(m), "--n", str(n), "--domain", "enriched", "--method", method)
+        assert (code, err) == (0, ""), (m, n, method)
 
 
 def test_unknown_flags_rejected(capsys):
@@ -361,11 +397,15 @@ def test_readme_command_block_names_every_option():
     assert _readme_commands() == defined
 
 
+def _subprocess_env():
+    # the environment under which a child interpreter imports this votelace
+    src = str(Path(votelace.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point_exit_codes(tmp_path):
     # 0 holds, 1 fails, 2 malformed input, through ``python -m votelace``
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(Path(votelace.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
-    ))
+    env = _subprocess_env()
     codes = {}
     for name, text in [("holds", "1 2\n2 1\n"), ("fails", "1 2 3 4\n2 4 1 3\n"), ("malformed", "1 1 2\n")]:
         f = tmp_path / f"{name}.txt"
@@ -378,3 +418,11 @@ def test_module_entry_point_exit_codes(tmp_path):
         assert done.stdout.startswith("domain: enriched") == (name != "malformed"), done.stdout
         assert ("error:" in done.stderr) == (name == "malformed"), done.stderr
     assert codes == {"holds": 0, "fails": 1, "malformed": 2}
+
+
+def test_start_up_imports_neither_decimal_nor_the_process_pool():
+    # _digits and count_accepted import them when a wide count or --jobs > 1
+    # needs them; importing either at module level slows every command's start
+    probe = "import sys, votelace.cli; print(sorted({'decimal', 'concurrent.futures'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

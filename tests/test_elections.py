@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -54,7 +55,7 @@ class TestParsing:
 
 class TestConstruction:
     def test_invariants(self):
-        # rankings are checked only by the election's constructor
+        # the election's constructor refuses rankings that are not permutations of 1..m
         malformed = [
             [(1, 2, 3), (1, 1, 2)],  # duplicate candidate
             [(0, 1, 2)],  # id below 1
@@ -76,6 +77,21 @@ class TestConstruction:
             for same in (Election.from_rows(rows), Election(3, rows)):
                 assert same == e and hash(same) == hash(e)
                 assert same.preferences == ((1, 2, 3), (2, 3, 1))
+
+    def test_rankings_are_checked_once(self, monkeypatch):
+        # the constructor checks what a caller hands it; the parser checks
+        # each line itself, and a restriction derives from a valid election,
+        # so none of them runs the constructor's check again
+        e = election("1234", "2413", "4321")
+        checked = []
+        post_init = Election.__post_init__
+        monkeypatch.setattr(Election, "__post_init__", lambda self: checked.append(post_init(self)))
+        parse_election("1 2 3\n3 1 2\n")
+        restrict(e, {1, 3, 4})
+        sub_election(e, [1, 3], [2, 4])
+        assert checked == []
+        Election.from_rows([(1, 2), (2, 1)])
+        assert len(checked) == 1
 
 
 class TestRestrict:
@@ -266,6 +282,13 @@ class TestAllElections:
         # (3000!)^2 has more than 4,300 digits, where str() of an int stops
         with pytest.raises(GuardExceeded, match=r"\(m,n\)=\(3000,2\)"):
             next(all_elections(3000, 2))
+
+    def test_guard_refuses_before_computing_the_total(self):
+        # 1000000! alone has 5.5M digits; the product stops once past the guard
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded, match=r"\(m,n\)=\(1000000,1\)"):
+            next(all_elections(10**6, 1))
+        assert time.perf_counter() - start < 1
 
     def test_split_by_first_ranking_covers_everything(self):
         whole = [e.preferences for e in all_elections(3, 2)]

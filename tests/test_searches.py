@@ -25,13 +25,6 @@ def _standard(values):
     return tuple(ranked.index(v) + 1 for v in values)
 
 
-def _rank_vector(order):
-    ranks = [0] * len(order)
-    for pos, c in enumerate(order):
-        ranks[c - 1] = pos
-    return tuple(ranks)
-
-
 def _perms(n):
     return list(permutations(range(1, n + 1)))
 
@@ -58,27 +51,21 @@ def brute_strong(big_first, big_second, small_first, small_second):
     ]
 
 
-def _read(host_ranks, f, g):
-    """The configuration (rank vectors) that host voters ``f`` form on candidates ``g``."""
-    return tuple(
-        tuple(r - 1 for r in _standard([host_ranks[v][c - 1] for c in g])) for v in f
-    )
+def _read(host, f, g):
+    """The configuration (rankings) that host voters ``f`` form on candidates
+    ``g``: each voter's ranking of ``g``, candidate ``g[s]`` named s+1."""
+    return tuple(tuple(g.index(c) + 1 for c in host[v] if c in g) for v in f)
 
 
-def brute_embeddings(host_ranks, l, h):
+def brute_embeddings(host, l, h):
     """Per configuration of l voters and h candidates, its embeddings: voter maps
     (0-based) then candidate maps (1-based), both in permutation order, under
     which the host reads exactly that configuration."""
     found = defaultdict(list)
-    for f in permutations(range(len(host_ranks)), l):
-        for g in permutations(range(1, len(host_ranks[0]) + 1), h):
-            found[_read(host_ranks, f, g)].append((f, g))
+    for f in permutations(range(len(host)), l):
+        for g in permutations(range(1, len(host[0]) + 1), h):
+            found[_read(host, f, g)].append((f, g))
     return found
-
-
-def _election(ranks):
-    """The election whose voters have these rank vectors."""
-    return Election.from_rows([sorted(range(1, len(r) + 1), key=lambda c: r[c - 1]) for r in ranks])
 
 
 def _check_pattern(host, pattern):
@@ -93,7 +80,9 @@ def _check_strong(b1, b2, s1, s2):
     assert list(kernels.strong_occurrences(b1, b2, s1, s2)) == brute_strong(b1, b2, s1, s2)
 
 
-def _check_embeddings(host, cfg, expected, host_election, cfg_election):
+def _check_embeddings(host_election, cfg_election, expected):
+    # the kernels read the rankings the elections hold
+    host, cfg = host_election.preferences, cfg_election.preferences
     assert list(kernels.configuration_embeddings(host, cfg)) == expected.get(cfg, [])
     found = cfg in expected
     assert kernels.contains_configuration(host, cfg) == found
@@ -119,22 +108,29 @@ def test_strong_occurrences_exhaustive():
 
 
 def _elections(m, n):
-    ranks = [_rank_vector(order) for order in _perms(m)]
+    orders = _perms(m)
     if (m, n) == (4, 3):
         # every (4,3)-election up to candidate relabeling: voter 1 is the identity
-        return [(ranks[0], *rest) for rest in product(ranks, repeat=2)]
-    return list(product(ranks, repeat=n))
+        return [(orders[0], *rest) for rest in product(orders, repeat=2)]
+    return list(product(orders, repeat=n))
 
 
 def test_configuration_embeddings_exhaustive():
     for h, l in product(range(1, 4), range(1, 3)):
-        configs = {cfg: _election(cfg) for cfg in product([_rank_vector(order) for order in _perms(h)], repeat=l)}
+        configs = [Election.from_rows(cfg) for cfg in product(_perms(h), repeat=l)]
         for m, n in product(range(1, 5), range(1, 4)):
             for host in _elections(m, n):
                 expected = brute_embeddings(host, l, h)
-                host_election = _election(host)
-                for cfg, cfg_election in configs.items():
-                    _check_embeddings(host, cfg, expected, host_election, cfg_election)
+                host_election = Election.from_rows(host)
+                for cfg_election in configs:
+                    _check_embeddings(host_election, cfg_election, expected)
+
+
+def test_configuration_key_is_the_normalization():
+    # the key of the configuration (id, tau, sigma) is the pair (tau, sigma)
+    for m in (3, 4):
+        for tau, sigma in product(_perms(m), repeat=2):
+            assert kernels.configuration_key((tuple(range(1, m + 1)), tau, sigma)) == (tau, sigma)
 
 
 @st.composite
@@ -144,12 +140,9 @@ def _permutation(draw, lo, hi):
 
 
 @st.composite
-def _rank_vectors(draw, voters, candidates):
+def _rankings(draw, voters, candidates):
     m = draw(candidates)
-    return tuple(
-        _rank_vector(tuple(draw(st.permutations(range(1, m + 1)))))
-        for _ in range(draw(voters))
-    )
+    return tuple(tuple(draw(st.permutations(range(1, m + 1)))) for _ in range(draw(voters)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,9 +163,9 @@ def test_strong_occurrences_random(data):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    _rank_vectors(st.integers(1, 4), st.integers(1, 5)),
-    _rank_vectors(st.integers(1, 3), st.integers(1, 4)),
+    _rankings(st.integers(1, 4), st.integers(1, 5)),
+    _rankings(st.integers(1, 3), st.integers(1, 4)),
 )
 def test_configuration_embeddings_random(host, cfg):
     expected = brute_embeddings(host, len(cfg), len(cfg[0]))
-    _check_embeddings(host, cfg, expected, _election(host), _election(cfg))
+    _check_embeddings(Election.from_rows(host), Election.from_rows(cfg), expected)
