@@ -69,7 +69,6 @@ them.  Only :func:`replay_witness` builds sub-elections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce, wraps
 from itertools import combinations, permutations, product
 from math import comb
@@ -78,7 +77,7 @@ from typing import Callable, Optional, Sequence
 
 from votelace.elections import Election, _pair_perm_values, _rank_vector, _restricted, sub_election
 from votelace.errors import GuardExceeded
-from votelace.perms import FoldRule, Permutation, occurrences
+from votelace.perms import FoldRule, Frozen, Permutation, occurrences
 
 MAX_CANDIDATES = 8
 MAX_VOTERS = 6
@@ -104,12 +103,30 @@ ENRICHED_FORBIDDEN_CONFIGURATIONS = (
     Election.from_rows([(1, 3, 2, 4), (2, 4, 1, 3)]),
 )
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """Voters and candidates of a sub-election violating a domain condition."""
 
+    __slots__ = ("voters", "candidates")
     voters: tuple[int, ...]
     candidates: tuple[int, ...]
+
+    def __init__(self, voters: tuple[int, ...], candidates: tuple[int, ...]):
+        object.__setattr__(self, "voters", voters)
+        object.__setattr__(self, "candidates", candidates)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.voters, self.candidates) == (other.voters, other.candidates)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.voters, self.candidates))
+
+    def __repr__(self) -> str:
+        return f"Witness(voters={self.voters!r}, candidates={self.candidates!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.voters, self.candidates)
 
 
 class DomainVerdict:

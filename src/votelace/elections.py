@@ -19,7 +19,6 @@ embedding, voters made 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations as _itertools_permutations, product, repeat
 from typing import Iterable, Iterator, Optional, Sequence
@@ -28,23 +27,40 @@ from votelace import kernels
 from votelace.kernels import _pair_perm_values, _rank_vector
 from votelace.errors import GuardExceeded, ParseError
 from votelace.guards import brute_call_guard
-from votelace.perms import Permutation
+from votelace.perms import Frozen, Permutation
 
 
-@dataclass(frozen=True)
-class Election:
-    """A candidate set [m] plus an ordered tuple of n rankings over it."""
+class Election(Frozen):
+    """A candidate set [m] plus an ordered tuple of n rankings over it.
+
+    Equal elections have equal ``num_candidates`` and ``preferences``.  The
+    constructor takes any iterable of rankings and refuses an election
+    without a candidate or a voter, or with a ranking that is not a
+    permutation of 1..m.  An election keeps a ``__dict__``, which holds its
+    fields and its cached key sets.
+    """
 
     num_candidates: int
     preferences: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        prefs = tuple(map(tuple, self.preferences))
-        object.__setattr__(self, "preferences", prefs)
-        m = self.num_candidates
-        if m < 1 or not prefs:
+    def __init__(self, num_candidates: int, preferences: Iterable[Iterable[int]]):
+        prefs = tuple(map(tuple, preferences))
+        if num_candidates < 1 or not prefs:
             raise ValueError("an election needs at least one candidate and one voter")
-        kernels._check_rankings(prefs, m)
+        kernels._check_rankings(prefs, num_candidates)
+        object.__setattr__(self, "num_candidates", num_candidates)
+        object.__setattr__(self, "preferences", prefs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.num_candidates, self.preferences) == (other.num_candidates, other.preferences)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num_candidates, self.preferences))
+
+    def __repr__(self) -> str:
+        return f"Election(num_candidates={self.num_candidates!r}, preferences={self.preferences!r})"
 
     @property
     def num_voters(self) -> int:
@@ -180,8 +196,8 @@ def pair_permutation(reference: Sequence[int], other: Sequence[int]) -> Permutat
 
 
 def _unchecked_election(m: int, prefs: tuple[tuple[int, ...], ...]) -> Election:
-    # an Election built without __post_init__, for rankings that are
-    # permutations of 1..m by construction
+    # an Election whose rankings are permutations of 1..m by construction,
+    # so its constructor's checks are skipped
     e = object.__new__(Election)
     fields = e.__dict__
     fields["num_candidates"] = m

@@ -13,7 +13,6 @@ subsets on which a permutation forms it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import comb
 from typing import Iterable, Iterator
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator
 from votelace import kernels
 from votelace.domains import _pair_bits
 from votelace.errors import GuardExceeded, ParseError
-from votelace.perms import FoldRule, Permutation, count_accepted
+from votelace.perms import FoldRule, Frozen, Permutation, count_accepted
 
 #: default cap for pair enumeration: m = 7 walks its (7!)^2 pairs over
 #: strong-order signatures in about a second, but no second route has
@@ -29,18 +28,36 @@ from votelace.perms import FoldRule, Permutation, count_accepted
 DEFAULT_MAX_M = 6
 
 
-@dataclass(frozen=True)
-class PairPattern:
-    """An ordered pair of equal-length permutations."""
+class PairPattern(Frozen):
+    """An ordered pair of equal-length permutations.
 
+    Equal pair patterns have equal components; the constructor refuses
+    components of different lengths.
+    """
+
+    __slots__ = ("first", "second")
     first: Permutation
     second: Permutation
 
-    def __post_init__(self):
-        if len(self.first) != len(self.second):
-            raise ValueError(
-                f"components differ in length: {len(self.first)} vs {len(self.second)}"
-            )
+    def __init__(self, first: Permutation, second: Permutation):
+        if len(first) != len(second):
+            raise ValueError(f"components differ in length: {len(first)} vs {len(second)}")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.first, self.second) == (other.first, other.second)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.second))
+
+    def __repr__(self) -> str:
+        return f"PairPattern(first={self.first!r}, second={self.second!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.first, self.second)
 
     def __len__(self) -> int:
         return len(self.first)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from collections import Counter
 from functools import reduce
 from itertools import chain, compress, permutations as _itertools_permutations, product
@@ -25,20 +24,50 @@ from votelace.errors import GuardExceeded, ParseError
 DEFAULT_MAX_N = 9
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Frozen:
+    """Base of the package's immutable values: assigning or deleting any
+    attribute raises ``AttributeError``, so constructors set their fields
+    with ``object.__setattr__``.  A subclass with ``__slots__`` pickles and
+    copies through a ``__reduce__`` that calls its constructor; one with a
+    ``__dict__`` pickles the dict as it stands."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class Permutation(Frozen):
     """A bijection on {1..n} in one-line notation.
+
+    Equal permutations have equal ``values``; the constructor takes any
+    iterable of them and refuses one that is not a permutation of 1..n.
 
     >>> Permutation((2, 4, 1, 3)).inverse()
     Permutation((3, 1, 4, 2))
     """
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: Iterable[int]):
+        values = tuple(values)
         kernels._check_rankings((values,), len(values))
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __reduce__(self):
+        return self.__class__, (self.values,)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import permutations as _itertools_permutations, product
 from typing import Callable
 
@@ -44,12 +43,30 @@ from votelace.perms import Permutation, count_avoiders, verdicts
 DEFAULT_SEED = 1729
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-    info: list[str] = field(default_factory=list)
+    """A suite's name, its number of checks, and its failures and notes as
+    printed lines.  Equal results have equal fields; a result is mutable,
+    so it is unhashable."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures: list[str] = []
+        self.info: list[str] = []
+
+    def _astuple(self) -> tuple:
+        return (self.name, self.checked, self.failures, self.info)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"SuiteResult(name={self.name!r}, checked={self.checked!r}, "
+            f"failures={self.failures!r}, info={self.info!r})"
+        )
 
     @property
     def passed(self) -> bool:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import votelace
-from votelace import enumeration
+from votelace import cli, enumeration, verify
 from votelace.cli import build_parser, main
 from votelace.enumeration import MAX_COUNT_BITS, enriched_count
 
@@ -282,8 +283,18 @@ class TestVerify:
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["verify", "--suite", "nonsense"])
+            main(["verify", "--suite", "nope"])
         assert err.value.code == 2
+        choices = ", ".join(map(repr, sorted(verify.SUITES)))
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --suite: invalid choice: 'nope' (choose from {choices})\n"
+        )
+
+    def test_choices_and_default_seed_are_the_suites(self):
+        # the parser spells them out so that start-up skips importing verify
+        args = build_parser().parse_args(["verify", "--suite", "thm32"])
+        assert list(cli.SUITE_NAMES) == sorted(verify.SUITES)
+        assert args.seed == cli.DEFAULT_SEED == verify.DEFAULT_SEED
 
 
 class TestBound:
@@ -420,9 +431,40 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert codes == {"holds": 0, "fails": 1, "malformed": 2}
 
 
-def test_start_up_imports_neither_decimal_nor_the_process_pool():
-    # _digits and count_accepted import them when a wide count or --jobs > 1
-    # needs them; importing either at module level slows every command's start
-    probe = "import sys, votelace.cli; print(sorted({'decimal', 'concurrent.futures'} & set(sys.modules)))"
+#: modules no command needs at start-up: _digits imports decimal for a wide
+#: count, count_accepted the process pool for --jobs > 1, CountReport.to_json
+#: json, and the verify command votelace.verify; the records are plain
+#: classes, so nothing imports dataclasses, or inspect through it
+DEFERRED = ("concurrent.futures", "dataclasses", "decimal", "inspect", "json", "votelace.verify")
+
+
+def test_start_up_imports_none_of_the_deferred_modules():
+    probe = (
+        "import sys; before = set(sys.modules); import votelace.cli; "
+        "added = set(sys.modules) - before; "
+        f"print('votelace.domains' in added, sorted(added & set({DEFERRED!r})))"
+    )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=60)
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "True []\n"), done.stderr
+
+
+#: sha256 of ``votelace [COMMAND] --help`` at 80 columns, Python 3.11
+HELP_DIGESTS = {
+    "": "835633681ca914c05fddd47ae4efde4160badcbdca6e5e26690c0a829826e79a",
+    "check": "09825fa4f671d855796d29fea76eaa0da42209ff227c504a42fadb7dae614e28",
+    "count": "c151faf9a21c7157cbacac6264b464ad39cad83b889ab35dd267f1309ca9094c",
+    "contains": "a40fe2c56c41a56e80c38099d27549274284d71cd3b64f45d8e7960b356de048",
+    "verify": "714566f7edabf2d6efab9972a2f0b220ca6cdb54397a768b9d4caa29ab629b0f",
+    "bound": "5b96d2d790f4e45dcb92db0009dde2a5e4160091a05dd65d97a4156df464fec1",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the digests are of Python 3.11's argparse layout")
+@pytest.mark.parametrize("command", HELP_DIGESTS)
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"] if command else ["--help"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command], out
