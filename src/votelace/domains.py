@@ -11,7 +11,10 @@ a per-ranking ``signature(order)`` and ``rule(m)``, the test over the voters'
 signatures for m candidates.  Five domains fold over their voters: the
 signature is one int, and ``rule(m)`` is a :class:`votelace.perms.FoldRule`
 that ORs all voters but the last and tests the last signature against a
-mask of the OR.  For the other three it is a combine over the whole tuple.
+mask of the OR.  For the other three it is a
+:class:`votelace.perms.MultisetRule`, which runs a combine on the sorted
+tuple, since no domain's verdict depends on which voter holds which
+ranking; the witness searches call the combine itself.
 The recognizer checks the cap, runs ``rule(m)`` on its voters' signatures
 and, when that fails, returns a verdict with a lazy witness; exhaustive
 counting and the verification suites compute the m! signatures once and
@@ -77,7 +80,7 @@ from typing import Callable, Optional, Sequence
 
 from votelace.elections import Election, _pair_perm_values, _rank_vector, _restricted, sub_election
 from votelace.errors import GuardExceeded
-from votelace.perms import FoldRule, Frozen, Permutation, occurrences
+from votelace.perms import FoldRule, Frozen, MultisetRule, Permutation, occurrences
 
 MAX_CANDIDATES = 8
 MAX_VOTERS = 6
@@ -398,7 +401,7 @@ def _up_to_reversal(order: tuple[int, ...]) -> tuple[int, ...]:
     return order if order[0] < order[-1] else order[::-1]
 
 
-@_recognizer(_up_to_reversal, lambda m: _group_separable_accepts)
+@_recognizer(_up_to_reversal, lambda m: MultisetRule(_group_separable_accepts))
 def is_group_separable_direct(e: Election, sigs: tuple) -> Witness:
     """Every candidate subset of size >= 2 splits into two blocks that each
     voter ranks entirely above or entirely below one another."""
@@ -510,7 +513,7 @@ def _recursive_accepts(orders) -> bool:
     return _recursive_ok(tuple(map(partial(_pair_perm_values, orders[0]), orders)))
 
 
-@_recognizer(_up_to_reversal, lambda m: _recursive_accepts)
+@_recognizer(_up_to_reversal, lambda m: MultisetRule(_recursive_accepts))
 def is_enriched_recursive(e: Election, sigs: tuple) -> Witness:
     """Recursive characterization of the enriched domain.
 
@@ -597,7 +600,12 @@ def _peak_sig(order: tuple[int, ...]) -> int:
     # the triple fields mark the member of each triple ranked last, then two
     # pair fields of 12 slots per 4-subset: the first marks the ranking's
     # (third, last) on the subset, the second those that form an
-    # alpha-configuration with it
+    # alpha-configuration with it.  No triple ranks either of the ranking's
+    # top two last, and no 4-subset ranks them third or last, so their order
+    # is read through the ranking with them in increasing order: a count
+    # table computes m!/2 signatures
+    if len(order) > 1 and order[0] > order[1]:
+        return _peak_sig((order[1], order[0], *order[2:]))
     pairs = _quad_bits(order, _SP_SLOTS, _SP_ROWS, 12)
     return _triple_bits(order, _BOTTOM) | pairs << 3 * comb(len(order), 3)
 
@@ -652,7 +660,7 @@ def _single_crossing_accepts(sigs) -> bool:
     return True
 
 
-@_recognizer(_pair_bits, lambda m: _single_crossing_accepts)
+@_recognizer(_pair_bits, lambda m: MultisetRule(_single_crossing_accepts))
 def is_single_crossing(e: Election, sigs: tuple) -> Witness:
     """Some ordering of the voter tuple makes every candidate pair switch at
     most once.  Decided without trying orderings: the voters' disagreement

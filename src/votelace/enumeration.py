@@ -133,14 +133,14 @@ def brute_force_count(
     ``recognizer`` is one of :data:`votelace.domains.DOMAINS` (or a
     ``functools.wraps`` wrapper of one), and only its ``signature`` and
     ``rule`` are read.  :func:`votelace.perms.count_accepted` computes the
-    signature once per ranking and runs ``rule(m)`` over the tuples of
-    signatures, without building the elections; its walk tests each
-    distinct signature tuple once and counts it with the number of
-    elections that share it, skipping no tuple and merging no fold state,
-    so the count is brute force.  With ``jobs > 1`` the
-    tuples are partitioned by the first voter's ranking, so the result is
-    independent of the worker count.  A ``guard`` or ``jobs`` below 1 raises
-    ``ValueError``.
+    signature once per ranking and runs ``rule(m)`` over the signatures,
+    without building the elections: a fold rule tests each distinct
+    signature tuple once, and a multiset rule each distinct multiset of
+    signatures, each counted with the number of elections that share it.
+    No election is skipped and no fold state is merged, so the count is
+    brute force.  With ``jobs > 1`` the work is partitioned into shares
+    that merge by addition, so the result is independent of the worker
+    count.  A ``guard`` or ``jobs`` below 1 raises ``ValueError``.
     """
     if label is None:
         label = getattr(recognizer, "__name__", "recognizer")
@@ -155,7 +155,7 @@ def brute_force_count(
     check_cap(m, n)  # first: past the cap, (m!)^n can be too wide to compute promptly or print
     total = math.factorial(m) ** n
     if total > guard:
-        raise GuardExceeded(f"(m!)^n = {total} recognizer calls at (m,n)=({m},{n}) exceeds the guard {guard}")
+        raise GuardExceeded(f"(m!)^n = {total} elections at (m,n)=({m},{n}) exceeds the guard {guard}")
     count = count_accepted(m, n, recognizer.signature, recognizer.rule(m), jobs)
     return CountReport(m, n, label, count, "brute-force")
 

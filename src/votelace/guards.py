@@ -2,7 +2,7 @@
 
 import os
 
-#: default cap on recognizer calls / enumerated tuples in brute-force counts
+#: default cap on the elections a brute-force count enumerates
 DEFAULT_BRUTE_CALLS = 10**8
 
 

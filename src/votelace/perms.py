@@ -12,7 +12,8 @@ import math
 import operator
 from collections import Counter
 from functools import reduce
-from itertools import chain, compress, permutations as _itertools_permutations, product
+from itertools import chain, combinations_with_replacement, compress, islice, product
+from itertools import permutations as _itertools_permutations
 from typing import Callable, Iterable, Iterator
 
 from votelace import kernels
@@ -193,29 +194,58 @@ class FoldRule:
         return not self.mask(prefix) & last
 
 
+class MultisetRule:
+    """A test that reads the voters' signatures as a multiset.
+
+    Calling the rule sorts the signatures and passes the sorted tuple to
+    ``combine``, so no verdict can depend on which voter holds which
+    signature.  The signatures must be mutually orderable.  For a count with
+    ``jobs > 1``, ``combine`` must be a module-level function, so that the
+    rule pickles.
+    """
+
+    __slots__ = ("combine",)
+
+    def __init__(self, combine: Callable[[tuple], bool]):
+        self.combine = combine
+
+    def __call__(self, sigs) -> bool:
+        """The verdict on an iterable of signatures."""
+        return self.combine(tuple(sorted(sigs)))
+
+
+def _check_walk(n: int, test) -> None:
+    # what every walk refuses: no voters, or a test it cannot walk
+    if n < 1:
+        raise ValueError(f"an election needs at least one voter, got n = {n}")
+    if not isinstance(test, (FoldRule, MultisetRule)):
+        raise TypeError(f"a test is a FoldRule or a MultisetRule, got {type(test).__name__}")
+
+
 def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> Iterator[bool]:
     """The verdict of ``test`` on every n-tuple of permutations of 1..m, in
-    lexicographic order, streamed through the walk :func:`count_accepted`
-    describes.  The callers guard the size.
+    lexicographic order.  A :class:`FoldRule` ORs each (n-1)-tuple prefix
+    once and decides the last signatures in one C-level pass; a
+    :class:`MultisetRule` runs its combine once per sorted signature tuple,
+    and every tuple that sorts to it repeats that verdict.  ``n`` below 1
+    raises ``ValueError``, and a test of neither kind ``TypeError``.  The
+    callers guard the size.
 
-    >>> list(verdicts(2, 2, tuple, lambda pair: pair[0] < pair[1]))
-    [False, True, False, False]
+    >>> list(verdicts(2, 2, tuple, MultisetRule(lambda pair: pair[0] < pair[1])))
+    [False, True, True, False]
     >>> list(verdicts(3, 1, lambda values: 1 << values[0], FoldRule(lambda state: state | 0b1010)))
     [False, False, True, True, False, False]
     """
+    _check_walk(n, test)
     table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
-    return _walk([table] * n, test)
-
-
-def _walk(layers: list, test: Callable[..., bool]) -> Iterator[bool]:
-    # the verdicts on the tuples of one signature from each layer, in
-    # lexicographic order
-    *prefix, last = layers
-    if not isinstance(test, FoldRule):
-        return map(test, product(*layers))
+    if isinstance(test, MultisetRule):
+        memo, combine = {}, test.combine
+        keys = map(tuple, map(sorted, product(table, repeat=n)))
+        return (memo[key] if key in memo else memo.setdefault(key, combine(key)) for key in keys)
     mask = test.mask
     return chain.from_iterable(
-        map(operator.not_, map(mask(reduce(operator.or_, sigs, 0)).__and__, last)) for sigs in product(*prefix)
+        map(operator.not_, map(mask(reduce(operator.or_, sigs, 0)).__and__, table))
+        for sigs in product(table, repeat=n - 1)
     )
 
 
@@ -223,30 +253,35 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     """Number of n-tuples of permutations of 1..m whose signatures pass ``test``.
 
     ``signature`` maps a permutation (a tuple of values) to what ``test``
-    reads; it runs once per permutation.  ``test`` maps a tuple of signatures
-    to a verdict.  The walk has one layer per voter, holding the distinct
-    signatures (in first-seen order) with the number of permutations that
-    share each: every tuple of one signature per layer is tested once, in
-    lexicographic order, and counted with the product of its weights.  A
-    :class:`FoldRule` ORs each (n-1)-signature prefix once and decides the
-    last signatures with one C-level pass of ``not mask(state) & last``; the
-    count does that depth first, carrying the product of the prefix's
-    weights, and subtracts the weights of the last signatures that meet
-    ``mask(state)`` from the total, merging no fold state.  :func:`verdicts`
-    streams the same walk with every permutation's signature in each layer.
-    With ``jobs > 1`` the
-    tuples are partitioned by their first permutation into one share per
-    worker, at most m! of them: worker i of J takes the first permutations
-    at lexicographic positions i, i + J, ...  Partial counts merge by
-    addition, so the result is independent of the worker count;
-    ``signature`` and ``test`` must then pickle.  ``jobs`` below 1 raises
-    ``ValueError``.  The callers guard the size.
+    reads; it runs once per permutation.  Tuples with equal signatures get
+    equal verdicts, so the walks read the distinct signatures with the
+    number of permutations that share each, and count every tuple they test
+    with the number of permutation tuples that give it.  A
+    :class:`FoldRule` walks one layer of distinct signatures per voter,
+    depth first, carrying the product of the prefix's weights: it ORs each
+    (n-1)-signature prefix once, decides the last signatures with one
+    C-level pass of ``mask(state) & last``, and subtracts the weights of
+    those that meet it from the total, merging no fold state.  A
+    :class:`MultisetRule` walks the multisets of n distinct signatures in
+    sorted order, one step per (n-1)-prefix and one C-level pass of the
+    combine over the last signatures, none below the prefix's largest;
+    it counts each accepted multiset with its multinomial coefficient times
+    the product of its signatures' weights.  With ``jobs > 1`` the work is
+    partitioned into one share per worker, at most m! of them: under a
+    fold, worker i of J takes the tuples whose first permutation sits at
+    lexicographic position i, i + J, ...; under a multiset rule, the
+    prefixes at positions i, i + J, ...  Partial counts merge by addition,
+    so the result is independent of the worker count; ``signature`` and
+    ``test`` must then pickle.  ``jobs`` or ``n`` below 1 raises
+    ``ValueError``, and a test of neither kind ``TypeError``.  The callers
+    guard the size.
 
-    >>> count_accepted(3, 2, tuple, lambda pair: pair[0] < pair[1])
-    15
+    >>> count_accepted(3, 2, tuple, MultisetRule(lambda pair: pair[0] < pair[1]))
+    30
     >>> count_accepted(3, 2, lambda values: 1 << values[0], FoldRule(lambda state: state))
     24
     """
+    _check_walk(n, test)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, math.factorial(m))
@@ -259,19 +294,17 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
 
 
 def _count_slice(args) -> int:
-    # the accepted tuples whose first permutation sits at a lexicographic
-    # position congruent to ``share`` modulo ``shares``
+    # share ``share`` of ``shares`` of the accepted tuples, as count_accepted
+    # partitions them
     m, n, signature, test, share, shares = args
     table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
+    if isinstance(test, MultisetRule):
+        return _count_multisets(n, Counter(table), test.combine, share, shares)
     heads = table[share::shares]
     # tuples with equal signatures get equal verdicts, so each layer holds
     # the distinct signatures with their multiplicities (in first-seen order)
     counts = Counter(table)
-    layers = [Counter(heads), *[counts] * (n - 1)]
-    if not isinstance(test, FoldRule):
-        weights = map(math.prod, product(*(layer.values() for layer in layers)))
-        return sum(compress(weights, _walk(layers, test)))
-    *prefix, last = layers
+    *prefix, last = [Counter(heads), *[counts] * (n - 1)]
     sigs, weights = list(last), list(last.values())
     mask = test.mask
 
@@ -285,3 +318,27 @@ def _count_slice(args) -> int:
         return sum(w * sum(compress(weights, map(mask(state | s).__and__, sigs))) for s, w in prefix[depth].items())
 
     return len(heads) * len(table) ** (n - 1) - met(0, 0)
+
+
+def _count_multisets(n: int, counts: Counter, combine: Callable[[tuple], bool], share: int, shares: int) -> int:
+    # the permutation tuples whose sorted signatures ``combine`` accepts,
+    # over the sorted (n-1)-prefixes at positions congruent to ``share``
+    # modulo ``shares``.  A prefix with multiplicities c gives
+    # (n-1)! / prod(c!) orderings; appending signature s, which the prefix
+    # holds c_s times, multiplies that by n / (c_s + 1), and c_s is 0 for
+    # every last signature but the prefix's largest
+    sigs = sorted(counts)
+    weights = [counts[s] for s in sigs]
+    singles = [(s,) for s in sigs]
+    factorials = [math.factorial(c) for c in range(n)]
+    prefixes = zip(combinations_with_replacement(range(len(sigs)), n - 1), combinations_with_replacement(sigs, n - 1))
+    total = 0
+    for index, head in islice(prefixes, share, None, shares):
+        low = index[-1] if index else 0
+        orderings = factorials[n - 1] // math.prod(map(factorials.__getitem__, map(index.count, set(index))))
+        scale = n * orderings * math.prod(map(weights.__getitem__, index))
+        accepted = map(combine, map(head.__add__, singles[low:]))
+        if next(accepted):
+            total += scale * weights[low] // (index.count(low) + 1)
+        total += scale * sum(compress(weights[low + 1 :], accepted))
+    return total

@@ -29,7 +29,7 @@ from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _fields, _medium_s
 from votelace.domains import _masked_trial, _or_rule, _or_touching, _pair_touching, _recursive_accepts, _relabeled_trial
 from votelace.domains import _single_crossing_accepts
 from votelace.domains import _split_mask
-from votelace.domains import _QUAD_ORDERS, _SP_ROWS, _SP_SLOTS
+from votelace.domains import _BOTTOM, _QUAD_ORDERS, _SP_ROWS, _SP_SLOTS, _quad_bits, _triple_bits
 from votelace.elections import Election, _rank_vector, all_elections, sub_election
 from votelace.errors import GuardExceeded
 from votelace.perms import Permutation
@@ -323,6 +323,35 @@ class TestSinglePeaked:
                 for i, triple in enumerate(combinations(range(1, m + 1), 3)):
                     last = max(triple, key=order.index)
                     assert [f >> i & 1 for f in fields] == [int(c == last) for c in triple], (order, triple)
+
+    def test_signature_ignores_the_order_of_the_top_two(self):
+        # neither of a ranking's top two is last in a triple or third or last
+        # in a 4-subset, so swapping them changes no bit the layout sets;
+        # _peak_sig reads a ranking through the one with its top two in
+        # increasing order, and tells exactly m!/2 rankings apart
+        for m in range(2, 8):
+            t = math.comb(m, 3)
+            orders = list(permutations(range(1, m + 1)))
+            for order in orders:
+                swapped = (order[1], order[0], *order[2:])
+                triples, pairs = _triple_bits(order, _BOTTOM), _quad_bits(order, _SP_SLOTS, _SP_ROWS, 12)
+                assert (triples, pairs) == (
+                    _triple_bits(swapped, _BOTTOM),
+                    _quad_bits(swapped, _SP_SLOTS, _SP_ROWS, 12),
+                ), order
+                assert _peak_sig(order) == triples | pairs << 3 * t, order
+            assert len(set(map(_peak_sig, orders))) == math.factorial(m) // 2, m
+
+    def test_a_signature_table_builds_each_signature_once(self, monkeypatch):
+        # from cold, the signatures of all m! rankings build m!/2 layouts,
+        # each from a ranking with its top two in increasing order
+        built = []
+        quad_bits = domains._quad_bits
+        monkeypatch.setattr(domains, "_quad_bits", lambda order, *rest: built.append(order) or quad_bits(order, *rest))
+        _peak_sig.cache_clear()
+        for order in permutations(range(1, 6)):
+            _peak_sig(order)
+        assert len(built) == 60 and all(order[0] < order[1] for order in built)
 
     def test_axis_exists(self):
         assert is_single_peaked(election("2134", "3421")).holds

@@ -12,9 +12,9 @@ from helpers import or_layout, split_fields
 from votelace.domains import DOMAINS, ENRICHED_FORBIDDEN, GROUP_SEPARABLE_FORBIDDEN
 from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _medium_sig, _peak_sig
 from votelace.elections import all_elections
-from votelace.enumeration import brute_force_count
+from votelace.enumeration import brute_force_count, enriched_count
 from votelace.errors import GuardExceeded
-from votelace.perms import FoldRule, _count_slice, count_accepted, verdicts
+from votelace.perms import FoldRule, MultisetRule, _count_slice, count_accepted, verdicts
 
 SMALL_CELLS = [
     (m, n) for m in range(1, 9) for n in range(1, 7) if math.factorial(m) ** n <= 20_000
@@ -278,22 +278,24 @@ def _distinct(sigs) -> bool:
 
 
 def _rising(sigs) -> bool:
-    # reads the first voter, whose layer is a share's heads, and the last
+    # reads the first voter and the last: on a sorted tuple, the smallest
+    # signature and the largest
     sigs = tuple(sigs)
     return sigs[0] < sigs[-1]
 
 
 #: rules whose signatures collide heavily, and one whose signatures never
-#: repeat, so that the weighted walk meets layers of weight 1 only.  The
-#: fold rules accept a tuple whose last signature misses the mask of the
-#: others' OR; the combines read the whole tuple
+#: repeat, so that the weighted walks meet weights of 1 only.  The fold
+#: rules accept a tuple whose last signature misses the mask of the others'
+#: OR; the multiset rules run their combine on the sorted tuple, so called
+#: on an unsorted tuple each is its own per-tuple oracle
 COLLIDING_RULES = {
     "or-top": (_top_bit, FoldRule(operator.pos)),
     "or-top-complement": (_top_bit, FoldRule(functools.partial(operator.xor, 0b11110))),
     "or-parity": (_top_two_parity, FoldRule(operator.pos)),
-    "distinct-tops": (_top_bit, _distinct),
-    "rising-parity": (_top_two_parity, _rising),
-    "distinct-rankings": (tuple, _distinct),
+    "distinct-tops": (_top_bit, MultisetRule(_distinct)),
+    "rising-parity": (_top_two_parity, MultisetRule(_rising)),
+    "distinct-rankings": (tuple, MultisetRule(_distinct)),
 }
 
 
@@ -328,6 +330,80 @@ def test_colliding_combine_counts_the_same_through_the_worker_pool():
     for name, want in [("distinct-tops", 24**3 * 3 // 8), ("distinct-rankings", 24 * 23 * 22)]:
         signature, rule = COLLIDING_RULES[name]
         assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == want, name
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("rule", [FoldRule(operator.pos), MultisetRule(_distinct)], ids=["fold", "multiset"])
+def test_walks_refuse_elections_without_voters(n, rule):
+    with pytest.raises(ValueError, match="at least one voter"):
+        count_accepted(3, n, _top_bit, rule)
+    with pytest.raises(ValueError, match="at least one voter"):
+        verdicts(3, n, _top_bit, rule)
+
+
+def test_walks_refuse_a_plain_combine():
+    with pytest.raises(TypeError, match="FoldRule or a MultisetRule"):
+        count_accepted(3, 2, tuple, _distinct)
+    with pytest.raises(TypeError, match="FoldRule or a MultisetRule"):
+        verdicts(3, 2, tuple, _distinct)
+
+
+# ---------------------------------------------------------------------------
+# the domains whose rule reads the voters as a multiset
+
+MULTISET_DOMAINS = ("enriched-recursive", "group-separable", "single-crossing")
+
+
+@pytest.mark.parametrize("domain", MULTISET_DOMAINS)
+def test_combine_gives_a_tuple_the_verdict_of_its_sorted_tuple(domain):
+    # the raw combine, which the witness searches call, on every tuple of
+    # distinct signatures: sorting the voters changes no verdict
+    recognizer = DOMAINS[domain]
+    seen = set()
+    for m, n in [(3, 3), (3, 4), (4, 3), (5, 2), (3, 5)]:
+        rule = recognizer.rule(m)
+        assert isinstance(rule, MultisetRule)
+        sigs = sorted({recognizer.signature(order) for order in permutations(range(1, m + 1))})
+        for tup in product(sigs, repeat=n):
+            verdict = rule.combine(tup)
+            assert rule.combine(tuple(sorted(tup))) == verdict, (domain, tup)
+            seen.add(verdict)
+    assert seen == {True, False}, domain
+
+
+@pytest.mark.parametrize("domain", MULTISET_DOMAINS)
+def test_walks_run_the_combine_once_per_multiset(domain):
+    # C(k + n - 1, n) multisets of n among k distinct signatures, where an
+    # ordered walk would take k ** n tuples
+    recognizer = DOMAINS[domain]
+    for m, n in [(3, 3), (4, 2), (4, 3)]:
+        combine = recognizer.rule(m).combine
+        calls = []
+        counted = MultisetRule(lambda sigs: calls.append(sigs) or combine(sigs))
+        k = len({recognizer.signature(order) for order in permutations(range(1, m + 1))})
+        want = brute_force_count(m, n, recognizer).count
+        assert count_accepted(m, n, recognizer.signature, counted) == want, (domain, m, n)
+        assert len(calls) == len(set(calls)) == math.comb(k + n - 1, n), (domain, m, n)
+        calls.clear()
+        assert sum(verdicts(m, n, recognizer.signature, counted)) == want, (domain, m, n)
+        assert len(calls) == len(set(calls)) == math.comb(k + n - 1, n), (domain, m, n)
+
+
+@pytest.mark.parametrize(
+    "domain, m, n, want",
+    [
+        ("enriched-recursive", 5, 3, 186_240),
+        ("enriched-recursive", 4, 4, 44_544),
+        ("single-crossing", 4, 4, 105_264),
+        ("single-crossing", 5, 3, 640_560),
+    ],
+)
+def test_multiset_walk_counts_cells_past_the_small_ones(domain, m, n, want):
+    # enriched-recursive against the recurrence; the single-crossing values
+    # are those of the walk over ordered signature tuples
+    if domain == "enriched-recursive":
+        assert enriched_count(m, n) == want
+    assert brute_force_count(m, n, DOMAINS[domain]).count == want
 
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))

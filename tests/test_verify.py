@@ -73,13 +73,22 @@ def _flipped(route, picks, calls=None):
 def _stand_in(recognizer, wrap):
     # ``recognizer`` as the suites read it, its signature and rule(m), with
     # every rule passed through ``wrap`` (which sees one call per election,
-    # in the order the suite checks them)
+    # in the order the suite checks them, under _per_election_verdicts)
     return types.SimpleNamespace(signature=recognizer.signature, rule=lambda m: wrap(recognizer.rule(m)))
+
+
+def _per_election_verdicts(m, n, signature, test):
+    # the verdict stream in the order verify.verdicts yields it, with the
+    # test called once per election: a stand-in rule is a plain function,
+    # which the walks over fold and multiset rules do not take
+    table = [signature(values) for values in itertools.permutations(range(1, m + 1))]
+    return map(test, itertools.product(table, repeat=n))
 
 
 def test_failures_carry_counterexamples(monkeypatch):
     # one injected disagreement per suite; the text is pinned character for
     # character.  A recognizer's rules share one call numbering across cells
+    monkeypatch.setattr(verify, "verdicts", _per_election_verdicts)
     calls = itertools.count()
     bh = _stand_in(verify.domains.is_group_separable_bh, lambda rule: _flipped(rule, {100, 24698}, calls))
     monkeypatch.setattr(verify.domains, "is_group_separable_bh", bh)
@@ -124,6 +133,7 @@ def _sampled_digest(monkeypatch, suite, seed):
 
         direct = types.SimpleNamespace(signature=tuple, rule=rule)
         monkeypatch.setattr(verify.domains, "is_group_separable_direct", direct)
+        monkeypatch.setattr(verify, "verdicts", _per_election_verdicts)
         samples = 10_000
     else:
         route = verify.contains_3voter
