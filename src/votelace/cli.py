@@ -172,6 +172,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    # --jobs is checked and otherwise ignored: the pair count runs in process
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.pi == "single-crossing":
         pi_set = enumeration.single_crossing_pair_patterns()
         label = "bound:single-crossing"
@@ -179,7 +182,7 @@ def cmd_bound(args) -> int:
         lines = Path(args.pi).read_text(encoding="utf-8").splitlines()
         pi_set = [PairPattern.from_line(line) for line in lines if line.strip()]
         label = f"bound:{args.pi}"
-    value = enumeration.upper_bound_3config(args.m, args.n, pi_set, max_m=args.pair_cap, jobs=args.jobs)
+    value = enumeration.upper_bound_3config(args.m, args.n, pi_set, max_m=args.pair_cap)
     print(enumeration.CountReport(args.m, args.n, label, value, "formula").to_json())
     return 0
 

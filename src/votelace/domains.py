@@ -8,18 +8,19 @@ scale, guarded by a hard cap.
 
 Every recognizer carries two attributes, and its callers read nothing else:
 a per-ranking ``signature(order)`` and ``rule(m)``, the test over the voters'
-signatures for m candidates.  Five domains fold over their voters: the
-signature is one int, and ``rule(m)`` is a :class:`votelace.perms.FoldRule`
-that ORs all voters but the last and tests the last signature against a
-mask of the OR.  For the other three it is a
+signatures for m candidates.  No domain's verdict depends on which voter
+holds which ranking.  Five domains fold over their voters: the signature
+is one int, and ``rule(m)`` is a :class:`votelace.perms.FoldRule` that ORs
+all voters but the last and tests the last signature against a mask of
+the OR; the verdict is a property of the OR of all the signatures, so the
+order of the voters does not matter.  For the other three it is a
 :class:`votelace.perms.MultisetRule`, which runs a combine on the sorted
-tuple, since no domain's verdict depends on which voter holds which
-ranking; the witness searches call the combine itself.
+tuple; the witness searches call the combine itself.
 The recognizer checks the cap, runs ``rule(m)`` on its voters' signatures
 and, when that fails, returns a verdict with a lazy witness; exhaustive
 counting and the verification suites compute the m! signatures once and
-build no election, walking the distinct signatures as
-:func:`votelace.perms.count_accepted` describes.  Per-ranking masks that
+build no election, and a count tests each multiset of distinct signatures
+once, as :func:`votelace.perms.count_accepted` describes.  Per-ranking masks that
 cost more than a lookup, the packed signatures among them, are cached on
 the ranking, and each fold rule once per number of candidates.
 

@@ -134,11 +134,10 @@ def brute_force_count(
     ``functools.wraps`` wrapper of one), and only its ``signature`` and
     ``rule`` are read.  :func:`votelace.perms.count_accepted` computes the
     signature once per ranking and runs ``rule(m)`` over the signatures,
-    without building the elections: a fold rule tests each distinct
-    signature tuple once, and a multiset rule each distinct multiset of
-    signatures, each counted with the number of elections that share it.
-    No election is skipped and no fold state is merged, so the count is
-    brute force.  With ``jobs > 1`` the work is partitioned into shares
+    without building the elections: every domain is voter-symmetric, so
+    the rule tests each distinct multiset of signatures once, counted with
+    the number of elections that share it.  No election is skipped and no
+    fold state is merged, so the count is brute force.  With ``jobs > 1`` the work is partitioned into shares
     that merge by addition, so the result is independent of the worker
     count.  A ``guard`` or ``jobs`` below 1 raises ``ValueError``.
     """
@@ -295,9 +294,7 @@ def count_avoiding_pairs(m: int, tau: Permutation, sigma: Permutation) -> CountR
     return CountReport(m, 3, label, count, "brute-force")
 
 
-def upper_bound_3config(
-    m: int, n: int, pi_set: Iterable[PairPattern], max_m: int = DEFAULT_MAX_M, jobs: int = 1
-) -> int:
+def upper_bound_3config(m: int, n: int, pi_set: Iterable[PairPattern], max_m: int = DEFAULT_MAX_M) -> int:
     """m! times |S_m(pi_set)| to the power C(n-1, 2), exactly.
 
     At n <= 2 the exponent is zero and the pair count is not evaluated at
@@ -312,10 +309,8 @@ def upper_bound_3config(
         raise ValueError("need at least one candidate")
     if n < 1:
         raise ValueError("need at least one voter")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     exponent = math.comb(n - 1, 2)
-    base = count_pair_avoiders(m, pi_set, max_m=max_m, jobs=jobs) if exponent else 1
+    base = count_pair_avoiders(m, pi_set, max_m=max_m) if exponent else 1
     check_width(m, n, exponent * (base.bit_length() - 1), "the bound")
     return math.factorial(m) * base**exponent
 

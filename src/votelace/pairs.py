@@ -13,16 +13,18 @@ subsets on which a permutation forms it.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
-from math import comb
+from itertools import compress, permutations
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 from votelace import kernels
 from votelace.domains import _pair_bits
 from votelace.errors import GuardExceeded, ParseError
-from votelace.perms import FoldRule, Frozen, Permutation, count_accepted
+from votelace.perms import Frozen, Permutation
 
-#: default cap for pair enumeration: m = 7 walks its (7!)^2 pairs over
+#: default cap for pair enumeration: m = 7 sums its (7!)^2 pairs over
 #: strong-order signatures in about a second, but no second route has
 #: checked its count yet, so it needs an explicit opt-in
 DEFAULT_MAX_M = 6
@@ -137,38 +139,35 @@ def weak_bruhat_le(lo: Permutation, hi: Permutation) -> bool:
     return not _pair_bits(hi.values) & ~_pair_bits(lo.values)
 
 
-def count_pair_avoiders(
-    m: int, forbidden: Iterable[PairPattern], max_m: int = DEFAULT_MAX_M, jobs: int = 1
-) -> int:
+def count_pair_avoiders(m: int, forbidden: Iterable[PairPattern], max_m: int = DEFAULT_MAX_M) -> int:
     """Number of pairs (pi, rho) in S_m x S_m avoiding every forbidden pair pattern.
 
-    Each permutation's signature packs, per pattern, the value subsets on
-    which it forms the pattern's first component, and above those, the same
-    for the second components; a pair (pi, rho) avoids every pattern iff the
-    first half of pi's signature misses the second half of rho's.
-    :func:`votelace.perms.count_accepted` counts that OR fold over the
-    distinct signatures; with ``jobs > 1`` it partitions the pairs by the
-    first permutation, so the result is independent of ``jobs``.
+    Each permutation's signature is a pair of ints: per pattern, the value
+    subsets on which it forms the pattern's first component, then the same
+    for the second components.  A pair (pi, rho) avoids every pattern iff
+    pi's first half misses rho's second half.  The rule is ordered, since
+    (pi, rho) and (rho, pi) can differ, so the sum runs over ordered pairs
+    of distinct signatures, each weighted by the permutations that share
+    it: one C-level pass over the second signatures per first one.
     """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     if m > max_m:
         raise GuardExceeded(f"refusing to enumerate (m!)^2 pairs at m={m} (cap {max_m})")
     pats = tuple((q.first.values, q.second.values) for q in forbidden)
-    width = sum(comb(m, len(first)) for first, _ in pats)
-    return count_accepted(m, 2, partial(_pair_signature, pats), FoldRule(partial(_first_half, width)), jobs)
+    counts = Counter(map(partial(_pair_signature, pats), permutations(range(1, m + 1))))
+    seconds, weights = [second for _, second in counts], list(counts.values())
+    met = sum(w * sum(compress(weights, map(first.__and__, seconds))) for (first, _), w in counts.items())
+    return factorial(m) ** 2 - met
 
 
-def _pair_signature(pats: tuple, values: tuple) -> int:
-    # the bits of every pattern's first component on ``values``, then above
-    # them those of every second component, in the same layout
+def _pair_signature(pats: tuple, values: tuple) -> tuple[int, int]:
+    # the bits of every pattern's first component on ``values``, and those
+    # of every second component, in the same layout
     firsts = seconds = shift = 0
     for first, second in pats:
         signature = kernels.strong_signature(values, len(first))
         firsts |= signature.get(first, 0) << shift
         seconds |= signature.get(second, 0) << shift
         shift += comb(len(values), len(first))
-    return firsts | seconds << shift
-
-
-def _first_half(width: int, state: int) -> int:
-    # the first components' bits of the fold state, moved onto the second components'
-    return (state & ((1 << width) - 1)) << width
+    return firsts, seconds

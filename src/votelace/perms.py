@@ -12,7 +12,7 @@ import math
 import operator
 from collections import Counter
 from functools import reduce
-from itertools import chain, combinations_with_replacement, compress, islice, product
+from itertools import chain, combinations_with_replacement, compress, islice, product, repeat
 from itertools import permutations as _itertools_permutations
 from typing import Callable, Iterable, Iterator
 
@@ -193,6 +193,10 @@ class FoldRule:
             prefix, state = state, state | last
         return not self.mask(prefix) & last
 
+    def accepted(self, head: tuple, lasts: Iterable) -> Iterator[bool]:
+        """The verdicts on ``head`` followed by each of ``lasts``."""
+        return map(operator.not_, map(self.mask(reduce(operator.or_, head, 0)).__and__, lasts))
+
 
 class MultisetRule:
     """A test that reads the voters' signatures as a multiset.
@@ -212,6 +216,11 @@ class MultisetRule:
     def __call__(self, sigs) -> bool:
         """The verdict on an iterable of signatures."""
         return self.combine(tuple(sorted(sigs)))
+
+    def accepted(self, head: tuple, lasts: Iterable) -> Iterator[bool]:
+        """The verdicts on the sorted tuple ``head`` followed by each of
+        ``lasts``, none of which may sort below the largest of ``head``."""
+        return map(self.combine, map(head.__add__, zip(lasts)))
 
 
 def _check_walk(n: int, test) -> None:
@@ -242,39 +251,32 @@ def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> 
         memo, combine = {}, test.combine
         keys = map(tuple, map(sorted, product(table, repeat=n)))
         return (memo[key] if key in memo else memo.setdefault(key, combine(key)) for key in keys)
-    mask = test.mask
-    return chain.from_iterable(
-        map(operator.not_, map(mask(reduce(operator.or_, sigs, 0)).__and__, table))
-        for sigs in product(table, repeat=n - 1)
-    )
+    return chain.from_iterable(map(test.accepted, product(table, repeat=n - 1), repeat(table)))
 
 
 def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool], jobs: int = 1) -> int:
     """Number of n-tuples of permutations of 1..m whose signatures pass ``test``.
 
+    ``test`` must be voter-symmetric: its verdict may depend only on the
+    multiset of the signatures, not on which voter holds which.  A
+    :class:`MultisetRule` is so by construction; a :class:`FoldRule` is so
+    when its verdict is a property of the OR of all the signatures, as
+    every fold in :data:`votelace.domains.DOMAINS` is.
+
     ``signature`` maps a permutation (a tuple of values) to what ``test``
-    reads; it runs once per permutation.  Tuples with equal signatures get
-    equal verdicts, so the walks read the distinct signatures with the
-    number of permutations that share each, and count every tuple they test
-    with the number of permutation tuples that give it.  A
-    :class:`FoldRule` walks one layer of distinct signatures per voter,
-    depth first, carrying the product of the prefix's weights: it ORs each
-    (n-1)-signature prefix once, decides the last signatures with one
-    C-level pass of ``mask(state) & last``, and subtracts the weights of
-    those that meet it from the total, merging no fold state.  A
-    :class:`MultisetRule` walks the multisets of n distinct signatures in
-    sorted order, one step per (n-1)-prefix and one C-level pass of the
-    combine over the last signatures, none below the prefix's largest;
-    it counts each accepted multiset with its multinomial coefficient times
-    the product of its signatures' weights.  With ``jobs > 1`` the work is
-    partitioned into one share per worker, at most m! of them: under a
-    fold, worker i of J takes the tuples whose first permutation sits at
-    lexicographic position i, i + J, ...; under a multiset rule, the
-    prefixes at positions i, i + J, ...  Partial counts merge by addition,
-    so the result is independent of the worker count; ``signature`` and
-    ``test`` must then pickle.  ``jobs`` or ``n`` below 1 raises
-    ``ValueError``, and a test of neither kind ``TypeError``.  The callers
-    guard the size.
+    reads; it runs once per permutation.  The walk reads the distinct
+    signatures, sorted, with the number of permutations that share each,
+    and visits each multiset of n of them once: one step per sorted
+    (n-1)-prefix, then one C-level pass of ``test.accepted`` over the last
+    signatures, none below the prefix's largest.  It counts each accepted
+    multiset with its multinomial coefficient times the product of its
+    signatures' weights.  With ``jobs > 1`` the prefixes are partitioned
+    into one share per worker, at most m! of them, and none at n = 1, where
+    the only prefix is empty: worker i of J takes the prefixes at positions
+    i, i + J, ...  Partial counts merge by addition, so the result is
+    independent of the worker count; ``signature`` and ``test`` must then
+    pickle.  ``jobs`` or ``n`` below 1 raises ``ValueError``, and a test of
+    neither kind ``TypeError``.  The callers guard the size.
 
     >>> count_accepted(3, 2, tuple, MultisetRule(lambda pair: pair[0] < pair[1]))
     30
@@ -284,7 +286,7 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     _check_walk(n, test)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, math.factorial(m))
+    jobs = min(jobs, math.factorial(m) if n > 1 else 1)
     if jobs > 1:
         import concurrent.futures
 
@@ -294,42 +296,16 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
 
 
 def _count_slice(args) -> int:
-    # share ``share`` of ``shares`` of the accepted tuples, as count_accepted
-    # partitions them
+    # the permutation tuples whose signatures ``test`` accepts, over the
+    # sorted (n-1)-prefixes at positions congruent to ``share`` modulo
+    # ``shares``.  A prefix with multiplicities c gives (n-1)! / prod(c!)
+    # orderings; appending signature s, which the prefix holds c_s times,
+    # multiplies that by n / (c_s + 1), and c_s is 0 for every last
+    # signature but the prefix's largest
     m, n, signature, test, share, shares = args
-    table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
-    if isinstance(test, MultisetRule):
-        return _count_multisets(n, Counter(table), test.combine, share, shares)
-    heads = table[share::shares]
-    # tuples with equal signatures get equal verdicts, so each layer holds
-    # the distinct signatures with their multiplicities (in first-seen order)
-    counts = Counter(table)
-    *prefix, last = [Counter(heads), *[counts] * (n - 1)]
-    sigs, weights = list(last), list(last.values())
-    mask = test.mask
-
-    def met(state, depth: int) -> int:
-        # the tuples, below a prefix folded to ``state``, whose last signature
-        # meets its mask, each distinct one counted with its weight
-        if depth == len(prefix):
-            return sum(compress(weights, map(mask(state).__and__, sigs)))
-        if depth + 1 < len(prefix):
-            return sum(w * met(state | s, depth + 1) for s, w in prefix[depth].items())
-        return sum(w * sum(compress(weights, map(mask(state | s).__and__, sigs))) for s, w in prefix[depth].items())
-
-    return len(heads) * len(table) ** (n - 1) - met(0, 0)
-
-
-def _count_multisets(n: int, counts: Counter, combine: Callable[[tuple], bool], share: int, shares: int) -> int:
-    # the permutation tuples whose sorted signatures ``combine`` accepts,
-    # over the sorted (n-1)-prefixes at positions congruent to ``share``
-    # modulo ``shares``.  A prefix with multiplicities c gives
-    # (n-1)! / prod(c!) orderings; appending signature s, which the prefix
-    # holds c_s times, multiplies that by n / (c_s + 1), and c_s is 0 for
-    # every last signature but the prefix's largest
+    counts = Counter(map(signature, _itertools_permutations(range(1, m + 1))))
     sigs = sorted(counts)
     weights = [counts[s] for s in sigs]
-    singles = [(s,) for s in sigs]
     factorials = [math.factorial(c) for c in range(n)]
     prefixes = zip(combinations_with_replacement(range(len(sigs)), n - 1), combinations_with_replacement(sigs, n - 1))
     total = 0
@@ -337,7 +313,7 @@ def _count_multisets(n: int, counts: Counter, combine: Callable[[tuple], bool], 
         low = index[-1] if index else 0
         orderings = factorials[n - 1] // math.prod(map(factorials.__getitem__, map(index.count, set(index))))
         scale = n * orderings * math.prod(map(weights.__getitem__, index))
-        accepted = map(combine, map(head.__add__, singles[low:]))
+        accepted = test.accepted(head, sigs[low:])
         if next(accepted):
             total += scale * weights[low] // (index.count(low) + 1)
         total += scale * sum(compress(weights[low + 1 :], accepted))

@@ -196,11 +196,16 @@ class TestCountPairAvoiders:
             count_pair_avoiders(7, [])
 
     def test_jobs_do_not_change_the_count(self):
+        # the pair count has no pool: --jobs is checked and ignored by the CLI
         wb = [pp("12", "21")]
-        assert count_pair_avoiders(3, wb, jobs=2) == 17
+        assert count_pair_avoiders(3, wb) == 17
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_signature_fold_matches_the_search_on_every_pair(self, jobs):
+    @pytest.mark.parametrize("m", [-1, -3])
+    def test_negative_m_is_refused_by_name(self, m):
+        with pytest.raises(ValueError, match=f"m must be nonnegative, got {m}"):
+            count_pair_avoiders(m, [pp("12", "21")])
+
+    def test_signature_fold_matches_the_search_on_every_pair(self):
         # the packed-signature fold against a per-pair oracle on the strong
         # search, for m <= 4: pattern sets of mixed sizes, the empty pattern
         # (contained in every pair) and patterns longer than m
@@ -222,8 +227,8 @@ class TestCountPairAvoiders:
                     for pi in group
                     for rho in group
                 )
-                assert count_pair_avoiders(m, pats, jobs=jobs) == oracle, (m, pats)
-        assert count_pair_avoiders(3, [pp("", "")], jobs=jobs) == 0
+                assert count_pair_avoiders(m, pats) == oracle, (m, pats)
+        assert count_pair_avoiders(3, [pp("", "")]) == 0
 
 
 class TestSerialization:

@@ -272,6 +272,19 @@ def _top_two_parity(values):
     return 1 << (values[0] < values[1]) if len(values) > 1 else 1
 
 
+def _at_most(k: int, state: int) -> int:
+    # the mask of "at most k distinct signature bits in all": past k every
+    # last signature is refused, at k every one the prefix lacks
+    bits = bin(state).count("1")
+    return -1 if bits > k else ~state if bits == k else 0
+
+
+def _avoiding(low: int, state: int) -> int:
+    # the mask of "no signature meets ``low``": a prefix that meets it
+    # refuses every last signature
+    return -1 if state & low else low
+
+
 def _distinct(sigs) -> bool:
     sigs = tuple(sigs)
     return len(set(sigs)) == len(sigs)
@@ -285,14 +298,15 @@ def _rising(sigs) -> bool:
 
 
 #: rules whose signatures collide heavily, and one whose signatures never
-#: repeat, so that the weighted walks meet weights of 1 only.  The fold
-#: rules accept a tuple whose last signature misses the mask of the others'
-#: OR; the multiset rules run their combine on the sorted tuple, so called
-#: on an unsorted tuple each is its own per-tuple oracle
+#: repeat, so that the weighted walk meets weights of 1 only.  Every rule is
+#: voter-symmetric, as the walk requires: each fold decides a property of
+#: the OR of all the signatures (at most two distinct tops, no top 1 or 2,
+#: one parity), and each multiset rule runs its combine on the sorted tuple.
+#: Called on an unsorted tuple, each is its own per-tuple oracle
 COLLIDING_RULES = {
-    "or-top": (_top_bit, FoldRule(operator.pos)),
-    "or-top-complement": (_top_bit, FoldRule(functools.partial(operator.xor, 0b11110))),
-    "or-parity": (_top_two_parity, FoldRule(operator.pos)),
+    "or-top": (_top_bit, FoldRule(functools.partial(_at_most, 2))),
+    "or-no-low-top": (_top_bit, FoldRule(functools.partial(_avoiding, 0b110))),
+    "or-parity": (_top_two_parity, FoldRule(functools.partial(_at_most, 1))),
     "distinct-tops": (_top_bit, MultisetRule(_distinct)),
     "rising-parity": (_top_two_parity, MultisetRule(_rising)),
     "distinct-rankings": (tuple, MultisetRule(_distinct)),
@@ -320,9 +334,24 @@ def test_shares_of_colliding_rules_sum_to_the_solo_count(name):
 
 
 def test_colliding_rule_counts_the_same_through_the_worker_pool():
-    # the third voter's top is neither of the first two voters' tops
+    # the three voters' tops take at most two values: 4^3 - 4 * 3 * 2 = 40
+    # of the 64 top triples
     signature, rule = COLLIDING_RULES["or-top"]
-    assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == 24**3 * 9 // 16
+    assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == 24**3 * 5 // 8
+
+
+def test_one_voter_starts_no_pool(monkeypatch):
+    # at n = 1 the walk has one prefix, the empty one, so it runs in process
+    import concurrent.futures
+
+    solo = {name: count_accepted(4, 1, signature, rule) for name, (signature, rule) in COLLIDING_RULES.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    for name, (signature, rule) in COLLIDING_RULES.items():
+        assert count_accepted(4, 1, signature, rule, jobs=3) == solo[name], name
 
 
 def test_colliding_combine_counts_the_same_through_the_worker_pool():
@@ -349,24 +378,27 @@ def test_walks_refuse_a_plain_combine():
 
 
 # ---------------------------------------------------------------------------
-# the domains whose rule reads the voters as a multiset
+# every domain reads the voters as a multiset
 
 MULTISET_DOMAINS = ("enriched-recursive", "group-separable", "single-crossing")
 
 
-@pytest.mark.parametrize("domain", MULTISET_DOMAINS)
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_combine_gives_a_tuple_the_verdict_of_its_sorted_tuple(domain):
-    # the raw combine, which the witness searches call, on every tuple of
-    # distinct signatures: sorting the voters changes no verdict
+    # the walk's precondition, on every tuple of distinct signatures:
+    # sorting the voters changes no verdict.  A multiset rule is checked
+    # through its raw combine, which the witness searches call; a fold
+    # through the rule itself, which folds the voters in the order given
     recognizer = DOMAINS[domain]
     seen = set()
     for m, n in [(3, 3), (3, 4), (4, 3), (5, 2), (3, 5)]:
         rule = recognizer.rule(m)
-        assert isinstance(rule, MultisetRule)
+        assert isinstance(rule, MultisetRule if domain in MULTISET_DOMAINS else FoldRule)
+        verdict_of = rule.combine if domain in MULTISET_DOMAINS else rule
         sigs = sorted({recognizer.signature(order) for order in permutations(range(1, m + 1))})
         for tup in product(sigs, repeat=n):
-            verdict = rule.combine(tup)
-            assert rule.combine(tuple(sorted(tup))) == verdict, (domain, tup)
+            verdict = verdict_of(tup)
+            assert verdict_of(tuple(sorted(tup))) == verdict, (domain, tup)
             seen.add(verdict)
     assert seen == {True, False}, domain
 
@@ -387,6 +419,21 @@ def test_walks_run_the_combine_once_per_multiset(domain):
         calls.clear()
         assert sum(verdicts(m, n, recognizer.signature, counted)) == want, (domain, m, n)
         assert len(calls) == len(set(calls)) == math.comb(k + n - 1, n), (domain, m, n)
+
+
+@pytest.mark.parametrize("domain", FOLDED)
+def test_walk_runs_the_mask_once_per_sorted_prefix(domain):
+    # C(k + n - 2, n - 1) sorted (n-1)-prefixes of k distinct signatures,
+    # where an ordered walk would fold k ** (n - 1) prefixes
+    recognizer = DOMAINS[domain]
+    for m, n in [(3, 3), (4, 2), (4, 3), (3, 4)]:
+        mask = recognizer.rule(m).mask
+        states = []
+        counted = FoldRule(lambda state: states.append(state) or mask(state))
+        k = len({recognizer.signature(order) for order in permutations(range(1, m + 1))})
+        want = brute_force_count(m, n, recognizer).count
+        assert count_accepted(m, n, recognizer.signature, counted) == want, (domain, m, n)
+        assert len(states) == math.comb(k + n - 2, n - 1), (domain, m, n)
 
 
 @pytest.mark.parametrize(
@@ -438,11 +485,11 @@ def test_verdict_walk_matches_recognizing_every_election(domain):
         assert list(walk) == [recognizer(e).holds for e in all_elections(m, n)], (domain, m, n)
 
 
-@pytest.mark.parametrize("name", ["or-top-complement"])
+@pytest.mark.parametrize("name", ["or-no-low-top"])
 def test_verdict_walk_starts_the_fold_from_its_initial_state(name):
-    # at n = 1 the mask of the empty fold, 0b11110, decides: every top is rejected
+    # at n = 1 the mask of the empty fold, 0b110, decides: tops 1 and 2 are rejected
     signature, rule = COLLIDING_RULES[name]
     for m, n in WALK_CELLS:
         oracle = [rule(tuple(map(signature, e.preferences))) for e in all_elections(m, n)]
         assert list(verdicts(m, n, signature, rule)) == oracle, (name, m, n)
-    assert list(verdicts(4, 1, signature, rule)) == [False] * 24
+    assert list(verdicts(4, 1, signature, rule)) == [False] * 12 + [True] * 12
