@@ -205,10 +205,12 @@ class TestCountPairAvoiders:
         with pytest.raises(ValueError, match=f"m must be nonnegative, got {m}"):
             count_pair_avoiders(m, [pp("12", "21")])
 
-    def test_signature_fold_matches_the_search_on_every_pair(self):
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_signature_fold_matches_the_search_on_every_pair(self, copies):
         # the packed-signature fold against a per-pair oracle on the strong
         # search, for m <= 4: pattern sets of mixed sizes, the empty pattern
-        # (contained in every pair) and patterns longer than m
+        # (contained in every pair) and patterns longer than m; each set is
+        # also given twice over, which must not change the count
         pattern_sets = [
             [pp("12", "21")],
             [pp("1", "1")],
@@ -227,8 +229,8 @@ class TestCountPairAvoiders:
                     for pi in group
                     for rho in group
                 )
-                assert count_pair_avoiders(m, pats) == oracle, (m, pats)
-        assert count_pair_avoiders(3, [pp("", "")]) == 0
+                assert count_pair_avoiders(m, pats * copies) == oracle, (m, pats)
+        assert count_pair_avoiders(3, [pp("", "")] * copies) == 0
 
 
 class TestSerialization:
