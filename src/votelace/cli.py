@@ -79,6 +79,8 @@ def cmd_check(args) -> int:
 def cmd_count(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+    if args.guard is not None and args.guard < 1:
+        raise ValueError(f"the brute-force guard must be positive, got {args.guard}")
     if args.m < 1:
         raise ValueError("an election needs at least one candidate")
     if args.method == "brute":

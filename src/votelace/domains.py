@@ -110,27 +110,13 @@ ENRICHED_FORBIDDEN_CONFIGURATIONS = (
 class Witness(Frozen):
     """Voters and candidates of a sub-election violating a domain condition."""
 
-    __slots__ = ("voters", "candidates")
+    __slots__ = _fields = ("voters", "candidates")
     voters: tuple[int, ...]
     candidates: tuple[int, ...]
 
     def __init__(self, voters: tuple[int, ...], candidates: tuple[int, ...]):
         object.__setattr__(self, "voters", voters)
         object.__setattr__(self, "candidates", candidates)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.voters, self.candidates) == (other.voters, other.candidates)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.voters, self.candidates))
-
-    def __repr__(self) -> str:
-        return f"Witness(voters={self.voters!r}, candidates={self.candidates!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.voters, self.candidates)
 
 
 class DomainVerdict:

@@ -37,9 +37,11 @@ class Election(Frozen):
     constructor takes any iterable of rankings and refuses an election
     without a candidate or a voter, or with a ranking that is not a
     permutation of 1..m.  An election keeps a ``__dict__``, which holds its
-    fields and its cached key sets.
+    fields and its cached key sets; a pickle or copy holds only the fields,
+    and rebuilds the key sets on first use.
     """
 
+    _fields = ("num_candidates", "preferences")
     num_candidates: int
     preferences: tuple[tuple[int, ...], ...]
 
@@ -50,17 +52,6 @@ class Election(Frozen):
         kernels._check_rankings(prefs, num_candidates)
         object.__setattr__(self, "num_candidates", num_candidates)
         object.__setattr__(self, "preferences", prefs)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.num_candidates, self.preferences) == (other.num_candidates, other.preferences)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num_candidates, self.preferences))
-
-    def __repr__(self) -> str:
-        return f"Election(num_candidates={self.num_candidates!r}, preferences={self.preferences!r})"
 
     @property
     def num_voters(self) -> int:
@@ -229,8 +220,8 @@ def all_elections(m: int, n: int, limit: Optional[int] = None) -> Iterator[Elect
 def elections_with_first(m: int, n: int, first: Sequence[int]) -> Iterator[Election]:
     """The lexicographic slice of :func:`all_elections` with a fixed first voter.
 
-    This is the splitting point for parallel consumption: slices are disjoint,
-    cover everything, and merge deterministically in first-ranking order.
+    The slices are disjoint and cover everything.  Nothing in the package
+    calls it; it is kept because ``perfbench/tracer.py`` wraps it by name.
     """
     rankings = _rankings(m, n)
     first = Election(m, (first,)).preferences[0]

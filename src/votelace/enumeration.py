@@ -69,7 +69,7 @@ class CountReport(Frozen):
     is not an int or is negative, and a method outside :data:`METHODS`.
     """
 
-    __slots__ = ("m", "n", "label", "count", "method")
+    __slots__ = _fields = ("m", "n", "label", "count", "method")
     m: int
     n: int
     label: str
@@ -88,26 +88,6 @@ class CountReport(Frozen):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "method", method)
-
-    def _astuple(self) -> tuple:
-        return (self.m, self.n, self.label, self.count, self.method)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            f"CountReport(m={self.m!r}, n={self.n!r}, label={self.label!r}, "
-            f"count={self.count!r}, method={self.method!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, self._astuple()
 
     def to_json(self) -> str:
         """Single-line JSON; the count is a decimal string to survive any integer width."""
@@ -253,15 +233,17 @@ def three_voter_pattern_set(tau: Permutation, sigma: Permutation) -> tuple[PairP
     sigma_inv = sigma.inverse()
     tau_inv_sigma = compose(tau_inv, sigma)
     sigma_inv_tau = compose(sigma_inv, tau)
-    pats = {
-        PairPattern(tau, sigma),
-        PairPattern(sigma, tau),
-        PairPattern(tau_inv, tau_inv_sigma),
-        PairPattern(tau_inv_sigma, tau_inv),
-        PairPattern(sigma_inv, sigma_inv_tau),
-        PairPattern(sigma_inv_tau, sigma_inv),
-    }
-    return tuple(sorted(pats, key=lambda q: (q.first.values, q.second.values)))
+    pairs = (
+        (tau, sigma),
+        (sigma, tau),
+        (tau_inv, tau_inv_sigma),
+        (tau_inv_sigma, tau_inv),
+        (sigma_inv, sigma_inv_tau),
+        (sigma_inv_tau, sigma_inv),
+    )
+    # deduped on the components' values, so only the distinct patterns are built
+    distinct = {(first.values, second.values): (first, second) for first, second in pairs}
+    return tuple(PairPattern(*distinct[key]) for key in sorted(distinct))
 
 
 @lru_cache(maxsize=None)

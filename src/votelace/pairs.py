@@ -37,7 +37,7 @@ class PairPattern(Frozen):
     components of different lengths.
     """
 
-    __slots__ = ("first", "second")
+    __slots__ = _fields = ("first", "second")
     first: Permutation
     second: Permutation
 
@@ -46,20 +46,6 @@ class PairPattern(Frozen):
             raise ValueError(f"components differ in length: {len(first)} vs {len(second)}")
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.first, self.second) == (other.first, other.second)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.first, self.second))
-
-    def __repr__(self) -> str:
-        return f"PairPattern(first={self.first!r}, second={self.second!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.first, self.second)
 
     def __len__(self) -> int:
         return len(self.first)

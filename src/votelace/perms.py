@@ -1,9 +1,14 @@
-"""Permutations in one-line notation, pattern containment, and avoidance counts.
+"""The record bases, permutations and pattern containment, and the count walks.
 
-A permutation of length n is stored as the tuple of its values at positions
-1..n; the empty permutation is legal and is a pattern of everything.
-Values and positions are 1-indexed throughout.  The search is
-``kernels.pattern_occurrences``; :func:`occurrences` only shifts its indices.
+:class:`Record` and :class:`Frozen` are the bases of the package's records:
+each declares its fields once, and equality, hashing, pickling and the
+repr follow from them.  A permutation of length n is stored as the tuple
+of its values at positions 1..n; the empty permutation is legal and is a
+pattern of everything.  Values and positions are 1-indexed throughout.
+The search is ``kernels.pattern_occurrences``; :func:`occurrences` only
+shifts its indices.  :func:`count_accepted` and :func:`verdicts` walk the
+n-tuples of permutations through a per-permutation signature and a
+:class:`FoldRule` or :class:`MultisetRule`.
 """
 
 from __future__ import annotations
@@ -25,12 +30,40 @@ from votelace.errors import GuardExceeded, ParseError
 DEFAULT_MAX_N = 9
 
 
-class Frozen:
-    """Base of the package's immutable values: assigning or deleting any
+class Record:
+    """Base of the package's records: a subclass names its fields, in
+    constructor order, in the class attribute ``_fields``, and two records
+    are equal when they are of the same class with equal field tuples.  The
+    repr is the class name with the fields as keywords.  The field getter,
+    ``_astuple`` (called as ``r._astuple(r)``), is an ``attrgetter`` built
+    once per class, which keeps hashing and comparing records cheap."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            get = operator.attrgetter(*cls._fields)
+            cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple(self)))
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """Base of the package's immutable records: assigning or deleting any
     attribute raises ``AttributeError``, so constructors set their fields
-    with ``object.__setattr__``.  A subclass with ``__slots__`` pickles and
-    copies through a ``__reduce__`` that calls its constructor; one with a
-    ``__dict__`` pickles the dict as it stands."""
+    with ``object.__setattr__``.  The hash is that of the field tuple, and
+    a record pickles and copies through its constructor, called with the
+    field tuple; anything else an instance keeps, such as a cache in its
+    ``__dict__``, is rebuilt on use."""
 
     __slots__ = ()
 
@@ -39,6 +72,12 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __reduce__(self):
+        return self.__class__, self._astuple(self)
 
 
 class Permutation(Frozen):
@@ -51,24 +90,13 @@ class Permutation(Frozen):
     Permutation((3, 1, 4, 2))
     """
 
-    __slots__ = ("values",)
+    __slots__ = _fields = ("values",)
     values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]):
         values = tuple(values)
         kernels._check_rankings((values,), len(values))
         object.__setattr__(self, "values", values)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
-
-    def __reduce__(self):
-        return self.__class__, (self.values,)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -271,12 +299,13 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     signatures, none below the prefix's largest.  It counts each accepted
     multiset with its multinomial coefficient times the product of its
     signatures' weights.  With ``jobs > 1`` the prefixes are partitioned
-    into one share per worker, at most m! of them, and none at n = 1, where
-    the only prefix is empty: worker i of J takes the prefixes at positions
-    i, i + J, ...  Partial counts merge by addition, so the result is
-    independent of the worker count; ``signature`` and ``test`` must then
-    pickle.  ``jobs`` or ``n`` below 1 raises ``ValueError``, and a test of
-    neither kind ``TypeError``.  The callers guard the size.
+    into one share per worker, and no more workers start than there are
+    prefixes, so none at n = 1, where the only prefix is empty: worker i of
+    J takes the prefixes at positions i, i + J, ...  Each share gets the
+    sorted signatures and their weights, so only ``test`` must then pickle.
+    Partial counts merge by addition, so the result is independent of the
+    worker count.  ``jobs`` or ``n`` below 1 raises ``ValueError``, and a
+    test of neither kind ``TypeError``.  The callers guard the size.
 
     >>> count_accepted(3, 2, tuple, MultisetRule(lambda pair: pair[0] < pair[1]))
     30
@@ -286,26 +315,27 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     _check_walk(n, test)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, math.factorial(m) if n > 1 else 1)
+    counts = Counter(map(signature, _itertools_permutations(range(1, m + 1))))
+    sigs = sorted(counts)
+    weights = [counts[s] for s in sigs]
+    jobs = min(jobs, math.comb(len(sigs) + n - 2, n - 1))
     if jobs > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(_count_slice, ((m, n, signature, test, i, jobs) for i in range(jobs))))
-    return _count_slice((m, n, signature, test, 0, 1))
+            return sum(pool.map(_count_slice, ((n, sigs, weights, test, i, jobs) for i in range(jobs))))
+    return _count_slice((n, sigs, weights, test, 0, 1))
 
 
 def _count_slice(args) -> int:
-    # the permutation tuples whose signatures ``test`` accepts, over the
-    # sorted (n-1)-prefixes at positions congruent to ``share`` modulo
-    # ``shares``.  A prefix with multiplicities c gives (n-1)! / prod(c!)
-    # orderings; appending signature s, which the prefix holds c_s times,
-    # multiplies that by n / (c_s + 1), and c_s is 0 for every last
-    # signature but the prefix's largest
-    m, n, signature, test, share, shares = args
-    counts = Counter(map(signature, _itertools_permutations(range(1, m + 1))))
-    sigs = sorted(counts)
-    weights = [counts[s] for s in sigs]
+    # the n-tuples whose signatures ``test`` accepts, over the sorted
+    # (n-1)-prefixes at positions congruent to ``share`` modulo ``shares``;
+    # ``weights[i]`` permutations have signature ``sigs[i]``.  A prefix with
+    # multiplicities c gives (n-1)! / prod(c!) orderings; appending
+    # signature s, which the prefix holds c_s times, multiplies that by
+    # n / (c_s + 1), and c_s is 0 for every last signature but the prefix's
+    # largest
+    n, sigs, weights, test, share, shares = args
     factorials = [math.factorial(c) for c in range(n)]
     prefixes = zip(combinations_with_replacement(range(len(sigs)), n - 1), combinations_with_replacement(sigs, n - 1))
     total = 0

@@ -38,35 +38,23 @@ from votelace.enumeration import (
     upper_bound_3config,
 )
 from votelace.pairs import PairPattern, strong_contains, weak_bruhat_le
-from votelace.perms import Permutation, count_avoiders, verdicts
+from votelace.perms import Permutation, Record, count_avoiders, verdicts
 
 DEFAULT_SEED = 1729
 
 
-class SuiteResult:
+class SuiteResult(Record):
     """A suite's name, its number of checks, and its failures and notes as
     printed lines.  Equal results have equal fields; a result is mutable,
     so it is unhashable."""
+
+    _fields = ("name", "checked", "failures", "info")
 
     def __init__(self, name: str):
         self.name = name
         self.checked = 0
         self.failures: list[str] = []
         self.info: list[str] = []
-
-    def _astuple(self) -> tuple:
-        return (self.name, self.checked, self.failures, self.info)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"SuiteResult(name={self.name!r}, checked={self.checked!r}, "
-            f"failures={self.failures!r}, info={self.info!r})"
-        )
 
     @property
     def passed(self) -> bool:

@@ -138,16 +138,23 @@ class TestCount:
         assert (code, out) == (2, "")
         assert message in err
 
-    @pytest.mark.parametrize("argv", [
-        ["count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "recurrence", "--jobs", "0"],
-        ["count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "formula", "--jobs", "-1"],
-        ["verify", "--suite", "closed-forms", "--jobs", "0"],
-    ], ids=["count-recurrence", "count-formula", "verify"])
-    def test_nonpositive_jobs_exits_two_whatever_the_jobs_drive(self, capsys, argv):
-        # recurrences, formulas and suites start no workers, and refuse the flag all the same
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "recurrence", "--jobs", "0"],
+         "jobs must be at least 1"),
+        (["count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "formula", "--jobs", "-1"],
+         "jobs must be at least 1"),
+        (["verify", "--suite", "closed-forms", "--jobs", "0"], "jobs must be at least 1"),
+        (["count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "recurrence", "--guard", "0"],
+         "guard must be positive"),
+        (["count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "formula", "--guard", "-1"],
+         "guard must be positive"),
+    ], ids=["count-recurrence", "count-formula", "verify", "count-recurrence-guard", "count-formula-guard"])
+    def test_nonpositive_jobs_exits_two_whatever_the_jobs_drive(self, capsys, argv, message):
+        # recurrences, formulas and suites start no workers and run no
+        # brute-force count, and refuse the flags all the same
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert "jobs must be at least 1" in err
+        assert message in err
 
     def test_nonpositive_guard_reads_like_the_environment_guard(self, capsys, monkeypatch):
         _, _, flag_err = run(

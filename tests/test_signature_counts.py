@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -327,8 +328,11 @@ def test_shares_of_colliding_rules_sum_to_the_solo_count(name):
             verdicts.update(oracle)
             solo = count_accepted(m, n, signature, rule)
             assert solo == sum(oracle), (name, m, n)
+            counts = Counter(table)
+            sigs = sorted(counts)
+            weights = [counts[s] for s in sigs]
             for jobs in range(1, 5):
-                shares = [_count_slice((m, n, signature, rule, i, jobs)) for i in range(jobs)]
+                shares = [_count_slice((n, sigs, weights, rule, i, jobs)) for i in range(jobs)]
                 assert sum(shares) == solo, (name, m, n, jobs)
     assert verdicts == {True, False}, name
 
@@ -455,6 +459,9 @@ def test_multiset_walk_counts_cells_past_the_small_ones(domain, m, n, want):
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_signature_runs_once_per_permutation_and_share(domain):
+    # the signatures are computed once, in process, whatever the number of
+    # shares: ``counted`` is a closure, which no worker could unpickle, and
+    # its calls are recorded in this process only
     recognizer = DOMAINS[domain]
     calls = []
 
@@ -464,11 +471,40 @@ def test_signature_runs_once_per_permutation_and_share(domain):
 
     for m, n in [(1, 3), (3, 1), (3, 3), (4, 2)]:
         rule = recognizer.rule(m)
+        want = count_accepted(m, n, recognizer.signature, rule)
         for jobs in (1, 2, 5):
-            for share in range(jobs):
-                calls.clear()
-                _count_slice((m, n, counted, rule, share, jobs))
-                assert sorted(calls) == sorted(permutations(range(1, m + 1))), (domain, m, n, jobs, share)
+            calls.clear()
+            assert count_accepted(m, n, counted, rule, jobs) == want, (domain, m, n, jobs)
+            assert sorted(calls) == sorted(permutations(range(1, m + 1))), (domain, m, n, jobs)
+
+
+def test_workers_are_capped_at_the_prefix_count(monkeypatch):
+    # em ranks every 3-candidate ranking alike (one distinct signature, so
+    # one prefix at n = 2), and medium has three distinct signatures at m = 3
+    import concurrent.futures
+
+    started = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    em, medium = DOMAINS["em"], DOMAINS["medium"]
+    solo = [count_accepted(3, 2, d.signature, d.rule(3)) for d in (em, medium)]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    assert count_accepted(3, 2, em.signature, em.rule(3), jobs=6) == solo[0]
+    assert started == []
+    assert count_accepted(3, 2, medium.signature, medium.rule(3), jobs=6) == solo[1]
+    assert len(started) == 1 and 1 < started[0] <= 3
 
 
 # ---------------------------------------------------------------------------

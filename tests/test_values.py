@@ -2,16 +2,20 @@
 immutability, pickling and copying, and the constructors' refusals."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 import re
 
 import pytest
 
+import votelace
 from votelace.domains import Witness
 from votelace.elections import Election
 from votelace.enumeration import CountReport
 from votelace.pairs import PairPattern
-from votelace.perms import Permutation
+from votelace.perms import Frozen, Permutation, Record
 from votelace.verify import SuiteResult
 
 #: per immutable record: a maker (each call builds a new, equal value), the
@@ -48,6 +52,24 @@ FROZEN = {
         "count",
     ),
 }
+
+
+def _subclasses(base: type) -> list[type]:
+    # every subclass of ``base`` defined in the package, at any depth
+    for module in pkgutil.iter_modules(votelace.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"votelace.{module.name}")
+    found, todo = [], [base]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("votelace."):
+                found.append(cls)
+                todo.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+RECORDS = [cls for cls in _subclasses(Record) if cls is not Frozen]
+FROZEN_RECORDS = _subclasses(Frozen)
 
 
 def _suite_result() -> SuiteResult:
@@ -112,11 +134,43 @@ def test_pickle_and_copy_round_trip(name):
         assert twin == value and hash(twin) == hash(value)
 
 
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_names_its_fields(cls):
+    # equality, the repr, and for a frozen record the hash and the pickle, read it
+    assert isinstance(cls._fields, tuple) and cls._fields
+    assert all(isinstance(name, str) for name in cls._fields)
+
+
+@pytest.mark.parametrize("cls", FROZEN_RECORDS, ids=lambda cls: cls.__name__)
+def test_frozen_fields_are_the_constructor_parameters(cls):
+    # the pickle and copy call the constructor with the field tuple
+    assert cls._fields == tuple(inspect.signature(cls).parameters)
+
+
+def test_the_examples_cover_every_frozen_record():
+    assert sorted(cls.__name__ for cls in FROZEN_RECORDS) == sorted(FROZEN)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_hash_is_the_hash_of_the_field_tuple(name):
+    make, _, _, _ = FROZEN[name]
+    value = make()
+    assert hash(value) == hash(tuple(getattr(value, field) for field in type(value)._fields))
+
+
 def test_election_round_trips_with_its_cached_key_sets():
     e = Election(3, ((1, 2, 3), (3, 1, 2)))
     assert e.configuration_keys[2, 2]
     for twin in _round_trips(e):
         assert twin == e and twin.configuration_keys[2, 2] == e.configuration_keys[2, 2]
+
+
+def test_election_pickles_its_fields_only():
+    # the pickle goes through the constructor, so the key sets are rebuilt
+    e = Election(3, ((1, 2, 3), (3, 1, 2)))
+    assert e.configuration_keys[2, 2]
+    for twin in _round_trips(e):
+        assert "configuration_keys" not in vars(twin)
 
 
 def test_suite_result_is_mutable_and_unhashable():
