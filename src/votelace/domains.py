@@ -9,7 +9,8 @@ scale, guarded by a hard cap.
 Every recognizer carries two attributes, and its callers read nothing else:
 a per-ranking ``signature(order)`` and ``rule(m)``, the test over the voters'
 signatures for m candidates.  No domain's verdict depends on which voter
-holds which ranking.  Five domains fold over their voters: the signature
+holds which ranking, and none changes when the candidates are relabeled.
+Five domains fold over their voters: the signature
 is one int, and ``rule(m)`` is a :class:`votelace.perms.FoldRule` that ORs
 all voters but the last and tests the last signature against a mask of
 the OR; the verdict is a property of the OR of all the signatures, so the
@@ -19,8 +20,9 @@ tuple; the witness searches call the combine itself.
 The recognizer checks the cap, runs ``rule(m)`` on its voters' signatures
 and, when that fails, returns a verdict with a lazy witness; exhaustive
 counting and the verification suites compute the m! signatures once and
-build no election, and a count tests each multiset of distinct signatures
-once, as :func:`votelace.perms.count_accepted` describes.  Per-ranking masks that
+build no election, and a count fixes the first voter, tests each multiset
+of the other voters' distinct signatures once and multiplies by m!, as
+:func:`votelace.perms.count_accepted` describes.  Per-ranking masks that
 cost more than a lookup, the packed signatures among them, are cached on
 the ranking, and each fold rule once per number of candidates.
 

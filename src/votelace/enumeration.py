@@ -114,12 +114,16 @@ def brute_force_count(
     ``functools.wraps`` wrapper of one), and only its ``signature`` and
     ``rule`` are read.  :func:`votelace.perms.count_accepted` computes the
     signature once per ranking and runs ``rule(m)`` over the signatures,
-    without building the elections: every domain is voter-symmetric, so
-    the rule tests each distinct multiset of signatures once, counted with
-    the number of elections that share it.  No election is skipped and no
-    fold state is merged, so the count is brute force.  With ``jobs > 1`` the work is partitioned into shares
-    that merge by addition, so the result is independent of the worker
-    count.  A ``guard`` or ``jobs`` below 1 raises ``ValueError``.
+    without building the elections.  Every domain is neutral, so each first
+    ranking is accepted with as many elections of the other voters as any
+    other: the count fixes the first voter to one ranking and multiplies by
+    m!.  Every domain is voter-symmetric, so the rule tests each distinct
+    multiset of the other voters' signatures once, counted with the number
+    of elections that share it.  Nothing is pruned and no fold state is
+    merged, so the count is brute force.  With ``jobs > 1`` the work is
+    partitioned into shares that merge by addition, so the result is
+    independent of the worker count; no pool starts at n <= 2.  A
+    ``guard`` or ``jobs`` below 1 raises ``ValueError``.
     """
     if label is None:
         label = getattr(recognizer, "__name__", "recognizer")

@@ -8,7 +8,8 @@ pattern of everything.  Values and positions are 1-indexed throughout.
 The search is ``kernels.pattern_occurrences``; :func:`occurrences` only
 shifts its indices.  :func:`count_accepted` and :func:`verdicts` walk the
 n-tuples of permutations through a per-permutation signature and a
-:class:`FoldRule` or :class:`MultisetRule`.
+:class:`FoldRule` or :class:`MultisetRule`: :func:`verdicts` every tuple,
+and :func:`count_accepted` only those of one first permutation, times m!.
 """
 
 from __future__ import annotations
@@ -289,23 +290,30 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     multiset of the signatures, not on which voter holds which.  A
     :class:`MultisetRule` is so by construction; a :class:`FoldRule` is so
     when its verdict is a property of the OR of all the signatures, as
-    every fold in :data:`votelace.domains.DOMAINS` is.
+    every fold in :data:`votelace.domains.DOMAINS` is.  ``test`` must also
+    be neutral: relabeling the candidates, the same permutation applied to
+    the values of every voter's permutation, may change no verdict, as it
+    changes none of a domain in :data:`votelace.domains.DOMAINS`.
 
     ``signature`` maps a permutation (a tuple of values) to what ``test``
-    reads; it runs once per permutation.  The walk reads the distinct
-    signatures, sorted, with the number of permutations that share each,
-    and visits each multiset of n of them once: one step per sorted
-    (n-1)-prefix, then one C-level pass of ``test.accepted`` over the last
-    signatures, none below the prefix's largest.  It counts each accepted
-    multiset with its multinomial coefficient times the product of its
-    signatures' weights.  With ``jobs > 1`` the prefixes are partitioned
-    into one share per worker, and no more workers start than there are
-    prefixes, so none at n = 1, where the only prefix is empty: worker i of
-    J takes the prefixes at positions i, i + J, ...  Each share gets the
-    sorted signatures and their weights, so only ``test`` must then pickle.
-    Partial counts merge by addition, so the result is independent of the
-    worker count.  ``jobs`` or ``n`` below 1 raises ``ValueError``, and a
-    test of neither kind ``TypeError``.  The callers guard the size.
+    reads; it runs once per permutation.  By neutrality, every first
+    permutation is accepted with as many (n-1)-tuples of the other voters
+    as any other, so the walk fixes the first voter to one permutation of
+    the least signature and returns m! times its count.  It reads the
+    distinct signatures, sorted, with the number of permutations that share
+    each, and visits each multiset of the other n-1 signatures once: one
+    step per sorted (n-2)-prefix, then one C-level pass of ``test.accepted``
+    over the last signatures, none below the prefix's largest.  It counts
+    each accepted multiset with its multinomial coefficient times the
+    product of its signatures' weights.  With ``jobs > 1`` the prefixes are
+    partitioned into one share per worker, and no more workers start than
+    there are prefixes, so none at n <= 2 (at n = 1 nothing is walked, and
+    at n = 2 the only prefix is empty): worker i of J takes the prefixes at
+    positions i, i + J, ...  Each share gets the sorted signatures and
+    their weights, so only ``test`` must then pickle.  Partial counts merge
+    by addition, so the result is independent of the worker count.
+    ``jobs`` or ``n`` below 1 raises ``ValueError``, and a test of neither
+    kind ``TypeError``.  The callers guard the size.
 
     >>> count_accepted(3, 2, tuple, MultisetRule(lambda pair: pair[0] < pair[1]))
     30
@@ -317,33 +325,41 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     counts = Counter(map(signature, _itertools_permutations(range(1, m + 1))))
     sigs = sorted(counts)
+    if n == 1:
+        return math.factorial(m) * test(sigs[:1])
     weights = [counts[s] for s in sigs]
-    jobs = min(jobs, math.comb(len(sigs) + n - 2, n - 1))
+    others = n - 1
+    jobs = min(jobs, math.comb(len(sigs) + others - 2, others - 1))
     if jobs > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(_count_slice, ((n, sigs, weights, test, i, jobs) for i in range(jobs))))
-    return _count_slice((n, sigs, weights, test, 0, 1))
+            count = sum(pool.map(_count_slice, ((others, sigs, weights, test, i, jobs) for i in range(jobs))))
+    else:
+        count = _count_slice((others, sigs, weights, test, 0, 1))
+    return math.factorial(m) * count
 
 
 def _count_slice(args) -> int:
-    # the n-tuples whose signatures ``test`` accepts, over the sorted
+    # the n-tuples of permutations that ``test`` accepts after a first voter
+    # fixed to one permutation of signature ``sigs[0]``, over the sorted
     # (n-1)-prefixes at positions congruent to ``share`` modulo ``shares``;
-    # ``weights[i]`` permutations have signature ``sigs[i]``.  A prefix with
+    # ``weights[i]`` permutations have signature ``sigs[i]``.  Each head is
+    # ``sigs[0]`` followed by a prefix, so it is sorted.  A prefix with
     # multiplicities c gives (n-1)! / prod(c!) orderings; appending
     # signature s, which the prefix holds c_s times, multiplies that by
     # n / (c_s + 1), and c_s is 0 for every last signature but the prefix's
     # largest
     n, sigs, weights, test, share, shares = args
     factorials = [math.factorial(c) for c in range(n)]
+    first = (sigs[0],)
     prefixes = zip(combinations_with_replacement(range(len(sigs)), n - 1), combinations_with_replacement(sigs, n - 1))
     total = 0
-    for index, head in islice(prefixes, share, None, shares):
+    for index, prefix in islice(prefixes, share, None, shares):
         low = index[-1] if index else 0
         orderings = factorials[n - 1] // math.prod(map(factorials.__getitem__, map(index.count, set(index))))
         scale = n * orderings * math.prod(map(weights.__getitem__, index))
-        accepted = test.accepted(head, sigs[low:])
+        accepted = test.accepted(first + prefix, sigs[low:])
         if next(accepted):
             total += scale * weights[low] // (index.count(low) + 1)
         total += scale * sum(compress(weights[low + 1 :], accepted))

@@ -12,7 +12,7 @@ import pytest
 from helpers import or_layout, split_fields
 from votelace.domains import DOMAINS, ENRICHED_FORBIDDEN, GROUP_SEPARABLE_FORBIDDEN
 from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _medium_sig, _peak_sig
-from votelace.elections import all_elections
+from votelace.elections import Election, all_elections
 from votelace.enumeration import brute_force_count, enriched_count
 from votelace.errors import GuardExceeded
 from votelace.perms import FoldRule, MultisetRule, _count_slice, count_accepted, verdicts
@@ -32,7 +32,7 @@ def test_count_matches_recognizing_every_election(domain):
 
 def test_jobs_split_gives_the_same_count():
     # one share per worker; at m = 1 and m = 2 there are more workers asked
-    # for than first rankings, and n = 1 leaves each share only its heads
+    # for than prefixes, and at n = 1 no voter after the first is walked
     for m, n, jobs in [(3, 3, 2), (1, 3, 2), (2, 3, 3), (2, 2, 5), (4, 1, 3)]:
         for domain, recognizer in DOMAINS.items():
             solo = brute_force_count(m, n, recognizer).count
@@ -303,7 +303,9 @@ def _rising(sigs) -> bool:
 #: voter-symmetric, as the walk requires: each fold decides a property of
 #: the OR of all the signatures (at most two distinct tops, no top 1 or 2,
 #: one parity), and each multiset rule runs its combine on the sorted tuple.
-#: Called on an unsorted tuple, each is its own per-tuple oracle
+#: Called on an unsorted tuple, each is its own per-tuple oracle.  Only the
+#: NEUTRAL ones keep their verdicts when the candidates are relabeled, as
+#: ``count_accepted`` also requires; the others test ``_count_slice`` alone
 COLLIDING_RULES = {
     "or-top": (_top_bit, FoldRule(functools.partial(_at_most, 2))),
     "or-no-low-top": (_top_bit, FoldRule(functools.partial(_avoiding, 0b110))),
@@ -312,28 +314,35 @@ COLLIDING_RULES = {
     "rising-parity": (_top_two_parity, MultisetRule(_rising)),
     "distinct-rankings": (tuple, MultisetRule(_distinct)),
 }
+NEUTRAL = ("distinct-rankings", "distinct-tops", "or-top")
 
 
 @pytest.mark.parametrize("name", sorted(COLLIDING_RULES))
 def test_shares_of_colliding_rules_sum_to_the_solo_count(name):
-    # at m = 2 there are more shares than first rankings
+    # a share walks the n - 1 voters after a first one fixed to one
+    # permutation of the least signature, so the shares times that
+    # signature's weight count every tuple whose first voter holds it;
+    # at m = 2 there are more shares than prefixes
     signature, rule = COLLIDING_RULES[name]
     verdicts = set()
     for m in (2, 3, 4):
         table = [signature(values) for values in permutations(range(1, m + 1))]
+        counts = Counter(table)
+        sigs = sorted(counts)
+        weights = [counts[s] for s in sigs]
         for n in range(1, 5):
             if m == 4 and n == 4:
                 continue
             oracle = [rule(tup) for tup in product(table, repeat=n)]
             verdicts.update(oracle)
-            solo = count_accepted(m, n, signature, rule)
-            assert solo == sum(oracle), (name, m, n)
-            counts = Counter(table)
-            sigs = sorted(counts)
-            weights = [counts[s] for s in sigs]
+            if name in NEUTRAL:
+                assert count_accepted(m, n, signature, rule) == sum(oracle), (name, m, n)
+            if n == 1:
+                continue
+            first = sum(rule(tup) for tup in product(table, repeat=n) if tup[0] == sigs[0])
             for jobs in range(1, 5):
-                shares = [_count_slice((n, sigs, weights, rule, i, jobs)) for i in range(jobs)]
-                assert sum(shares) == solo, (name, m, n, jobs)
+                shares = [_count_slice((n - 1, sigs, weights, rule, i, jobs)) for i in range(jobs)]
+                assert weights[0] * sum(shares) == first, (name, m, n, jobs)
     assert verdicts == {True, False}, name
 
 
@@ -345,17 +354,21 @@ def test_colliding_rule_counts_the_same_through_the_worker_pool():
 
 
 def test_one_voter_starts_no_pool(monkeypatch):
-    # at n = 1 the walk has one prefix, the empty one, so it runs in process
+    # at n = 1 the count reads the first voter alone, and at n = 2 the walk
+    # over the voters after the first has one prefix, the empty one, so
+    # both run in process
     import concurrent.futures
 
-    solo = {name: count_accepted(4, 1, signature, rule) for name, (signature, rule) in COLLIDING_RULES.items()}
+    rules = [COLLIDING_RULES[name] for name in NEUTRAL]
+    solo = [count_accepted(4, n, signature, rule) for signature, rule in rules for n in (1, 2)]
+    brute = [brute_force_count(4, n, recognizer).count for recognizer in DOMAINS.values() for n in (1, 2)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a pool started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    for name, (signature, rule) in COLLIDING_RULES.items():
-        assert count_accepted(4, 1, signature, rule, jobs=3) == solo[name], name
+    assert [count_accepted(4, n, signature, rule, jobs=3) for signature, rule in rules for n in (1, 2)] == solo
+    assert [brute_force_count(4, n, recognizer, jobs=3).count for recognizer in DOMAINS.values() for n in (1, 2)] == brute
 
 
 def test_colliding_combine_counts_the_same_through_the_worker_pool():
@@ -407,10 +420,33 @@ def test_combine_gives_a_tuple_the_verdict_of_its_sorted_tuple(domain):
     assert seen == {True, False}, domain
 
 
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_relabeling_the_candidates_keeps_every_verdict(domain):
+    # the count fixes the first voter, which is exact only for a neutral
+    # domain.  A transposition and an m-cycle generate S_m, so a verdict
+    # that both keep, every relabeling keeps
+    recognizer = DOMAINS[domain]
+    seen = set()
+    for m, n in SMALL_CELLS:
+        if m < 2:
+            continue
+        rule = recognizer.rule(m)
+        relabelings = [(2, 1, *range(3, m + 1)), (*range(2, m + 1), 1)]
+        for e in all_elections(m, n):
+            verdict = recognizer(e).holds
+            seen.add(verdict)
+            for sigma in relabelings:
+                relabeled = [tuple(sigma[c - 1] for c in order) for order in e.preferences]
+                assert rule(map(recognizer.signature, relabeled)) == verdict, (domain, e, sigma)
+                assert recognizer(Election(m, relabeled)).holds == verdict, (domain, e, sigma)
+    assert seen == {True, False}, domain
+
+
 @pytest.mark.parametrize("domain", MULTISET_DOMAINS)
 def test_walks_run_the_combine_once_per_multiset(domain):
     # C(k + n - 1, n) multisets of n among k distinct signatures, where an
-    # ordered walk would take k ** n tuples
+    # ordered walk would take k ** n tuples; the count fixes the first voter
+    # and takes the C(k + n - 2, n - 1) multisets of the other n - 1
     recognizer = DOMAINS[domain]
     for m, n in [(3, 3), (4, 2), (4, 3)]:
         combine = recognizer.rule(m).combine
@@ -419,7 +455,7 @@ def test_walks_run_the_combine_once_per_multiset(domain):
         k = len({recognizer.signature(order) for order in permutations(range(1, m + 1))})
         want = brute_force_count(m, n, recognizer).count
         assert count_accepted(m, n, recognizer.signature, counted) == want, (domain, m, n)
-        assert len(calls) == len(set(calls)) == math.comb(k + n - 1, n), (domain, m, n)
+        assert len(calls) == len(set(calls)) == math.comb(k + n - 2, n - 1), (domain, m, n)
         calls.clear()
         assert sum(verdicts(m, n, recognizer.signature, counted)) == want, (domain, m, n)
         assert len(calls) == len(set(calls)) == math.comb(k + n - 1, n), (domain, m, n)
@@ -427,8 +463,9 @@ def test_walks_run_the_combine_once_per_multiset(domain):
 
 @pytest.mark.parametrize("domain", FOLDED)
 def test_walk_runs_the_mask_once_per_sorted_prefix(domain):
-    # C(k + n - 2, n - 1) sorted (n-1)-prefixes of k distinct signatures,
-    # where an ordered walk would fold k ** (n - 1) prefixes
+    # with the first voter fixed, C(k + n - 3, n - 2) sorted (n-2)-prefixes
+    # of k distinct signatures, where an ordered walk would fold k ** (n - 1)
+    # prefixes
     recognizer = DOMAINS[domain]
     for m, n in [(3, 3), (4, 2), (4, 3), (3, 4)]:
         mask = recognizer.rule(m).mask
@@ -437,7 +474,7 @@ def test_walk_runs_the_mask_once_per_sorted_prefix(domain):
         k = len({recognizer.signature(order) for order in permutations(range(1, m + 1))})
         want = brute_force_count(m, n, recognizer).count
         assert count_accepted(m, n, recognizer.signature, counted) == want, (domain, m, n)
-        assert len(states) == math.comb(k + n - 2, n - 1), (domain, m, n)
+        assert len(states) == math.comb(k + n - 3, n - 2), (domain, m, n)
 
 
 @pytest.mark.parametrize(
@@ -480,7 +517,8 @@ def test_signature_runs_once_per_permutation_and_share(domain):
 
 def test_workers_are_capped_at_the_prefix_count(monkeypatch):
     # em ranks every 3-candidate ranking alike (one distinct signature, so
-    # one prefix at n = 2), and medium has three distinct signatures at m = 3
+    # one prefix of the voters after the first at n = 3), and medium has
+    # three distinct signatures at m = 3
     import concurrent.futures
 
     started = []
@@ -499,11 +537,11 @@ def test_workers_are_capped_at_the_prefix_count(monkeypatch):
             return map(fn, iterable)
 
     em, medium = DOMAINS["em"], DOMAINS["medium"]
-    solo = [count_accepted(3, 2, d.signature, d.rule(3)) for d in (em, medium)]
+    solo = [count_accepted(3, 3, d.signature, d.rule(3)) for d in (em, medium)]
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    assert count_accepted(3, 2, em.signature, em.rule(3), jobs=6) == solo[0]
+    assert count_accepted(3, 3, em.signature, em.rule(3), jobs=6) == solo[0]
     assert started == []
-    assert count_accepted(3, 2, medium.signature, medium.rule(3), jobs=6) == solo[1]
+    assert count_accepted(3, 3, medium.signature, medium.rule(3), jobs=6) == solo[1]
     assert len(started) == 1 and 1 < started[0] <= 3
 
 
