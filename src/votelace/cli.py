@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True, help="number of voters")
     p_count.add_argument("--domain", required=True, choices=sorted(domains.DOMAINS))
     p_count.add_argument("--method", required=True, choices=["brute", "recurrence", "formula"])
-    p_count.add_argument("--jobs", type=int, default=1, help="workers for partitioned enumeration")
+    p_count.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; counts run in process")
     p_count.add_argument("--guard", type=int, default=None, help="override the brute-force call guard")
 
     p_contains = sub.add_parser("contains", help="containment queries")
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--pi", required=True, help='"single-crossing" or a pair-pattern file')
     p_bound.add_argument("--pair-cap", type=int, default=DEFAULT_MAX_M, help="cap on pair enumeration size")
-    p_bound.add_argument("--jobs", type=int, default=1)
+    p_bound.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; bounds run in process")
 
     return parser
 
@@ -77,16 +77,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.guard is not None and args.guard < 1:
         raise ValueError(f"the brute-force guard must be positive, got {args.guard}")
     if args.m < 1:
         raise ValueError("an election needs at least one candidate")
     if args.method == "brute":
         report = enumeration.brute_force_count(
-            args.m, args.n, domains.DOMAINS[args.domain], label=args.domain,
-            guard=args.guard, jobs=args.jobs,
+            args.m, args.n, domains.DOMAINS[args.domain], label=args.domain, guard=args.guard
         )
     elif args.domain != "enriched":
         raise ValueError(f"--method {args.method} is only available for --domain enriched")
@@ -163,7 +160,7 @@ def cmd_contains(args) -> int:
 def cmd_verify(args) -> int:
     from votelace import verify
 
-    result = verify.run_suite(args.suite, seed=args.seed, jobs=args.jobs)
+    result = verify.run_suite(args.suite, seed=args.seed)
     for line in result.info:
         print(line)
     for failure in result.failures:
@@ -174,9 +171,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    # --jobs is checked and otherwise ignored: the pair count runs in process
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.pi == "single-crossing":
         pi_set = enumeration.single_crossing_pair_patterns()
         label = "bound:single-crossing"
@@ -199,6 +193,10 @@ def main(argv=None) -> int:
         "bound": cmd_bound,
     }
     try:
+        # count, verify and bound check --jobs and otherwise ignore it:
+        # every command runs in process
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         return handlers[args.command](args)
     except (ParseError, GuardExceeded, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,12 +19,12 @@ order of the voters does not matter.  For the other three it is a
 tuple; the witness searches call the combine itself.
 The recognizer checks the cap, runs ``rule(m)`` on its voters' signatures
 and, when that fails, returns a verdict with a lazy witness; exhaustive
-counting and the verification suites compute the m! signatures once and
-build no election, and a count fixes the first voter, tests each multiset
-of the other voters' distinct signatures once and multiplies by m!, as
-:func:`votelace.perms.count_accepted` describes.  Per-ranking masks that
-cost more than a lookup, the packed signatures among them, are cached on
-the ranking, and each fold rule once per number of candidates.
+counting and the verification suites compute the m! signatures once, in
+process, and build no election, and a count fixes the first voter, tests
+each multiset of the other voters' distinct signatures once and multiplies
+by m!, as :func:`votelace.perms.count_accepted` describes.  Per-ranking
+masks that cost more than a lookup, the packed signatures among them, are
+cached on the ranking, and each fold rule once per number of candidates.
 
 * medium, em, group-separable-bh, enriched and single-peaked share one
   signature layout, each deciding its domain by forbidden configurations:

@@ -106,7 +106,6 @@ def brute_force_count(
     recognizer: Callable[[Election], object],
     label: Optional[str] = None,
     guard: Optional[int] = None,
-    jobs: int = 1,
 ) -> CountReport:
     """Count the (m,n)-elections accepted by ``recognizer``, exhaustively.
 
@@ -120,10 +119,8 @@ def brute_force_count(
     m!.  Every domain is voter-symmetric, so the rule tests each distinct
     multiset of the other voters' signatures once, counted with the number
     of elections that share it.  Nothing is pruned and no fold state is
-    merged, so the count is brute force.  With ``jobs > 1`` the work is
-    partitioned into shares that merge by addition, so the result is
-    independent of the worker count; no pool starts at n <= 2.  A
-    ``guard`` or ``jobs`` below 1 raises ``ValueError``.
+    merged, so the count is brute force.  It runs in the calling process.
+    A ``guard`` below 1 raises ``ValueError``.
     """
     if label is None:
         label = getattr(recognizer, "__name__", "recognizer")
@@ -139,7 +136,7 @@ def brute_force_count(
     total = math.factorial(m) ** n
     if total > guard:
         raise GuardExceeded(f"(m!)^n = {total} elections at (m,n)=({m},{n}) exceeds the guard {guard}")
-    count = count_accepted(m, n, recognizer.signature, recognizer.rule(m), jobs)
+    count = count_accepted(m, n, recognizer.signature, recognizer.rule(m))
     return CountReport(m, n, label, count, "brute-force")
 
 

@@ -354,9 +354,14 @@ def contains_configuration(host, cfg):
 def fits_axis(order, axis_pos):
     """True iff every prefix of the ranking ``order`` is an interval of the axis.
 
-    ``axis_pos[c-1]`` is the axis position of candidate c.
+    ``axis_pos[c-1]`` is the axis position of candidate c.  An order that is
+    not a permutation of 1..len(order), or an axis shorter than the order,
+    raises ``ValueError``.
     """
     _refuse_long(order, axis_pos)
+    _check_rankings((order,), len(order))
+    if len(axis_pos) < len(order):
+        raise ValueError(f"axis of {len(axis_pos)} positions is shorter than the order {order}")
     if len(order) <= 1:
         return True
     lo = hi = axis_pos[order[0] - 1]

@@ -10,6 +10,7 @@ shifts its indices.  :func:`count_accepted` and :func:`verdicts` walk the
 n-tuples of permutations through a per-permutation signature and a
 :class:`FoldRule` or :class:`MultisetRule`: :func:`verdicts` every tuple,
 and :func:`count_accepted` only those of one first permutation, times m!.
+Both walk in the calling process.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import operator
 from collections import Counter
 from functools import reduce
-from itertools import chain, combinations_with_replacement, compress, islice, product, repeat
+from itertools import chain, combinations_with_replacement, compress, product, repeat
 from itertools import permutations as _itertools_permutations
 from typing import Callable, Iterable, Iterator
 
@@ -205,9 +206,7 @@ class FoldRule:
 
     The signatures of every voter but the last are ORed into ``state``,
     from 0; the tuple is accepted iff the last signature misses
-    ``mask(state)``, and calling the rule on the signatures tests them.  For
-    a count with ``jobs > 1``, ``mask`` must be a module-level function or a
-    ``partial`` of one, so that the rule pickles.
+    ``mask(state)``, and calling the rule on the signatures tests them.
     """
 
     __slots__ = ("mask",)
@@ -232,9 +231,7 @@ class MultisetRule:
 
     Calling the rule sorts the signatures and passes the sorted tuple to
     ``combine``, so no verdict can depend on which voter holds which
-    signature.  The signatures must be mutually orderable.  For a count with
-    ``jobs > 1``, ``combine`` must be a module-level function, so that the
-    rule pickles.
+    signature.  The signatures must be mutually orderable.
     """
 
     __slots__ = ("combine",)
@@ -283,7 +280,7 @@ def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> 
     return chain.from_iterable(map(test.accepted, product(table, repeat=n - 1), repeat(table)))
 
 
-def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool], jobs: int = 1) -> int:
+def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> int:
     """Number of n-tuples of permutations of 1..m whose signatures pass ``test``.
 
     ``test`` must be voter-symmetric: its verdict may depend only on the
@@ -305,14 +302,8 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     step per sorted (n-2)-prefix, then one C-level pass of ``test.accepted``
     over the last signatures, none below the prefix's largest.  It counts
     each accepted multiset with its multinomial coefficient times the
-    product of its signatures' weights.  With ``jobs > 1`` the prefixes are
-    partitioned into one share per worker, and no more workers start than
-    there are prefixes, so none at n <= 2 (at n = 1 nothing is walked, and
-    at n = 2 the only prefix is empty): worker i of J takes the prefixes at
-    positions i, i + J, ...  Each share gets the sorted signatures and
-    their weights, so only ``test`` must then pickle.  Partial counts merge
-    by addition, so the result is independent of the worker count.
-    ``jobs`` or ``n`` below 1 raises ``ValueError``, and a test of neither
+    product of its signatures' weights.  The walk runs in the calling
+    process.  ``n`` below 1 raises ``ValueError``, and a test of neither
     kind ``TypeError``.  The callers guard the size.
 
     >>> count_accepted(3, 2, tuple, MultisetRule(lambda pair: pair[0] < pair[1]))
@@ -321,46 +312,29 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     24
     """
     _check_walk(n, test)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     counts = Counter(map(signature, _itertools_permutations(range(1, m + 1))))
     sigs = sorted(counts)
     if n == 1:
         return math.factorial(m) * test(sigs[:1])
-    weights = [counts[s] for s in sigs]
+    # each head is ``sigs[0]`` followed by a sorted prefix of the other
+    # voters, so it is sorted.  A prefix with multiplicities c gives
+    # (others-1)! / prod(c!) orderings; appending signature s, which the
+    # prefix holds c_s times, multiplies that by others / (c_s + 1), and c_s
+    # is 0 for every last signature but the prefix's largest
     others = n - 1
-    jobs = min(jobs, math.comb(len(sigs) + others - 2, others - 1))
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            count = sum(pool.map(_count_slice, ((others, sigs, weights, test, i, jobs) for i in range(jobs))))
-    else:
-        count = _count_slice((others, sigs, weights, test, 0, 1))
-    return math.factorial(m) * count
-
-
-def _count_slice(args) -> int:
-    # the n-tuples of permutations that ``test`` accepts after a first voter
-    # fixed to one permutation of signature ``sigs[0]``, over the sorted
-    # (n-1)-prefixes at positions congruent to ``share`` modulo ``shares``;
-    # ``weights[i]`` permutations have signature ``sigs[i]``.  Each head is
-    # ``sigs[0]`` followed by a prefix, so it is sorted.  A prefix with
-    # multiplicities c gives (n-1)! / prod(c!) orderings; appending
-    # signature s, which the prefix holds c_s times, multiplies that by
-    # n / (c_s + 1), and c_s is 0 for every last signature but the prefix's
-    # largest
-    n, sigs, weights, test, share, shares = args
-    factorials = [math.factorial(c) for c in range(n)]
+    weights = [counts[s] for s in sigs]
+    factorials = [math.factorial(c) for c in range(others)]
     first = (sigs[0],)
-    prefixes = zip(combinations_with_replacement(range(len(sigs)), n - 1), combinations_with_replacement(sigs, n - 1))
+    prefixes = zip(
+        combinations_with_replacement(range(len(sigs)), others - 1), combinations_with_replacement(sigs, others - 1)
+    )
     total = 0
-    for index, prefix in islice(prefixes, share, None, shares):
+    for index, prefix in prefixes:
         low = index[-1] if index else 0
-        orderings = factorials[n - 1] // math.prod(map(factorials.__getitem__, map(index.count, set(index))))
-        scale = n * orderings * math.prod(map(weights.__getitem__, index))
+        orderings = factorials[others - 1] // math.prod(map(factorials.__getitem__, map(index.count, set(index))))
+        scale = others * orderings * math.prod(map(weights.__getitem__, index))
         accepted = test.accepted(first + prefix, sigs[low:])
         if next(accepted):
             total += scale * weights[low] // (index.count(low) + 1)
         total += scale * sum(compress(weights[low + 1 :], accepted))
-    return total
+    return math.factorial(m) * total

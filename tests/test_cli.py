@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import votelace
-from votelace import cli, enumeration, verify
+from votelace import cli, domains, enumeration, verify
 from votelace.cli import build_parser, main
 from votelace.enumeration import MAX_COUNT_BITS, enriched_count
 
@@ -186,6 +186,27 @@ class TestCount:
             "--jobs", "2",
         )
         assert solo == duo
+
+    def test_jobs_start_no_pool_and_leave_stdout_unchanged(self, capsys, monkeypatch):
+        # every command runs in process: with process pools refused, --jobs 4
+        # prints byte for byte what --jobs 1 prints, for every domain at one,
+        # two and three voters, and for verify and bound
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        commands = [
+            ("count", "--m", "4", "--n", n, "--domain", domain, "--method", "brute")
+            for domain in sorted(domains.DOMAINS)
+            for n in ("1", "2", "3")
+        ]
+        commands += [("verify", "--suite", "bound3"), ("bound", "--m", "4", "--n", "3", "--pi", "single-crossing")]
+        for argv in commands:
+            solo = run(capsys, *argv, "--jobs", "1")
+            assert solo[0] == 0 and solo[1], argv
+            assert run(capsys, *argv, "--jobs", "4") == solo, argv
 
 
 class TestContains:
@@ -439,9 +460,10 @@ def test_module_entry_point_exit_codes(tmp_path):
 
 
 #: modules no command needs at start-up: _digits imports decimal for a wide
-#: count, count_accepted the process pool for --jobs > 1, CountReport.to_json
-#: json, and the verify command votelace.verify; the records are plain
-#: classes, so nothing imports dataclasses, or inspect through it
+#: count, CountReport.to_json json, and the verify command votelace.verify;
+#: the records are plain classes, so nothing imports dataclasses, or inspect
+#: through it; every command runs in process, so none imports
+#: concurrent.futures
 DEFERRED = ("concurrent.futures", "dataclasses", "decimal", "inspect", "json", "votelace.verify")
 
 
@@ -459,10 +481,10 @@ def test_start_up_imports_none_of_the_deferred_modules():
 HELP_DIGESTS = {
     "": "835633681ca914c05fddd47ae4efde4160badcbdca6e5e26690c0a829826e79a",
     "check": "09825fa4f671d855796d29fea76eaa0da42209ff227c504a42fadb7dae614e28",
-    "count": "c151faf9a21c7157cbacac6264b464ad39cad83b889ab35dd267f1309ca9094c",
+    "count": "5a40ae93e0082fae460b6d7571f5c0ee0389eef11a088548a7316f8db4f4cb17",
     "contains": "a40fe2c56c41a56e80c38099d27549274284d71cd3b64f45d8e7960b356de048",
     "verify": "714566f7edabf2d6efab9972a2f0b220ca6cdb54397a768b9d4caa29ab629b0f",
-    "bound": "5b96d2d790f4e45dcb92db0009dde2a5e4160091a05dd65d97a4156df464fec1",
+    "bound": "559944e53c115fe5d0a7d8efa63c242cd6c2f1148e9ff215fa649c772e517a12",
 }
 
 

@@ -161,10 +161,8 @@ class TestBruteForce:
         assert report.label == "is_enriched_group_separable"
 
     def test_label_override_and_jobs(self):
-        solo = brute_force_count(3, 2, is_enriched_group_separable, label="enriched")
-        duo = brute_force_count(3, 2, is_enriched_group_separable, label="enriched", jobs=2)
-        assert solo == duo
-        assert solo.count == 36
+        report = brute_force_count(3, 2, is_enriched_group_separable, label="enriched")
+        assert (report.label, report.count) == ("enriched", 36)
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

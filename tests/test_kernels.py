@@ -107,6 +107,24 @@ def test_malformed_input_is_refused_as_the_stream_refuses_it():
     assert outcomes == {True, False, "components", "not"}
 
 
+def test_fits_axis_refuses_malformed_input_before_reading_it():
+    # an order that is not a permutation of 1..len(order) would be read at
+    # axis_pos[-1] or past the axis's end, as would an axis shorter than the
+    # order; a longer axis is read at the order's candidates only
+    cases = [
+        (((1, 0), (0, 1)), "ValueError: not a permutation of 1..2: (1, 0)"),
+        (((1, 1), (0, 1)), "ValueError: not a permutation of 1..2: (1, 1)"),
+        (((2, 3), (0, 1, 2)), "ValueError: not a permutation of 1..2: (2, 3)"),
+        (((1, 2, 3), (0, 1)), "ValueError: axis of 2 positions is shorter than the order (1, 2, 3)"),
+        (((2, 1), (0, 1)), True),
+        (((1, 2), (1, 0, 2)), True),
+        (((1, 2), (0, 2, 1)), False),
+        (((1,), (4, 0, 1, 2, 3)), True),
+    ]
+    for args, want in cases:
+        assert _outcome(kernels.fits_axis, *args) == want, args
+
+
 def test_configuration_keys_refuse_past_the_cap():
     # the key route of elections refuses a host with more than 32 voters or
     # candidates, as the search does, and decides one with at most 32

@@ -4,7 +4,6 @@ import functools
 import math
 import operator
 import random
-from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -15,7 +14,7 @@ from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _medium_sig, _peak
 from votelace.elections import Election, all_elections
 from votelace.enumeration import brute_force_count, enriched_count
 from votelace.errors import GuardExceeded
-from votelace.perms import FoldRule, MultisetRule, _count_slice, count_accepted, verdicts
+from votelace.perms import FoldRule, MultisetRule, count_accepted, verdicts
 
 SMALL_CELLS = [
     (m, n) for m in range(1, 9) for n in range(1, 7) if math.factorial(m) ** n <= 20_000
@@ -28,15 +27,6 @@ def test_count_matches_recognizing_every_election(domain):
     for m, n in SMALL_CELLS:
         oracle = sum(recognizer(e).holds for e in all_elections(m, n))
         assert brute_force_count(m, n, recognizer).count == oracle, (domain, m, n)
-
-
-def test_jobs_split_gives_the_same_count():
-    # one share per worker; at m = 1 and m = 2 there are more workers asked
-    # for than prefixes, and at n = 1 no voter after the first is walked
-    for m, n, jobs in [(3, 3, 2), (1, 3, 2), (2, 3, 3), (2, 2, 5), (4, 1, 3)]:
-        for domain, recognizer in DOMAINS.items():
-            solo = brute_force_count(m, n, recognizer).count
-            assert brute_force_count(m, n, recognizer, jobs=jobs).count == solo, (domain, m, n, jobs)
 
 
 @pytest.mark.parametrize("m, n", [(2, 7), (9, 1)])
@@ -155,11 +145,6 @@ def test_folded_counts_match_pins(domain):
     for (m, n), want in PINNED_COUNTS[domain].items():
         report = brute_force_count(m, n, DOMAINS[domain])
         assert (report.count, report.method) == (want, "brute-force"), (domain, m, n)
-
-
-def test_folded_jobs_split_gives_the_same_count():
-    for domain in FOLDED:
-        assert brute_force_count(4, 3, DOMAINS[domain], jobs=2).count == PINNED_COUNTS[domain][4, 3], domain
 
 
 @pytest.mark.parametrize("m, n, want", [(4, 4, 53_952), (5, 3, 285_600), (6, 2, 720 * 394)])
@@ -305,7 +290,8 @@ def _rising(sigs) -> bool:
 #: one parity), and each multiset rule runs its combine on the sorted tuple.
 #: Called on an unsorted tuple, each is its own per-tuple oracle.  Only the
 #: NEUTRAL ones keep their verdicts when the candidates are relabeled, as
-#: ``count_accepted`` also requires; the others test ``_count_slice`` alone
+#: ``count_accepted`` also requires; the others test its walk after the
+#: fixed first voter alone
 COLLIDING_RULES = {
     "or-top": (_top_bit, FoldRule(functools.partial(_at_most, 2))),
     "or-no-low-top": (_top_bit, FoldRule(functools.partial(_avoiding, 0b110))),
@@ -319,63 +305,39 @@ NEUTRAL = ("distinct-rankings", "distinct-tops", "or-top")
 
 @pytest.mark.parametrize("name", sorted(COLLIDING_RULES))
 def test_shares_of_colliding_rules_sum_to_the_solo_count(name):
-    # a share walks the n - 1 voters after a first one fixed to one
-    # permutation of the least signature, so the shares times that
-    # signature's weight count every tuple whose first voter holds it;
-    # at m = 2 there are more shares than prefixes
+    # the walk counts the n - 1 voters after a first one fixed to one
+    # permutation of the least signature, times m!; so, neutral or not, the
+    # count over m! times that signature's weight counts every tuple whose
+    # first voter holds it
     signature, rule = COLLIDING_RULES[name]
     verdicts = set()
     for m in (2, 3, 4):
         table = [signature(values) for values in permutations(range(1, m + 1))]
-        counts = Counter(table)
-        sigs = sorted(counts)
-        weights = [counts[s] for s in sigs]
+        least = min(table)
         for n in range(1, 5):
             if m == 4 and n == 4:
                 continue
             oracle = [rule(tup) for tup in product(table, repeat=n)]
             verdicts.update(oracle)
+            count = count_accepted(m, n, signature, rule)
             if name in NEUTRAL:
-                assert count_accepted(m, n, signature, rule) == sum(oracle), (name, m, n)
-            if n == 1:
-                continue
-            first = sum(rule(tup) for tup in product(table, repeat=n) if tup[0] == sigs[0])
-            for jobs in range(1, 5):
-                shares = [_count_slice((n - 1, sigs, weights, rule, i, jobs)) for i in range(jobs)]
-                assert weights[0] * sum(shares) == first, (name, m, n, jobs)
+                assert count == sum(oracle), (name, m, n)
+            first = sum(rule(tup) for tup in product(table, repeat=n) if tup[0] == least)
+            assert count * table.count(least) == math.factorial(m) * first, (name, m, n)
     assert verdicts == {True, False}, name
 
 
-def test_colliding_rule_counts_the_same_through_the_worker_pool():
-    # the three voters' tops take at most two values: 4^3 - 4 * 3 * 2 = 40
-    # of the 64 top triples
-    signature, rule = COLLIDING_RULES["or-top"]
-    assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == 24**3 * 5 // 8
-
-
-def test_one_voter_starts_no_pool(monkeypatch):
-    # at n = 1 the count reads the first voter alone, and at n = 2 the walk
-    # over the voters after the first has one prefix, the empty one, so
-    # both run in process
-    import concurrent.futures
-
-    rules = [COLLIDING_RULES[name] for name in NEUTRAL]
-    solo = [count_accepted(4, n, signature, rule) for signature, rule in rules for n in (1, 2)]
-    brute = [brute_force_count(4, n, recognizer).count for recognizer in DOMAINS.values() for n in (1, 2)]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    assert [count_accepted(4, n, signature, rule, jobs=3) for signature, rule in rules for n in (1, 2)] == solo
-    assert [brute_force_count(4, n, recognizer, jobs=3).count for recognizer in DOMAINS.values() for n in (1, 2)] == brute
-
-
-def test_colliding_combine_counts_the_same_through_the_worker_pool():
-    # the three voters' tops, or their rankings, differ
-    for name, want in [("distinct-tops", 24**3 * 3 // 8), ("distinct-rankings", 24 * 23 * 22)]:
+def test_colliding_rules_count_their_closed_forms():
+    # or-top: the three voters' tops take at most two values, 4^3 - 4 * 3 * 2
+    # = 40 of the 64 top triples; the others: the three voters' tops, or
+    # their rankings, differ
+    for name, want in [
+        ("or-top", 24**3 * 5 // 8),
+        ("distinct-tops", 24**3 * 3 // 8),
+        ("distinct-rankings", 24 * 23 * 22),
+    ]:
         signature, rule = COLLIDING_RULES[name]
-        assert count_accepted(4, 3, signature, rule, jobs=2) == count_accepted(4, 3, signature, rule) == want, name
+        assert count_accepted(4, 3, signature, rule) == want, name
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -496,9 +458,8 @@ def test_multiset_walk_counts_cells_past_the_small_ones(domain, m, n, want):
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_signature_runs_once_per_permutation_and_share(domain):
-    # the signatures are computed once, in process, whatever the number of
-    # shares: ``counted`` is a closure, which no worker could unpickle, and
-    # its calls are recorded in this process only
+    # the signatures are computed once per count, in process: ``counted`` is
+    # a closure, and its calls are recorded in this process only
     recognizer = DOMAINS[domain]
     calls = []
 
@@ -509,40 +470,9 @@ def test_signature_runs_once_per_permutation_and_share(domain):
     for m, n in [(1, 3), (3, 1), (3, 3), (4, 2)]:
         rule = recognizer.rule(m)
         want = count_accepted(m, n, recognizer.signature, rule)
-        for jobs in (1, 2, 5):
-            calls.clear()
-            assert count_accepted(m, n, counted, rule, jobs) == want, (domain, m, n, jobs)
-            assert sorted(calls) == sorted(permutations(range(1, m + 1))), (domain, m, n, jobs)
-
-
-def test_workers_are_capped_at_the_prefix_count(monkeypatch):
-    # em ranks every 3-candidate ranking alike (one distinct signature, so
-    # one prefix of the voters after the first at n = 3), and medium has
-    # three distinct signatures at m = 3
-    import concurrent.futures
-
-    started = []
-
-    class Recording:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    em, medium = DOMAINS["em"], DOMAINS["medium"]
-    solo = [count_accepted(3, 3, d.signature, d.rule(3)) for d in (em, medium)]
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    assert count_accepted(3, 3, em.signature, em.rule(3), jobs=6) == solo[0]
-    assert started == []
-    assert count_accepted(3, 3, medium.signature, medium.rule(3), jobs=6) == solo[1]
-    assert len(started) == 1 and 1 < started[0] <= 3
+        calls.clear()
+        assert count_accepted(m, n, counted, rule) == want, (domain, m, n)
+        assert sorted(calls) == sorted(permutations(range(1, m + 1))), (domain, m, n)
 
 
 # ---------------------------------------------------------------------------
