@@ -327,15 +327,29 @@ def test_shares_of_colliding_rules_sum_to_the_solo_count(name):
     assert verdicts == {True, False}, name
 
 
-def test_colliding_rules_count_their_closed_forms():
-    # or-top: the three voters' tops take at most two values, 4^3 - 4 * 3 * 2
-    # = 40 of the 64 top triples; the others: the three voters' tops, or
-    # their rankings, differ
-    for name, want in [
-        ("or-top", 24**3 * 5 // 8),
-        ("distinct-tops", 24**3 * 3 // 8),
-        ("distinct-rankings", 24 * 23 * 22),
-    ]:
+def _refuse_pools(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+def test_colliding_rule_counts_the_same_through_the_worker_pool(monkeypatch):
+    # the count once split over a worker pool now runs in process, and
+    # starts none; the three voters' tops take at most two values:
+    # 4^3 - 4 * 3 * 2 = 40 of the 64 top triples
+    _refuse_pools(monkeypatch)
+    signature, rule = COLLIDING_RULES["or-top"]
+    assert count_accepted(4, 3, signature, rule) == 24**3 * 5 // 8
+
+
+def test_colliding_combine_counts_the_same_through_the_worker_pool(monkeypatch):
+    # in process, with pools refused: the three voters' tops, or their
+    # rankings, differ
+    _refuse_pools(monkeypatch)
+    for name, want in [("distinct-tops", 24**3 * 3 // 8), ("distinct-rankings", 24 * 23 * 22)]:
         signature, rule = COLLIDING_RULES[name]
         assert count_accepted(4, 3, signature, rule) == want, name
 
