@@ -49,9 +49,10 @@ cached on the ranking, and each fold rule once per number of candidates.
   field wherever the other is set.  enriched is medium-restriction plus the
   em condition, which is pairwise avoidance of the four enriched patterns;
 * group-separable (direct): the signature is the ranking up to reversal,
-  m!/2 of them; per subset size, one segment per subset holds the
-  bipartitions a ranking keeps apart, and the AND over the voters leaves a
-  segment empty exactly for a subset no split serves;
+  m!/2 of them; the rule splits the candidates along a block that every
+  voter ranks entirely above or entirely below the rest and recurses into
+  both halves, and the witness is the first subset, smallest first, that
+  has no such block;
 * enriched-recursive: the signature is the ranking up to reversal, which
   the domain is closed under; the combine is the recursive characterization;
 * single-crossing: one bit per candidate pair, set when the ranking puts the
@@ -78,7 +79,7 @@ from __future__ import annotations
 from functools import lru_cache, partial, reduce, wraps
 from itertools import combinations, permutations, product
 from math import comb
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Optional, Sequence
 
 from votelace.elections import Election, _pair_perm_values, _rank_vector, _restricted, sub_election
@@ -357,36 +358,62 @@ def is_medium_restricted(e: Election, sigs: tuple) -> Witness:
 # group-separability, direct definition
 
 
-def _first_unsplit(orders: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, int]]:
-    # (size, j): the first subset, in scan order, that no bipartition splits
-    # for every voter.  Every 2-subset splits, so the scan starts at size 3;
-    # sizes go up one at a time so that a failing election stops at the
-    # first size that fails
+# bounded, since a key holds a candidate subset: 2^m keys per ranking.  The
+# bh-equivalence suite's sampled (5,4) elections read 399 keys
+@lru_cache(maxsize=1 << 10)
+def _ends(order: tuple[int, ...], members: int) -> int:
+    """The candidate sets (bit c - 1 for candidate c) that this ranking puts
+    entirely above or entirely below the rest of ``members``: the prefixes of
+    the ranking restricted to ``members`` and their complements, as one int
+    with bit S set for each such set S."""
+    ends = 1 | 1 << members  # the empty prefix and the whole
+    prefix = 0
+    for c in order:
+        if members >> c - 1 & 1:
+            prefix |= 1 << c - 1
+            ends |= 1 << prefix | 1 << (members ^ prefix)
+    return ends
+
+
+def _blocks(orders: tuple[tuple[int, ...], ...], members: int) -> int:
+    # the proper nonempty subsets of members (as _ends sets their bits) that
+    # every voter ranks entirely above or entirely below the rest
+    return reduce(and_, [_ends(order, members) for order in orders]) & ~(1 | 1 << members)
+
+
+def _separable(orders: tuple[tuple[int, ...], ...], members: int) -> bool:
+    # True iff every subset of members of size >= 3 has a block.  Any block
+    # B will do: members passes iff B and the rest do, since subsets of a
+    # passing set pass and a subset meeting both splits along them
+    if members.bit_count() <= 2:
+        return True
+    blocks = _blocks(orders, members)
+    if not blocks:
+        return False
+    block = (blocks & -blocks).bit_length() - 1
+    return _separable(orders, block) and _separable(orders, members ^ block)
+
+
+def _first_unsplit(orders: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, ...]]:
+    # the first candidate subset, by size and then in _subsets order, that no
+    # block splits for every voter.  Every 2-subset splits
     m = len(orders[0])
     for size in range(3, m + 1):
-        common = -1
-        for order in orders:
-            common &= _split_mask(order, size)
-        # fold each segment's bits down onto its lowest bit
-        width = 1 << (size - 1)
-        shift = 1
-        while shift < width:
-            common |= common >> shift
-            shift <<= 1
-        empty = _segment_lows(m, size) & ~common
-        if empty:
-            return size, ((empty & -empty).bit_length() - 1) >> (size - 1)
+        for subset in _subsets(m, size):
+            if not _blocks(orders, sum(1 << c - 1 for c in subset)):
+                return subset
     return None
 
 
 def _group_separable_accepts(orders) -> bool:
-    return _first_unsplit(tuple(orders)) is None
+    orders = tuple(orders)
+    return _separable(orders, (1 << len(orders[0])) - 1)
 
 
 def _up_to_reversal(order: tuple[int, ...]) -> tuple[int, ...]:
-    # min(order, order[::-1]), read off the ends.  A ranking and its reverse
-    # keep the same bipartitions apart, and no other two rankings do; the
-    # enriched domain is closed under reversing a voter
+    # min(order, order[::-1]), read off its first and last entries.  A
+    # ranking and its reverse put the same sets above the rest, and no other
+    # two rankings do; the enriched domain is closed under reversing a voter
     return order if order[0] < order[-1] else order[::-1]
 
 
@@ -394,55 +421,7 @@ def _up_to_reversal(order: tuple[int, ...]) -> tuple[int, ...]:
 def is_group_separable_direct(e: Election, sigs: tuple) -> Witness:
     """Every candidate subset of size >= 2 splits into two blocks that each
     voter ranks entirely above or entirely below one another."""
-    size, j = _first_unsplit(sigs)
-    return Witness(tuple(range(1, e.num_voters + 1)), _subsets(e.num_candidates, size)[j])
-
-
-@lru_cache(maxsize=None)
-def _segment_lows(m: int, size: int) -> int:
-    # the lowest bit of every subset's segment in a _split_mask
-    width = 1 << (size - 1)
-    return sum(1 << (j * width) for j in range(len(_subsets(m, size))))
-
-
-@lru_cache(maxsize=None)
-def _split_table(m: int, size: int) -> dict:
-    # per subset of this size (in _subsets order), keyed by its candidate
-    # bitmask (bit c - 1 for candidate c): the first bit of its segment in a
-    # _split_mask, and the bits each member, keyed the same way, flips in a
-    # bipartition's key: bit i - 1 for its i-th smallest, all for its smallest
-    width = 1 << (size - 1)
-    flips = (width - 1, *(1 << i for i in range(size - 1)))
-    return {
-        sum(members): (j * width, dict(zip(members, flips)))
-        for j, members in enumerate(combinations([1 << c for c in range(m)], size))
-    }
-
-
-@lru_cache(maxsize=None)
-def _split_mask(order: tuple[int, ...], size: int) -> int:
-    """The bipartitions of each candidate subset of this size that this
-    ranking keeps apart: those cut at a proper prefix of the ranking
-    restricted to the subset.
-
-    Subset j (in _subsets order) owns the 2^(size-1) bits from j * 2^(size-1)
-    on.  An unordered bipartition is keyed by the members other than the
-    subset's smallest (bit i for subset[i + 1]) that share that member's
-    block, so the all-ones key (an empty second block) never occurs.
-    ``combinations`` yields each subset in ranking order, so a prefix grows
-    one member at a time: a member other than the smallest flips its own
-    bit of the key, and the smallest flips them all, since the key then
-    switches from the complement of the prefix to the prefix.
-    """
-    table = _split_table(len(order), size)
-    mask = 0
-    for members in combinations([1 << c - 1 for c in order], size):
-        base, flips = table[sum(members)]
-        key = (1 << (size - 1)) - 1  # the empty prefix: the smallest member lies in the rest
-        for member in members[:-1]:
-            key ^= flips[member]
-            mask |= 1 << (base + key)
-    return mask
+    return Witness(tuple(range(1, e.num_voters + 1)), _first_unsplit(sigs))
 
 
 # ---------------------------------------------------------------------------

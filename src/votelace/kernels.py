@@ -53,10 +53,11 @@ def _refuse_long(*tuples):
 
 
 def _check_rankings(rankings, m):
-    """Raise ``ValueError`` unless each of ``rankings`` is a permutation of 1..m."""
-    ident = list(range(1, m + 1))
+    """Raise ``ValueError`` unless each of ``rankings`` is a permutation of
+    1..m, of ints: neither 1.0 nor ``True`` stands for 1."""
+    ident, ints = list(range(1, m + 1)), {int}
     for values in rankings:
-        if sorted(values) != ident:
+        if not ints.issuperset(map(type, values)) or sorted(values) != ident:
             raise ValueError(f"not a permutation of 1..{m}: {values}")
 
 

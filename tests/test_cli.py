@@ -179,14 +179,6 @@ class TestCount:
         assert (code, out) == (2, "")
         assert "capped at m <= 8, n <= 6" in err
 
-    def test_jobs_leave_the_count_unchanged(self, capsys):
-        _, solo, _ = run(capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute")
-        _, duo, _ = run(
-            capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute",
-            "--jobs", "2",
-        )
-        assert solo == duo
-
     def test_jobs_start_no_pool_and_leave_stdout_unchanged(self, capsys, monkeypatch):
         # every command runs in process: with process pools refused, --jobs 4
         # prints byte for byte what --jobs 1 prints, for every domain at one,

@@ -2,7 +2,7 @@ import ast
 import inspect
 import math
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -28,7 +28,7 @@ from votelace.domains import (
 from votelace.domains import _bh_sig, _em_sig, _enriched_sig, _fields, _medium_sig, _pair_bits, _peak_sig
 from votelace.domains import _masked_trial, _or_rule, _or_touching, _pair_touching, _recursive_accepts, _relabeled_trial
 from votelace.domains import _single_crossing_accepts
-from votelace.domains import _split_mask
+from votelace.domains import _ends, _first_unsplit, _separable
 from votelace.domains import _BOTTOM, _QUAD_ORDERS, _SP_ROWS, _SP_SLOTS, _quad_bits, _triple_bits
 from votelace.elections import Election, _rank_vector, all_elections, sub_election
 from votelace.errors import GuardExceeded
@@ -71,47 +71,65 @@ class TestGroupSeparableDirect:
     def test_split_mask_matches_the_sorting_definition(self):
         for m in range(1, 7):
             for order in permutations(range(1, m + 1)):
-                for size in range(1, m + 1):
-                    assert _split_mask(order, size) == _split_mask_by_sorting(order, size), (order, size)
+                for members in range(1 << m):
+                    assert _ends(order, members) == _ends_by_sorting(order, members), (order, members)
 
     def test_a_ranking_and_its_reverse_keep_the_same_bipartitions_apart(self):
         for m in range(1, 7):
             for order in permutations(range(1, m + 1)):
-                for size in range(1, m + 1):
-                    assert _split_mask(order, size) == _split_mask(order[::-1], size), (order, size)
+                for members in range(1 << m):
+                    assert _ends(order, members) == _ends(order[::-1], members), (order, members)
 
     def test_signature_is_the_ranking_up_to_reversal(self):
-        # m!/2 signatures, and the split masks tell exactly that many
-        # rankings apart, so the direct signature merges no rankings the rule
-        # could tell apart; the recursive rule gives a ranking and its
-        # reverse the same verdict (TestEnrichedRecursive)
+        # m!/2 signatures, and the ends of the whole candidate set tell
+        # exactly that many rankings apart, so the direct signature merges no
+        # rankings the rule could tell apart; the recursive rule gives a
+        # ranking and its reverse the same verdict (TestEnrichedRecursive)
         for m in range(3, 7):
             orders = list(permutations(range(1, m + 1)))
-            masks = {tuple(_split_mask(order, size) for size in range(3, m + 1)) for order in orders}
+            ends = {_ends(order, (1 << m) - 1) for order in orders}
             for signature in (is_group_separable_direct.signature, is_enriched_recursive.signature):
                 assert all(signature(order) == min(order, order[::-1]) for order in orders), m
-                assert len(set(map(signature, orders))) == len(masks) == math.factorial(m) // 2, m
+                assert len(set(map(signature, orders))) == len(ends) == math.factorial(m) // 2, m
+
+    def test_recursive_split_matches_the_literal_scan(self):
+        # the verdict's recursion on one block fails exactly when the scan of
+        # every subset finds one that no block splits
+        def agree(orders):
+            holds = _separable(orders, (1 << len(orders[0])) - 1)
+            assert holds == (_first_unsplit(orders) is None), orders
+            return holds
+
+        cells = [(m, n) for m in range(1, 6) for n in range(1, 4)] + [(6, 2)]
+        for m, n in cells:
+            signatures = sorted({min(o, o[::-1]) for o in permutations(range(1, m + 1))})
+            for orders in combinations_with_replacement(signatures, n):
+                agree(orders)
+        rng = random.Random(8)
+        outcomes = set()
+        for _ in range(2000):
+            base = rng.sample(range(1, 9), 8)
+            orders = []
+            for _ in range(rng.randint(2, 6)):
+                order = list(base)
+                for _ in range(rng.randint(0, 3)):
+                    i = rng.randrange(7)
+                    order[i], order[i + 1] = order[i + 1], order[i]
+                orders.append(tuple(order))
+            outcomes.add(agree(tuple(orders)))
+        assert outcomes == {True, False}
 
 
-def _split_mask_by_sorting(order, size):
-    """_split_mask by its definition: sort each subset's members by rank and
-    key the bipartition at every proper prefix by the members other than
-    the smallest on the smallest's side."""
+def _ends_by_sorting(order, members):
+    """_ends by its definition: sort the members by rank and take every
+    prefix, and its complement, as one bit per candidate set."""
     ranks = _rank_vector(order)
-    width = 1 << (size - 1)
-    full = width - 1
-    mask = 0
-    for j, subset in enumerate(combinations(range(1, len(order) + 1), size)):
-        by_rank = sorted(range(size), key=lambda i: ranks[subset[i] - 1])
-        prefix = 0
-        pivot_in_prefix = False
-        for i in by_rank[:-1]:
-            if i:
-                prefix |= 1 << (i - 1)
-            else:
-                pivot_in_prefix = True
-            mask |= 1 << (j * width + (prefix if pivot_in_prefix else full ^ prefix))
-    return mask
+    by_rank = sorted((c for c in range(1, len(order) + 1) if members >> c - 1 & 1), key=lambda c: ranks[c - 1])
+    sets = set()
+    for k in range(len(by_rank) + 1):
+        prefix = sum(1 << c - 1 for c in by_rank[:k])
+        sets |= {prefix, members ^ prefix}
+    return sum(1 << s for s in sets)
 
 
 class TestGroupSeparableBH:

@@ -6,8 +6,13 @@ something, or raise the ``ValueError`` the stream raises: at and past the
 32-entry input cap, and on malformed input.
 """
 
+import re
+
+import pytest
+
 from votelace import kernels
 from votelace.elections import Election, contains_configuration
+from votelace.perms import Permutation
 
 #: each boolean kernel with the search whose stream it decides
 STREAMS = {
@@ -123,6 +128,23 @@ def test_fits_axis_refuses_malformed_input_before_reading_it():
     ]
     for args, want in cases:
         assert _outcome(kernels.fits_axis, *args) == want, args
+
+
+def test_rankings_of_anything_but_ints_are_refused():
+    # 1.0 and True sort and compare like 1, but a permutation or a ranking
+    # holds ints only: each is refused where it enters, not deep inside a
+    # search that later meets a float or a bool
+    for build, entries in [
+        (lambda: Permutation((2.0, 1.0)), "(2.0, 1.0)"),
+        (lambda: Permutation((True, 2)), "(True, 2)"),
+        (lambda: Permutation(("1", 2)), "('1', 2)"),
+        (lambda: Election(3, [(1, 2, 3), (1.0, 2.0, 3.0)]), "(1.0, 2.0, 3.0)"),
+        (lambda: Election(3, [(True, 3, 2)]), "(True, 3, 2)"),
+        (lambda: kernels.fits_axis((1.0, 2.0), (0, 1)), "(1.0, 2.0)"),
+        (lambda: kernels.fits_axis((2, True), (0, 1)), "(2, True)"),
+    ]:
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.\d: " + re.escape(entries)):
+            build()
 
 
 def test_configuration_keys_refuse_past_the_cap():
