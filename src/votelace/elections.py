@@ -11,15 +11,17 @@ sub-structure: an election contains it when injective voter and candidate
 maps preserve every stated preference.  Voters are significant as tuple
 positions; elections with equal ranking multisets in different orders are
 distinct objects.  :func:`contains_configuration` is one set lookup: the
-configuration's canonical key among the host's key set, each built once and
-kept on its election (``kernels.configuration_keys``).  The search is
+configuration's canonical key among the host's key set
+(``kernels.configuration_keys``), each kept in a bounded module cache keyed
+on the rankings, which the election's constructor or parser has checked; an
+election keeps nothing but its fields.  The search is
 ``kernels.configuration_embeddings``; :func:`find_embedding` takes its first
 embedding, voters made 1-based.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import lru_cache
 from itertools import chain, permutations as _itertools_permutations, product, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -36,12 +38,10 @@ class Election(Frozen):
     Equal elections have equal ``num_candidates`` and ``preferences``.  The
     constructor takes any iterable of rankings and refuses an election
     without a candidate or a voter, or with a ranking that is not a
-    permutation of 1..m.  An election keeps a ``__dict__``, which holds its
-    fields and its cached key sets; a pickle or copy holds only the fields,
-    and rebuilds the key sets on first use.
+    permutation of 1..m.  An election holds its two fields and nothing else.
     """
 
-    _fields = ("num_candidates", "preferences")
+    __slots__ = _fields = ("num_candidates", "preferences")
     num_candidates: int
     preferences: tuple[tuple[int, ...], ...]
 
@@ -61,21 +61,6 @@ class Election(Frozen):
         """Per voter, the 0-based position of each candidate (indexed by candidate-1)."""
         return tuple(map(_rank_vector, self.preferences))
 
-    @cached_property
-    def configuration_keys(self) -> dict:
-        """Per shape (l, h), the canonical keys of the configurations of l
-        voters and h candidates that embed in this election
-        (``kernels.configuration_keys``).
-
-        Each key set is built on first use and kept on the election.
-        """
-        return _KeySets(self.preferences)
-
-    @cached_property
-    def configuration_key(self) -> tuple:
-        """This election's own canonical key as a configuration, kept on it."""
-        return kernels.configuration_key(self.preferences)
-
     def to_text(self) -> str:
         """One voter per line, candidates space-separated best-to-worst."""
         return "\n".join(" ".join(map(str, r)) for r in self.preferences)
@@ -84,17 +69,6 @@ class Election(Frozen):
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> Election:
         rows = tuple(rows)
         return cls(len(rows[0]) if rows else 0, rows)
-
-
-class _KeySets(dict):
-    # key sets by (l, h), each built when first looked up
-    def __init__(self, preferences: tuple[tuple[int, ...], ...]):
-        super().__init__()
-        self.preferences = preferences
-
-    def __missing__(self, shape: tuple[int, int]) -> set:
-        keys = self[shape] = kernels.configuration_keys(self.preferences, *shape)
-        return keys
 
 
 def parse_election(text: str) -> Election:
@@ -159,7 +133,21 @@ def contains_configuration(e: Election, cfg: Election) -> bool:
     """True iff injective voter and candidate maps embed ``cfg`` into ``e``
     preserving all stated preferences: the configuration's key among the
     election's keys for its shape."""
-    return cfg.configuration_key in e.configuration_keys[len(cfg.preferences), cfg.num_candidates]
+    keys = _configuration_keys(e.preferences, len(cfg.preferences), cfg.num_candidates)
+    return _configuration_key(cfg.preferences) in keys
+
+
+# keyed on an election's rankings, checked when it was built (a cache of the
+# raw kernel would answer (True, 2) from (1, 2)); bounded, as a sweep over
+# hosts looks each one up once per configuration shape
+@lru_cache(maxsize=1 << 10)
+def _configuration_keys(preferences: tuple[tuple[int, ...], ...], l: int, h: int) -> set:
+    return kernels.configuration_keys(preferences, l, h)
+
+
+@lru_cache(maxsize=1 << 10)
+def _configuration_key(preferences: tuple[tuple[int, ...], ...]) -> tuple:
+    return kernels.configuration_key(preferences)
 
 
 def find_embedding(
@@ -188,12 +176,16 @@ def pair_permutation(reference: Sequence[int], other: Sequence[int]) -> Permutat
 
 def _unchecked_election(m: int, prefs: tuple[tuple[int, ...], ...]) -> Election:
     # an Election whose rankings are permutations of 1..m by construction,
-    # so its constructor's checks are skipped
+    # so its constructor's checks are skipped; the slot descriptors set its
+    # fields faster than object.__setattr__
     e = object.__new__(Election)
-    fields = e.__dict__
-    fields["num_candidates"] = m
-    fields["preferences"] = prefs
+    _set_num_candidates(e, m)
+    _set_preferences(e, prefs)
     return e
+
+
+_set_num_candidates = Election.num_candidates.__set__
+_set_preferences = Election.preferences.__set__
 
 
 def _rankings(m: int, n: int) -> list[tuple[int, ...]]:

@@ -264,7 +264,7 @@ def contains_3voter(pi: Permutation, rho: Permutation, tau: Permutation, sigma: 
         raise ValueError(f"election lengths differ: {len(pv)} vs {len(rv)}")
     firsts, seconds = _pattern_components(tau.values, sigma.values)
     if math.comb(len(pv), k) > kernels.MAX_SUBSETS:
-        return any(map(kernels.strong_contains, repeat(pv), repeat(rv), firsts, seconds))
+        return any(map(kernels._strong_lookup, repeat(pv), repeat(rv), firsts, seconds))
     first, second = kernels.strong_signature(pv, k), kernels.strong_signature(rv, k)
     return any(map(and_, map(first.get, firsts, repeat(0)), map(second.get, seconds, repeat(0))))
 

@@ -20,7 +20,10 @@ yields something:
 
 On malformed input a boolean raises the ``ValueError`` its stream raises,
 and tuples longer than :data:`MAX_LEN` are refused at the same points by
-both.  :func:`active_backend` names the one implementation there is.
+both.  A boolean checks its input before reading any cache, since a cache
+answers any equal tuple and 1.0 and ``True`` equal 1; records, checked when
+built, reach the cached lookups directly.  :func:`active_backend` names the
+one implementation there is.
 
 Permutations are in one-line notation with values 1..n.  Hosts and
 configurations are tuples of rankings, one per voter: each a tuple of the
@@ -249,7 +252,8 @@ def configuration_embeddings(host, cfg):
 @lru_cache(maxsize=None)
 def subset_patterns(values, k):
     """The pattern the permutation ``values`` forms on each k-subset of its
-    values, the subsets in ``itertools.combinations`` order.
+    values, the subsets in ``itertools.combinations`` order.  It takes a
+    checked permutation: a warm entry answers any equal tuple.
 
     >>> subset_patterns((3, 1, 2), 2)
     ((1, 2), (2, 1), (2, 1))
@@ -269,7 +273,8 @@ def strong_signature(values, k):
     the i-th of :func:`subset_patterns`) on which ``values`` forms it.
 
     A pair strongly contains a pattern pair iff the signatures of its two
-    components share a bit for it.
+    components share a bit for it.  Like :func:`subset_patterns`, it takes a
+    checked permutation, and a warm entry answers any equal tuple.
     """
     signature = {}
     for bit, pattern in enumerate(subset_patterns(values, k)):
@@ -330,17 +335,19 @@ def contains_pattern(host, pattern):
 def strong_contains(big_first, big_second, small_first, small_second):
     """True iff one set of values realizes ``small_first`` in ``big_first``
     and ``small_second`` in ``big_second`` simultaneously."""
-    k = len(small_first)
-    if comb(len(big_first), k) > MAX_SUBSETS:
-        return next(strong_occurrences(big_first, big_second, small_first, small_second), None) is not None
-    try:
-        if len(big_first) == len(big_second):
-            return bool(strong_signature(big_first, k)[small_first] & strong_signature(big_second, k)[small_second])
-    except (KeyError, ValueError):
-        pass
-    # a pattern that is formed nowhere, or malformed input
     _check_strong(big_first, big_second, small_first, small_second)
-    return False
+    return _strong_lookup(big_first, big_second, small_first, small_second)
+
+
+def _strong_lookup(big_first, big_second, small_first, small_second):
+    # strong_contains on checked input.  The search runs when the host has
+    # more than MAX_SUBSETS value subsets of the pattern's size, or none: a
+    # pattern longer than the host, which the search refuses past MAX_LEN
+    k = len(small_first)
+    if not 0 < comb(len(big_first), k) <= MAX_SUBSETS:
+        return next(strong_occurrences(big_first, big_second, small_first, small_second), None) is not None
+    first, second = strong_signature(big_first, k), strong_signature(big_second, k)
+    return bool(first.get(small_first, 0) & second.get(small_second, 0))
 
 
 def contains_configuration(host, cfg):

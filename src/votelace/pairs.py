@@ -77,9 +77,8 @@ def strong_contains(small: PairPattern, big: PairPattern) -> bool:
     ...                 PairPattern.of((6, 1, 4, 2, 3, 5), (1, 2, 6, 5, 3, 4)))
     True
     """
-    return kernels.strong_contains(
-        big.first.values, big.second.values, small.first.values, small.second.values
-    )
+    # the pair patterns were checked when they were built
+    return kernels._strong_lookup(big.first.values, big.second.values, small.first.values, small.second.values)
 
 
 def strong_occurrences(small: PairPattern, big: PairPattern) -> Iterator[frozenset[int]]:

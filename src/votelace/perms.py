@@ -64,8 +64,8 @@ class Frozen(Record):
     attribute raises ``AttributeError``, so constructors set their fields
     with ``object.__setattr__``.  The hash is that of the field tuple, and
     a record pickles and copies through its constructor, called with the
-    field tuple; anything else an instance keeps, such as a cache in its
-    ``__dict__``, is rebuilt on use."""
+    field tuple.  Each declares its fields as ``__slots__`` and keeps
+    nothing else: no instance ``__dict__``, so no per-object cache."""
 
     __slots__ = ()
 

@@ -12,9 +12,9 @@ elections' rankings in enumeration order; an election object is built only
 to print a failure (or, for prop33, for the configuration containment it
 checks against).  The 3-voter host elections (id, pi, rho) are built once
 per number of candidates and shared by every configuration checked against
-them, so each builds its configuration key set once per shape.  Every suite
-counts in process: its cells are too small to pay for starting a process
-pool.
+them; their configuration key sets are cached on their rankings, once per
+shape.  Every suite counts in process: its cells are too small to pay for
+starting a process pool.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ from itertools import product
 import pytest
 
 from helpers import perm, symmetric_group
-from votelace import enumeration
+from votelace import enumeration, kernels
 from votelace.domains import is_enriched_group_separable, is_single_peaked
 from votelace.elections import Election, contains_configuration
 from votelace.enumeration import (
@@ -26,7 +27,7 @@ from votelace.enumeration import (
 from votelace.errors import GuardExceeded
 from votelace.domains import ENRICHED_FORBIDDEN
 from votelace.pairs import PairPattern, strong_occurrences
-from votelace.perms import count_avoiders, identity
+from votelace.perms import Permutation, count_avoiders, identity
 
 
 def _decoded(line):
@@ -242,6 +243,32 @@ class TestContains3Voter:
                             for q in three_voter_pattern_set(tau, sigma)
                         )
                         assert contains_3voter(pi, rho, tau, sigma) == searched, (pi, rho, tau, sigma)
+
+    def test_hosts_past_the_signature_cap_match_generic_containment(self):
+        # at m = 20 a host has C(20, 3) = 1140 > MAX_SUBSETS value 3-subsets,
+        # so each pattern runs the strong search; the hosts are the identity
+        # with a few adjacent swaps, so that both verdicts occur
+        m = 20
+        assert math.comb(m, 3) > kernels.MAX_SUBSETS
+        rng = random.Random(29)
+        group = symmetric_group(3)
+
+        def near_identity():
+            values = list(range(1, m + 1))
+            for _ in range(rng.randint(0, 6)):
+                i = rng.randrange(m - 1)
+                values[i], values[i + 1] = values[i + 1], values[i]
+            return Permutation(values)
+
+        seen = set()
+        for _ in range(30):
+            pi, rho, tau, sigma = near_identity(), near_identity(), rng.choice(group), rng.choice(group)
+            host = Election(m, (tuple(range(1, m + 1)), pi.values, rho.values))
+            cfg = Election(3, ((1, 2, 3), tau.values, sigma.values))
+            verdict = contains_3voter(pi, rho, tau, sigma)
+            assert verdict == contains_configuration(host, cfg), (pi, rho, tau, sigma)
+            seen.add(verdict)
+        assert seen == {True, False}
 
 
 class TestCountAvoidingPairs:

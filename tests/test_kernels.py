@@ -110,6 +110,18 @@ def test_malformed_input_is_refused_as_the_stream_refuses_it():
         assert _outcome(getattr(kernels, name), *args) == want, (name, args)
         outcomes.add(want if isinstance(want, bool) else want.split(":")[1].strip().split()[0])
     assert outcomes == {True, False, "components", "not"}
+    # 1.0 and True equal 1, so a cached signature of the equal valid tuple
+    # would answer them: each is refused on cold caches, and again after
+    # the equal valid call has warmed them
+    valid = ((1, 2), (2, 1), (1,), (1,))
+    for args in [((1, 2), (2, 1), (1.0,), (1,)), ((True, 2), (2, 1), (1,), (1,))]:
+        want = _stream_outcome("strong_contains", args)
+        assert want.startswith("ValueError: not a permutation"), args
+        kernels.strong_signature.cache_clear()
+        kernels.subset_patterns.cache_clear()
+        assert _outcome(kernels.strong_contains, *args) == want, ("cold", args)
+        assert kernels.strong_contains(*valid)
+        assert _outcome(kernels.strong_contains, *args) == want, ("warm", args)
 
 
 def test_fits_axis_refuses_malformed_input_before_reading_it():

@@ -45,6 +45,17 @@ class TestStrongContains:
                     big = PairPattern(a, b)
                     assert bool(list(strong_occurrences(small, big))) == strong_contains(small, big)
 
+    def test_refuses_past_the_input_cap_as_its_stream_does(self):
+        # pair patterns are checked when built, but not against the 32-entry
+        # cap: a pattern or host past it is refused by both, even where the
+        # pattern is longer than the host
+        long, short = tuple(range(1, 34)), pp("12", "21")
+        wide, crossed = PairPattern.of(long, long), PairPattern.of(long, long[::-1])
+        for small, big in [(wide, short), (short, crossed), (wide, crossed)]:
+            for route in (lambda: strong_contains(small, big), lambda: list(strong_occurrences(small, big))):
+                with pytest.raises(ValueError, match="kernel input longer than 32"):
+                    route()
+
     def test_matches_value_subset_oracle(self):
         # independent route: project every value subset onto both hosts and
         # standardize by position order

@@ -86,7 +86,7 @@ def _check_embeddings(host_election, cfg_election, expected):
     assert list(kernels.configuration_embeddings(host, cfg)) == expected.get(cfg, [])
     found = cfg in expected
     assert kernels.contains_configuration(host, cfg) == found
-    # the key sets kept on the elections, against the elections' own search
+    # the elections' cached key sets, against the elections' own search
     assert contains_configuration(host_election, cfg_election) == found
     assert (find_embedding(host_election, cfg_election) is not None) == found
 
