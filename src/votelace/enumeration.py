@@ -258,12 +258,13 @@ def contains_3voter(pi: Permutation, rho: Permutation, tau: Permutation, sigma: 
     """Containment of the 3-voter configuration (id, tau, sigma) in the
     3-voter election (id, pi, rho), decided through the strong order: one
     signature per host component, looked up for every pattern of the set.
-    A configuration larger than the election is not contained."""
+    A configuration larger than the election is not contained, unless it
+    is past the kernels' 32-entry cap, which refuses it."""
     pv, rv, k = pi.values, rho.values, len(tau.values)
     if len(pv) != len(rv):
         raise ValueError(f"election lengths differ: {len(pv)} vs {len(rv)}")
     firsts, seconds = _pattern_components(tau.values, sigma.values)
-    if math.comb(len(pv), k) > kernels.MAX_SUBSETS:
+    if not 0 < math.comb(len(pv), k) <= kernels.MAX_SUBSETS:
         return any(map(kernels._strong_lookup, repeat(pv), repeat(rv), firsts, seconds))
     first, second = kernels.strong_signature(pv, k), kernels.strong_signature(rv, k)
     return any(map(and_, map(first.get, firsts, repeat(0)), map(second.get, seconds, repeat(0))))

@@ -1,9 +1,10 @@
-"""The containment kernels: one search per containment kind, and the lookups
-that decide containment in bulk.
+"""The containment kernels: two searches, and the lookups that decide
+containment in bulk.
 
 Each search is a depth-first generator over plain tuples of ints that yields
-every witness in a fixed order: :func:`pattern_occurrences`,
-:func:`strong_occurrences` and :func:`configuration_embeddings`.  ``perms``,
+every witness in a fixed order.  The subset search, over increasing index
+tuples, runs as :func:`pattern_occurrences` and :func:`strong_occurrences`;
+the configuration search is :func:`configuration_embeddings`.  ``perms``,
 ``pairs`` and ``elections`` wrap the streams for their witnesses, and the
 streams are the oracle the lookups are tested against.
 
@@ -90,14 +91,18 @@ def _host_size(host, l, h):
     return m
 
 
-@lru_cache(maxsize=None)
-def _rank_vector(order):
-    # the 0-based position of each candidate in the ranking ``order``,
-    # indexed by candidate - 1
+def _positions(order):
+    # the 0-based position of each value of a permutation, indexed by value - 1
     ranks = [0] * len(order)
     for pos, c in enumerate(order):
         ranks[c - 1] = pos
     return tuple(ranks)
+
+
+@lru_cache(maxsize=None)
+def _rank_vector(order):
+    # _positions of a ranking, cached
+    return _positions(order)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -115,33 +120,58 @@ def _pair_perm_values(ref_order, other_order):
 # the searches
 
 
-def pattern_occurrences(host, pattern):
-    """Yield every index-increasing tuple of 0-based ``host`` positions whose
-    values are order-isomorphic to ``pattern``, in lexicographic order."""
-    _refuse_long(host, pattern)
-    k = len(pattern)
-    n = len(host)
-    if k > n:
-        return
+def _increasing_matches(n, bigs, smalls):
+    """The subset search: every increasing tuple of indices in ``range(n)``
+    on which each of ``bigs`` is ordered as its entry of ``smalls`` is, in
+    lexicographic order.  Each big holds n distinct entries in 0..n and the
+    smalls are permutations of one length; the caller checks them."""
+    k = len(smalls[0])
     chosen = [0] * k
+    pairs = tuple(zip(bigs, smalls))
 
     def extend(depth, start):
         if depth == k:
             yield tuple(chosen)
             return
-        # not enough host entries left for the remaining pattern entries
-        for i in range(start, n - (k - depth) + 1):
-            v = host[i]
-            ok = True
+        # the entries chosen so far are ordered as small's, so an index fits
+        # iff its entry lies above theirs at smaller small entries, below the rest
+        windows = []
+        for big, small in pairs:
+            s, lo, hi = small[depth], -1, n + 1
             for t in range(depth):
-                if (pattern[t] < pattern[depth]) != (host[chosen[t]] < v):
-                    ok = False
+                v = big[chosen[t]]
+                if small[t] < s:
+                    if v > lo:
+                        lo = v
+                elif v < hi:
+                    hi = v
+            windows.append((big, lo, hi))
+        # not enough indices left for the remaining small entries
+        for i in range(start, n - k + depth + 1):
+            for big, lo, hi in windows:
+                if not lo < big[i] < hi:
                     break
-            if ok:
+            else:
                 chosen[depth] = i
                 yield from extend(depth + 1, i + 1)
 
-    yield from extend(0, 0)
+    return extend(0, 0)
+
+
+def _pattern_search(host, pattern):
+    # the pattern search on checked permutations: only the cap is refused
+    _refuse_long(host, pattern)
+    return _increasing_matches(len(host), (host,), (pattern,))
+
+
+def pattern_occurrences(host, pattern):
+    """Yield every index-increasing tuple of 0-based ``host`` positions whose
+    values are order-isomorphic to ``pattern``, in lexicographic order.
+    Non-permutations raise ``ValueError``."""
+    _refuse_long(host, pattern)
+    _check_rankings((host,), len(host))
+    _check_rankings((pattern,), len(pattern))
+    yield from _increasing_matches(len(host), (host,), (pattern,))
 
 
 def strong_occurrences(big_first, big_second, small_first, small_second):
@@ -150,49 +180,17 @@ def strong_occurrences(big_first, big_second, small_first, small_second):
     in lexicographic order.  Components of unequal length and
     non-permutations raise ``ValueError``."""
     _check_strong(big_first, big_second, small_first, small_second)
-    h = len(small_first)
-    n = len(big_first)
-    if h == 0:
-        yield ()
-        return
-    if h > n:
-        return
-    # pos*[v-1] = position of value v in the host permutation
-    pos1 = [0] * n
-    pos2 = [0] * n
-    for i in range(n):
-        pos1[big_first[i] - 1] = i
-        pos2[big_second[i] - 1] = i
-    # q*[r-1] = position of value r in the small pattern; chosen values in
-    # increasing order must have host positions ordered like q1 resp. q2
-    q1 = [0] * h
-    q2 = [0] * h
-    for i in range(h):
-        q1[small_first[i] - 1] = i
-        q2[small_second[i] - 1] = i
-    chosen = [0] * h  # chosen[j] = value (1-based) playing rank j+1
+    yield from _strong_search(big_first, big_second, small_first, small_second)
 
-    def extend(depth, start):
-        if depth == h:
-            yield tuple(chosen)
-            return
-        for v in range(start, n - (h - depth) + 2):
-            p1 = pos1[v - 1]
-            p2 = pos2[v - 1]
-            ok = True
-            for t in range(depth):
-                w = chosen[t]
-                if (pos1[w - 1] < p1) != (q1[t] < q1[depth]):
-                    ok = False
-                    break
-                if (pos2[w - 1] < p2) != (q2[t] < q2[depth]):
-                    ok = False
-                    break
-            if ok:
-                chosen[depth] = v
-                yield from extend(depth + 1, v + 1)
 
-    yield from extend(0, 1)
+def _strong_search(big_first, big_second, small_first, small_second):
+    # the strong search on checked pairs, refusing only the cap: index v - 1
+    # stands for value v, and each component is read by its values' positions
+    _refuse_long(big_first, big_second, small_first, small_second)
+    bigs = (_positions(big_first), _positions(big_second))
+    smalls = (_positions(small_first), _positions(small_second))
+    for indices in _increasing_matches(len(big_first), bigs, smalls):
+        yield tuple(i + 1 for i in indices)
 
 
 def configuration_embeddings(host, cfg):
@@ -345,7 +343,7 @@ def _strong_lookup(big_first, big_second, small_first, small_second):
     # pattern longer than the host, which the search refuses past MAX_LEN
     k = len(small_first)
     if not 0 < comb(len(big_first), k) <= MAX_SUBSETS:
-        return next(strong_occurrences(big_first, big_second, small_first, small_second), None) is not None
+        return next(_strong_search(big_first, big_second, small_first, small_second), None) is not None
     first, second = strong_signature(big_first, k), strong_signature(big_second, k)
     return bool(first.get(small_first, 0) & second.get(small_second, 0))
 

@@ -5,7 +5,7 @@ A pair pattern [small.first, small.second] is strongly contained in
 component inside big.first and the second component inside big.second.
 Witnesses are therefore reported as value sets, not index tuples: the same
 values sit at different positions in the two host permutations.  The search
-is ``kernels.strong_occurrences``; :func:`strong_occurrences` only makes sets.
+is ``kernels._strong_search``; :func:`strong_occurrences` only makes sets.
 :func:`strong_contains` and :func:`count_pair_avoiders` read value-subset
 signatures instead (``kernels.strong_signature``): per pattern, the value
 subsets on which a permutation forms it.
@@ -86,9 +86,8 @@ def strong_occurrences(small: PairPattern, big: PairPattern) -> Iterator[frozens
 
     The stream is empty iff :func:`strong_contains` is false.
     """
-    for values in kernels.strong_occurrences(
-        big.first.values, big.second.values, small.first.values, small.second.values
-    ):
+    # the pair patterns were checked when they were built
+    for values in kernels._strong_search(big.first.values, big.second.values, small.first.values, small.second.values):
         yield frozenset(values)
 
 

@@ -226,6 +226,12 @@ class TestContains3Voter:
         with pytest.raises(ValueError):
             contains_3voter(perm("12"), perm("123"), perm("12"), perm("12"))
 
+    def test_configuration_past_the_cap_is_refused_as_the_stream_refuses_it(self):
+        # a host of 12 has no value 33-subset, so the strong search decides
+        # and refuses the 33-entry patterns, as `contains --kind three-voter` does
+        with pytest.raises(ValueError, match="kernel input longer than 32"):
+            contains_3voter(identity(12), identity(12), identity(33), identity(33))
+        assert not contains_3voter(identity(12), identity(12), identity(32), identity(32))
 
     def test_signature_lookups_match_the_search_per_pattern(self):
         # one signature lookup per pattern against a strong search per

@@ -110,6 +110,12 @@ def test_malformed_input_is_refused_as_the_stream_refuses_it():
         assert _outcome(getattr(kernels, name), *args) == want, (name, args)
         outcomes.add(want if isinstance(want, bool) else want.split(":")[1].strip().split()[0])
     assert outcomes == {True, False, "components", "not"}
+    # the pattern search reads values only by comparing them, so an entry
+    # that is not a permutation would be searched rather than refused
+    for args in [((3.5, 1, 2), (2, 1)), ((1, 1, 2), (1, 2)), ((1, 2, 3), (1, 1)), ((1, 2), (True, 2)), ((2, 3), (1,))]:
+        want = _stream_outcome("contains_pattern", args)
+        assert want.startswith("ValueError: not a permutation"), args
+        assert _outcome(kernels.contains_pattern, *args) == want, args
     # 1.0 and True equal 1, so a cached signature of the equal valid tuple
     # would answer them: each is refused on cold caches, and again after
     # the equal valid call has warmed them

@@ -132,11 +132,11 @@ class TestCountAvoiders:
 
     def test_matches_recurrence(self):
         # the 2-voter reduced enriched recurrence 4f(n-1) - 2f(n-2)
-        # reproduces exhaustion for n = 0..6
-        expected = [1, 1, 2, 6, 20, 68, 232]
-        got = [count_avoiders(n, ENRICHED_FORBIDDEN) for n in range(7)]
+        # reproduces exhaustion for n = 0..7
+        expected = [1, 1, 2, 6, 20, 68, 232, 792]
+        got = [count_avoiders(n, ENRICHED_FORBIDDEN) for n in range(8)]
         assert got == expected
-        assert [reduced_enriched_count(n, 2) for n in range(7)] == expected
+        assert [reduced_enriched_count(n, 2) for n in range(8)] == expected
 
     def test_guard(self):
         # the default cap refuses before enumerating; a raised cap opts in,

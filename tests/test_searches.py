@@ -1,8 +1,10 @@
-"""The three containment searches of ``kernels`` against brute-force
+"""The two containment searches of ``kernels`` against brute-force
 definitions, and the lookups against the searches.
 
-Each generator must yield exactly the witnesses of its definition, in the
-definition's order, and each boolean must say whether that stream is empty:
+The subset search runs as the pattern stream and as the strong stream, and
+the configuration search as the embedding stream.  Each stream must yield
+exactly the witnesses of its definition, in the definition's order, and
+each boolean must say whether that stream is empty:
 the pattern search itself, the strong signatures, and the configuration keys,
 both as ``kernels`` builds them and as an ``Election`` keeps them.  The
 definitions enumerate candidate witnesses with ``itertools`` and test each
