@@ -10,11 +10,13 @@ call guard.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from pathlib import Path
 
 from votelace import domains, enumeration
-from votelace.elections import find_embedding, parse_election
+from votelace.elections import DEFAULT_GUARD, find_embedding, parse_election
 from votelace.errors import GuardExceeded, ParseError
 from votelace.pairs import DEFAULT_MAX_M, PairPattern, strong_occurrences
 from votelace.perms import Permutation, occurrences
@@ -76,14 +78,30 @@ def cmd_check(args) -> int:
     return 0 if verdict.holds else 1
 
 
+def _guard(args) -> int:
+    # --guard, or else VOTELACE_GUARD, or else the default: the one place
+    # the variable is read
+    guard = args.guard
+    if guard is None:
+        raw = os.environ.get("VOTELACE_GUARD")
+        if raw is None:
+            return DEFAULT_GUARD
+        try:
+            guard = int(raw)
+        except ValueError:
+            raise ValueError(f"VOTELACE_GUARD must be an integer, got {raw!r}") from None
+    if guard < 1:
+        raise ValueError(f"the brute-force guard must be positive, got {guard}")
+    return guard
+
+
 def cmd_count(args) -> int:
-    if args.guard is not None and args.guard < 1:
-        raise ValueError(f"the brute-force guard must be positive, got {args.guard}")
+    guard = _guard(args)
     if args.m < 1:
         raise ValueError("an election needs at least one candidate")
     if args.method == "brute":
         report = enumeration.brute_force_count(
-            args.m, args.n, domains.DOMAINS[args.domain], label=args.domain, guard=args.guard
+            args.m, args.n, domains.DOMAINS[args.domain], label=args.domain, guard=guard
         )
     elif args.domain != "enriched":
         raise ValueError(f"--method {args.method} is only available for --domain enriched")
@@ -95,10 +113,8 @@ def cmd_count(args) -> int:
             count = enumeration.enriched_count(args.m, args.n)
         elif args.m in (3, 4, 5):
             count = enumeration.enriched_count_formula(f"m{args.m}", args.n)
-        elif args.n == 2:
-            count = enumeration.enriched_count_formula("n2", args.m)
         else:
-            raise ValueError(f"no closed formula covers (m,n)=({args.m},{args.n})")
+            count = math.factorial(args.m) * enumeration.reduced_enriched_count_closed(args.m, args.n)
         report = enumeration.CountReport(args.m, args.n, "enriched", count, args.method)
     print(report.to_json())
     return 0

@@ -84,7 +84,7 @@ from typing import Callable, Optional, Sequence
 
 from votelace.elections import Election, _pair_perm_values, _rank_vector, _restricted, sub_election
 from votelace.errors import GuardExceeded
-from votelace.perms import FoldRule, Frozen, MultisetRule, Permutation, occurrences
+from votelace.perms import FoldRule, Frozen, MultisetRule, Permutation, _pattern_search
 
 MAX_CANDIDATES = 8
 MAX_VOTERS = 6
@@ -166,7 +166,12 @@ def format_verdict(domain: str, verdict: DomainVerdict) -> str:
 
 
 def replay_witness(recognizer: Callable[[Election], DomainVerdict], e: Election, verdict: DomainVerdict) -> bool:
-    """True iff the verdict's witness still violates under the same recognizer."""
+    """True iff the verdict's witness still violates under the same recognizer.
+
+    A holding verdict has no witness, and raises ``ValueError``.
+    """
+    if verdict.holds:
+        raise ValueError("the verdict holds, so it has no witness to replay")
     w = verdict.witness
     return not recognizer(sub_election(e, w.voters, w.candidates)).holds
 
@@ -342,9 +347,9 @@ def _or_witness(e: Election, sigs: tuple, triples: bool, pair_slots: int, pats: 
             if not pats:
                 return Witness(voters, _subsets(m, 4)[((meet & -meet).bit_length() - 1) // pair_slots])
             other = e.preferences[j]
-            perm = Permutation(_pair_perm_values(e.preferences[i], other))
-            occ = next(occ for pat in pats for occ in occurrences(pat, perm))
-            return Witness(voters, tuple(sorted(other[k - 1] for k in occ)))
+            values = _pair_perm_values(e.preferences[i], other)
+            occ = next(occ for pat in pats for occ in _pattern_search(values, pat.values))
+            return Witness(voters, tuple(sorted(other[k] for k in occ)))
     raise AssertionError("witness requested for a holding election")
 
 

@@ -28,17 +28,21 @@ from typing import Iterable, Iterator, Optional, Sequence
 from votelace import kernels
 from votelace.kernels import _pair_perm_values, _rank_vector
 from votelace.errors import GuardExceeded, ParseError
-from votelace.guards import brute_call_guard
 from votelace.perms import Frozen, Permutation
+
+#: the default cap on the elections an exhaustive enumeration or brute-force
+#: count takes on
+DEFAULT_GUARD = 10**8
 
 
 class Election(Frozen):
     """A candidate set [m] plus an ordered tuple of n rankings over it.
 
     Equal elections have equal ``num_candidates`` and ``preferences``.  The
-    constructor takes any iterable of rankings and refuses an election
-    without a candidate or a voter, or with a ranking that is not a
-    permutation of 1..m.  An election holds its two fields and nothing else.
+    constructor takes any iterable of rankings and refuses a number of
+    candidates that is not an int, an election without a candidate or a
+    voter, and a ranking that is not a permutation of 1..m.  An election
+    holds its two fields and nothing else.
     """
 
     __slots__ = _fields = ("num_candidates", "preferences")
@@ -46,6 +50,8 @@ class Election(Frozen):
     preferences: tuple[tuple[int, ...], ...]
 
     def __init__(self, num_candidates: int, preferences: Iterable[Iterable[int]]):
+        if not isinstance(num_candidates, int) or isinstance(num_candidates, bool):
+            raise ValueError(f"the number of candidates must be an int, got {num_candidates!r}")
         prefs = tuple(map(tuple, preferences))
         if num_candidates < 1 or not prefs:
             raise ValueError("an election needs at least one candidate and one voter")
@@ -195,16 +201,20 @@ def _rankings(m: int, n: int) -> list[tuple[int, ...]]:
     return list(_itertools_permutations(range(1, m + 1)))
 
 
-def all_elections(m: int, n: int, limit: Optional[int] = None) -> Iterator[Election]:
-    """Every ordered tuple of n rankings over [m], in lexicographic order."""
-    if limit is None:
-        limit = brute_call_guard()
-    # (m!)^n is multiplied out only until it passes the guard, and never printed
+def check_guard(m: int, n: int, guard: int) -> None:
+    """Raise ``GuardExceeded`` when the (m!)^n elections at (m,n) number more
+    than ``guard``.  The product is multiplied out only until it passes the
+    guard, and never printed, so a refusal is prompt at any (m,n)."""
     total = 1
     for k in chain.from_iterable(repeat(range(2, m + 1), n if m > 1 else 0)):
         total *= k
-        if total > limit:
-            raise GuardExceeded(f"(m!)^n elections at (m,n)=({m},{n}) exceed the guard {limit}")
+        if total > guard:
+            raise GuardExceeded(f"(m!)^n elections at (m,n)=({m},{n}) exceed the guard {guard}")
+
+
+def all_elections(m: int, n: int, limit: int = DEFAULT_GUARD) -> Iterator[Election]:
+    """Every ordered tuple of n rankings over [m], in lexicographic order."""
+    check_guard(m, n, limit)
     for prefs in product(_rankings(m, n), repeat=n):
         yield _unchecked_election(m, prefs)
 

@@ -15,9 +15,8 @@ from typing import Callable, Iterable, Optional
 
 from votelace import kernels
 from votelace.domains import check_cap
-from votelace.elections import Election
+from votelace.elections import DEFAULT_GUARD, Election, check_guard
 from votelace.errors import GuardExceeded
-from votelace.guards import brute_call_guard
 from votelace.pairs import DEFAULT_MAX_M, PairPattern, count_pair_avoiders
 from votelace.perms import Frozen, Permutation, compose, count_accepted
 
@@ -105,7 +104,7 @@ def brute_force_count(
     n: int,
     recognizer: Callable[[Election], object],
     label: Optional[str] = None,
-    guard: Optional[int] = None,
+    guard: int = DEFAULT_GUARD,
 ) -> CountReport:
     """Count the (m,n)-elections accepted by ``recognizer``, exhaustively.
 
@@ -120,7 +119,8 @@ def brute_force_count(
     multiset of the other voters' signatures once, counted with the number
     of elections that share it.  Nothing is pruned and no fold state is
     merged, so the count is brute force.  It runs in the calling process.
-    A ``guard`` below 1 raises ``ValueError``.
+    A ``guard`` below 1 raises ``ValueError``, and more than ``guard``
+    elections at (m,n) raise ``GuardExceeded``.
     """
     if label is None:
         label = getattr(recognizer, "__name__", "recognizer")
@@ -128,14 +128,10 @@ def brute_force_count(
         raise TypeError(f"{label} has no signature and rule; pass a recognizer from DOMAINS")
     if m < 1 or n < 1:
         raise ValueError("an election needs at least one candidate and one voter")
-    if guard is None:
-        guard = brute_call_guard()
     if guard < 1:
         raise ValueError(f"the brute-force guard must be positive, got {guard}")
-    check_cap(m, n)  # first: past the cap, (m!)^n can be too wide to compute promptly or print
-    total = math.factorial(m) ** n
-    if total > guard:
-        raise GuardExceeded(f"(m!)^n = {total} elections at (m,n)=({m},{n}) exceeds the guard {guard}")
+    check_cap(m, n)  # first, so that a cell past the recognizers' cap is refused by the cap
+    check_guard(m, n, guard)
     count = count_accepted(m, n, recognizer.signature, recognizer.rule(m))
     return CountReport(m, n, label, count, "brute-force")
 

@@ -24,6 +24,7 @@ from itertools import permutations as _itertools_permutations
 from typing import Callable, Iterable, Iterator
 
 from votelace import kernels
+from votelace.kernels import _pattern_search
 from votelace.errors import GuardExceeded, ParseError
 
 #: default exhaustive-generation cap.  The count runs one pattern search
@@ -170,7 +171,7 @@ def contains_pattern(pattern: Permutation, host: Permutation) -> bool:
     False
     """
     # the permutations were checked when they were built
-    return next(kernels._pattern_search(host.values, pattern.values), None) is not None
+    return next(_pattern_search(host.values, pattern.values), None) is not None
 
 
 def occurrences(pattern: Permutation, host: Permutation) -> Iterator[tuple[int, ...]]:
@@ -179,7 +180,7 @@ def occurrences(pattern: Permutation, host: Permutation) -> Iterator[tuple[int, 
 
     The stream is empty iff :func:`contains_pattern` is false.
     """
-    for occ in kernels._pattern_search(host.values, pattern.values):
+    for occ in _pattern_search(host.values, pattern.values):
         yield tuple(i + 1 for i in occ)
 
 
@@ -194,7 +195,7 @@ def count_avoiders(n: int, forbidden: Iterable[Permutation], max_n: int = DEFAUL
     if n > max_n:
         raise GuardExceeded(f"refusing to enumerate {n}! permutations (cap {max_n}); raise max_n to opt in")
     pats = [p.values for p in forbidden if len(p) <= n]
-    search = kernels._pattern_search
+    search = _pattern_search
     count = 0
     for values in _itertools_permutations(range(1, n + 1)):
         if not any(next(search(values, pat), None) is not None for pat in pats):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -103,12 +104,18 @@ class TestCount:
         assert (code, out) == (2, "")
         assert "candidate" in err
 
-    def test_formula_coverage_gap(self, capsys):
-        code, _, err = run(
-            capsys, "count", "--m", "6", "--n", "3", "--domain", "enriched", "--method", "formula"
-        )
-        assert code == 2
-        assert "formula" in err
+    def test_formula_covers_every_cell(self, capsys):
+        # the paper's m3/m4/m5 formulas, and the closed form of the reduced
+        # count at every other cell
+        for m in range(1, 9):
+            for n in range(1, 7):
+                argv = ["count", "--m", str(m), "--n", str(n), "--domain", "enriched"]
+                formula = run(capsys, *argv, "--method", "formula")
+                recurrence = run(capsys, *argv, "--method", "recurrence")
+                assert formula[0] == recurrence[0] == 0
+                assert json.loads(formula[1])["count"] == json.loads(recurrence[1])["count"]
+        code, out, _ = run(capsys, "count", "--m", "6", "--n", "3", "--domain", "enriched", "--method", "formula")
+        assert (code, json.loads(out)["count"]) == (0, "8340480")
 
     def test_guard_exits_two(self, capsys):
         code, _, err = run(
@@ -163,6 +170,27 @@ class TestCount:
         monkeypatch.setenv("VOTELACE_GUARD", "0")
         _, _, env_err = run(capsys, "count", "--m", "3", "--n", "2", "--domain", "enriched", "--method", "brute")
         assert "must be positive" in flag_err and "must be positive" in env_err
+
+    def test_environment_guard_is_read_as_the_flag_is(self, capsys, monkeypatch):
+        argv = ["count", "--m", "3", "--n", "2", "--domain", "enriched"]
+        monkeypatch.setenv("VOTELACE_GUARD", "ten")
+        code, out, err = run(capsys, *argv, "--method", "brute")
+        assert (code, out) == (2, "")
+        assert "VOTELACE_GUARD" in err
+        # the variable is the default of --guard, so every method checks it, and the flag wins
+        monkeypatch.setenv("VOTELACE_GUARD", "0")
+        code, out, err = run(capsys, *argv, "--method", "recurrence")
+        assert (code, out) == (2, "")
+        assert "must be positive" in err
+        code, out, _ = run(capsys, *argv, "--method", "brute", "--guard", "36")
+        assert code == 0 and json.loads(out)["count"] == "36"
+
+    @pytest.mark.parametrize("suite", ["bound3", "recurrence", "gamma-link"])
+    def test_verify_ignores_the_environment_guard(self, capsys, monkeypatch, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        monkeypatch.setenv("VOTELACE_GUARD", "10")
+        assert run(capsys, "verify", "--suite", suite) == (code, out, "")
+        assert code == 0
 
     @pytest.mark.parametrize("method", ["recurrence", "formula"])
     def test_counts_past_the_int_to_str_digit_limit_print_exactly(self, capsys, method):
@@ -467,6 +495,27 @@ def test_start_up_imports_none_of_the_deferred_modules():
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=60)
     assert (done.returncode, done.stdout) == (0, "True []\n"), done.stderr
+
+
+def _environment_reads(path: Path) -> list[int]:
+    # the lines that name os.environ or os.getenv, however imported
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.ImportFrom) and any(alias.name in names for alias in node.names))
+    )
+
+
+def test_only_the_command_line_reads_the_environment():
+    # library callers pass what they want; the command line turns
+    # VOTELACE_GUARD into the count command's --guard default
+    package = Path(votelace.__file__).parent
+    reads = {path.name: _environment_reads(path) for path in sorted(package.rglob("*.py"))}
+    assert reads.pop("cli.py")
+    assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 #: sha256 of ``votelace [COMMAND] --help`` at 80 columns, Python 3.11

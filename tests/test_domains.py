@@ -616,6 +616,14 @@ class TestGenericProperties:
                     assert replay_witness(recognizer, e, v), (name, e.to_text())
             assert (seen_false > 0) == (name not in ("medium", "single-crossing"))
 
+    def test_a_holding_verdict_has_no_witness_to_replay(self):
+        e = election("123", "123")
+        for recognizer in DOMAINS.values():
+            v = recognizer(e)
+            assert v.holds
+            with pytest.raises(ValueError, match="holds"):
+                replay_witness(recognizer, e, v)
+
     def test_size_guard(self):
         big = election("123456789")
         for recognizer in DOMAINS.values():

@@ -71,6 +71,10 @@ class TestConstruction:
                 Election.from_rows(rows)
         with pytest.raises(ValueError):
             Election(1, ())
+        # the number of candidates is an int, and a bool is not one
+        for m, rows in [(True, [(1,)]), (2.0, [(1, 2)])]:
+            with pytest.raises(ValueError, match="must be an int"):
+                Election(m, rows)
 
     def test_rows_become_tuples(self):
         e = Election.from_rows([(1, 2, 3), (2, 3, 1)])

@@ -10,7 +10,7 @@ import pytest
 from helpers import perm, symmetric_group
 from votelace import enumeration, kernels
 from votelace.domains import is_enriched_group_separable, is_single_peaked
-from votelace.elections import Election, contains_configuration
+from votelace.elections import Election, all_elections, contains_configuration
 from votelace.enumeration import (
     CountReport,
     brute_force_count,
@@ -166,14 +166,20 @@ class TestBruteForce:
         assert (report.label, report.count) == ("enriched", 36)
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded) as count_refusal:
             brute_force_count(3, 2, is_enriched_group_separable, guard=10)
+        # the count and the enumeration refuse through one check
+        with pytest.raises(GuardExceeded) as enumeration_refusal:
+            next(all_elections(3, 2, limit=10))
+        assert str(count_refusal.value) == str(enumeration_refusal.value)
+        assert brute_force_count(3, 2, is_enriched_group_separable, guard=36).count == 36
 
     def test_env_guard(self, monkeypatch):
+        # only the count command reads VOTELACE_GUARD; the library takes its guard as an argument
         monkeypatch.setenv("VOTELACE_GUARD", "10")
-        with pytest.raises(GuardExceeded):
-            brute_force_count(3, 2, is_enriched_group_separable)
-        monkeypatch.setenv("VOTELACE_GUARD", "1000000")
+        assert brute_force_count(3, 2, is_enriched_group_separable).count == 36
+        assert sum(1 for _ in all_elections(3, 2)) == 36
+        monkeypatch.setenv("VOTELACE_GUARD", "ten")
         assert brute_force_count(3, 2, is_enriched_group_separable).count == 36
 
 
