@@ -6,25 +6,29 @@ characterization, ...), so the formulations can be tested against each other.
 Recognizers are exponential-time by design: subset exhaustion at desk
 scale, guarded by a hard cap.
 
-Every recognizer carries two attributes, and its callers read nothing else:
-a per-ranking ``signature(order)`` and ``rule(m)``, the test over the voters'
-signatures for m candidates.  No domain's verdict depends on which voter
-holds which ranking, and none changes when the candidates are relabeled.
-Five domains fold over their voters: the signature
-is one int, and ``rule(m)`` is a :class:`votelace.perms.FoldRule` that ORs
+Every recognizer carries three attributes, and its callers read nothing
+else: a per-ranking ``signature(order)``, ``table(m)``, the signatures of
+the m! rankings of 1..m in lexicographic order, and ``rule(m)``, the test
+over the voters' signatures for m candidates.  No domain's verdict depends
+on which voter holds which ranking, and none changes when the candidates
+are relabeled.  Five domains fold over their voters: the signature is one
+int, and ``rule(m)`` is a :class:`votelace.perms.FoldRule` that ORs
 all voters but the last and tests the last signature against a mask of
 the OR; the verdict is a property of the OR of all the signatures, so the
 order of the voters does not matter.  For the other three it is a
 :class:`votelace.perms.MultisetRule`, which runs a combine on the sorted
 tuple; the witness searches call the combine itself.
 The recognizer checks the cap, runs ``rule(m)`` on its voters' signatures
-and, when that fails, returns a verdict with a lazy witness; exhaustive
-counting and the verification suites compute the m! signatures once, in
-process, and build no election, and a count fixes the first voter, tests
-each multiset of the other voters' distinct signatures once and multiplies
-by m!, as :func:`votelace.perms.count_accepted` describes.  Per-ranking
-masks that cost more than a lookup, the packed signatures among them, are
-cached on the ranking, and each fold rule once per number of candidates.
+and, when that fails, returns a verdict with a lazy witness.  Exhaustive
+counting and the verification suites read ``table(m)`` in process and
+build no election; a count fixes the first voter, tests each multiset of
+the other voters' distinct signatures once and multiplies by m!, as
+:func:`votelace.perms.count_accepted` describes.  A single election's
+signatures come from per-ranking loops, and masks that cost more than a
+lookup, the packed signatures among them, are cached on the ranking; a
+table is cached nowhere, and where the layout allows it is built from
+parts that all m! rankings share (see below).  Each fold rule is cached
+once per number of candidates.
 
 * medium, em, group-separable-bh, enriched and single-peaked share one
   signature layout, each deciding its domain by forbidden configurations:
@@ -47,7 +51,15 @@ cached on the ranking, and each fold rule once per number of candidates.
   first pair field meets the OR of the second; so the OR fold of a prefix
   forbids a triple field wherever the other two are set, and each pair
   field wherever the other is set.  enriched is medium-restriction plus the
-  em condition, which is pairwise avoidance of the four enriched patterns;
+  em condition, which is pairwise avoidance of the four enriched patterns.
+  In the medium and single-peaked layouts a candidate x and the set of
+  candidates ranked below it fix every bit x sets: x is the middle of a
+  triple when one other member is below it and one above, its last when
+  both are above, and the third of a 4-subset when exactly one member is
+  below it, which is then last.  So their tables OR, per ranking, one part
+  per (candidate, lower set), of which there are m * 2^(m-1); the tables of
+  group-separable-bh and enriched are the medium table with their pair
+  fields ORed in, and the others map the signature over the rankings;
 * group-separable (direct): the signature is the ranking up to reversal,
   m!/2 of them; the rule splits the candidates along a block that every
   voter ranks entirely above or entirely below the rest and recurses into
@@ -184,7 +196,11 @@ def check_cap(m: int, n: int) -> None:
         )
 
 
-def _recognizer(signature: Callable, rule: Callable[[int], Callable[..., bool]]):
+def _recognizer(
+    signature: Callable,
+    rule: Callable[[int], Callable[..., bool]],
+    table: Optional[Callable[[int], list]] = None,
+):
     """Decorator turning a witness finder into the recognizer whose verdict is
     ``rule(m)`` on the voters' signatures, where ``m`` is the number of
     candidates.
@@ -192,6 +208,8 @@ def _recognizer(signature: Callable, rule: Callable[[int], Callable[..., bool]])
     The decorated function maps an election the test rejects and the tuple
     of signatures the test read to its witness, when the witness is first
     read.  The test takes an iterable of signatures in voter order.
+    ``table(m)`` is the list of the signatures of the m! rankings of 1..m in
+    lexicographic order; by default ``signature`` maps them one by one.
     """
 
     def build(find_witness: Callable[[Election, tuple], Witness]) -> Callable[[Election], DomainVerdict]:
@@ -205,6 +223,7 @@ def _recognizer(signature: Callable, rule: Callable[[int], Callable[..., bool]])
 
         recognize.signature = signature
         recognize.rule = rule
+        recognize.table = table or (lambda m: list(map(signature, permutations(range(1, m + 1)))))
         return recognize
 
     return build
@@ -267,6 +286,67 @@ _BOTTOM = tuple(q.index(2) for q in _TRIPLE_ORDERS)
 def _medium_sig(order: tuple[int, ...]) -> int:
     # bit k * C(m,3) + i: the middle of triple i (in _subsets order) is its k-th member
     return _triple_bits(order, _MIDDLE)
+
+
+def _parts_table(part: Callable[[int, int, int], int], silent: int, m: int) -> list[int]:
+    """The signatures of the m! rankings of 1..m, in lexicographic order, in
+    a layout where a ranking's signature is the OR, over its candidates x,
+    of ``part(m, below, x)``: the bits that x and the set ``below`` of the
+    candidates ranked below it fix (bit c - 1 for candidate c).  The top
+    ``silent`` positions of a ranking fix no bit.
+
+    The rankings of a candidate set are, for each member x in increasing
+    order, x followed by each ranking of the rest, which x's ``below`` is.
+    So the table of each subset is built once, from those of its subsets one
+    smaller, and reads each part once: about e * m! ORs in all.
+    """
+    tables = {0: [0]}
+
+    def table(rest: int) -> list[int]:
+        if rest not in tables:
+            rows = tables[rest] = []
+            for x in range(1, m + 1):
+                if rest >> x - 1 & 1:
+                    below = rest ^ 1 << x - 1
+                    if rest.bit_count() > m - silent:
+                        rows += table(below)
+                    else:
+                        bits = part(m, below, x)
+                        rows += [bits | sig for sig in table(below)]
+        return tables[rest]
+
+    return table((1 << m) - 1)
+
+
+@lru_cache(maxsize=None)
+def _triple_masks(m: int) -> tuple[tuple[int, ...], ...]:
+    # at [x - 1][c - 1], for candidates x and c: bit k * C(m,3) + i of every
+    # triple i (in _subsets order) that holds both, x its k-th member
+    t = comb(m, 3)
+    masks = [[0] * m for _ in range(m)]
+    for i, triple in enumerate(_subsets(m, 3)):
+        for (k, x), c in product(enumerate(triple), triple):
+            if c != x:
+                masks[x - 1][c - 1] |= 1 << k * t + i
+    return tuple(map(tuple, masks))
+
+
+@lru_cache(maxsize=None)
+def _medium_part(m: int, below: int, x: int) -> int:
+    # x is the middle of each triple with one other member below it and one
+    # above: the triples of x that both sets meet
+    low = high = 0
+    for c, mask in enumerate(_triple_masks(m)[x - 1]):
+        if below >> c & 1:
+            low |= mask
+        else:
+            high |= mask
+    return low & high
+
+
+def _medium_table(m: int) -> list[int]:
+    # the top of a ranking is no triple's middle
+    return _parts_table(_medium_part, 1, m)
 
 
 def _fields(t: int, p: int, sig: int) -> tuple[int, int, int, int, int]:
@@ -353,7 +433,7 @@ def _or_witness(e: Election, sigs: tuple, triples: bool, pair_slots: int, pats: 
     raise AssertionError("witness requested for a holding election")
 
 
-@_recognizer(_medium_sig, partial(_or_rule, True, 0))
+@_recognizer(_medium_sig, partial(_or_rule, True, 0), _medium_table)
 def is_medium_restricted(e: Election, sigs: tuple) -> Witness:
     """No candidate triple has three voters each placing a different member in the middle."""
     return _or_witness(e, sigs, True, 0)
@@ -459,14 +539,22 @@ def _enriched_sig(order: tuple[int, ...]) -> int:
     return _medium_sig(order) | _em_sig(order) << 3 * comb(len(order), 3)
 
 
-@_recognizer(_bh_sig, partial(_or_rule, True, 24))
+def _medium_with_pairs(m: int, slot_of: Sequence[int], row_of: Sequence[int], slots: int) -> list[int]:
+    # the medium table, each signature followed by the two pair fields that
+    # _quad_bits computes for its ranking
+    shift = 3 * comb(m, 3)
+    rankings = permutations(range(1, m + 1))
+    return [sig | _quad_bits(order, slot_of, row_of, slots) << shift for sig, order in zip(_medium_table(m), rankings)]
+
+
+@_recognizer(_bh_sig, partial(_or_rule, True, 24), lambda m: _medium_with_pairs(m, range(24), _GS_CLASH_ROWS, 24))
 def is_group_separable_bh(e: Election, sigs: tuple) -> Witness:
     """Group-separability via medium-restriction plus the forbidden 2-voter,
     4-candidate configuration (pairwise voter permutations avoiding 2413/3142)."""
     return _or_witness(e, sigs, True, 24, GROUP_SEPARABLE_FORBIDDEN)
 
 
-@_recognizer(_enriched_sig, partial(_or_rule, True, 6))
+@_recognizer(_enriched_sig, partial(_or_rule, True, 6), lambda m: _medium_with_pairs(m, _EM_SLOTS, _EM_ROWS, 6))
 def is_enriched_group_separable(e: Election, sigs: tuple) -> Witness:
     """Group-separable and additionally avoiding the two extra 2-voter
     configurations: pairwise voter permutations avoid all four forbidden
@@ -573,17 +661,56 @@ def _peak_sig(order: tuple[int, ...]) -> int:
     # the triple fields mark the member of each triple ranked last, then two
     # pair fields of 12 slots per 4-subset: the first marks the ranking's
     # (third, last) on the subset, the second those that form an
-    # alpha-configuration with it.  No triple ranks either of the ranking's
-    # top two last, and no 4-subset ranks them third or last, so their order
-    # is read through the ranking with them in increasing order: a count
-    # table computes m!/2 signatures
-    if len(order) > 1 and order[0] > order[1]:
-        return _peak_sig((order[1], order[0], *order[2:]))
+    # alpha-configuration with it
     pairs = _quad_bits(order, _SP_SLOTS, _SP_ROWS, 12)
     return _triple_bits(order, _BOTTOM) | pairs << 3 * comb(len(order), 3)
 
 
-@_recognizer(_peak_sig, partial(_or_rule, True, 12))
+@lru_cache(maxsize=None)
+def _peak_quad_masks(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    # at [0][x - 1][l - 1], for candidates x and l: the pair-field bits of
+    # _peak_sig that each 4-subset holding both sets when x is its third
+    # member and l its last; at [1][c - 1]: all 24 pair-field bits of each
+    # 4-subset that holds candidate c
+    t, p = comb(m, 3), 12 * comb(m, 4)
+    thirds = [[0] * m for _ in range(m)]
+    spans = [0] * m
+    for s, quad in enumerate(_subsets(m, 4)):
+        base = 3 * t + 12 * s
+        for (i, x), (j, l) in permutations(enumerate(quad), 2):
+            slot = _THIRD_LAST.index((i, j))
+            thirds[x - 1][l - 1] |= (1 << slot | _SP_ROWS[slot] << p) << base
+        for c in quad:
+            spans[c - 1] |= (4095 | 4095 << p) << base
+    return tuple(map(tuple, thirds)), tuple(spans)
+
+
+@lru_cache(maxsize=None)
+def _peak_part(m: int, below: int, x: int) -> int:
+    # x is last in each triple whose other two members rank above it, and
+    # third in each 4-subset with exactly one other member l below it, which
+    # is then the subset's last.  ``twice`` holds the 4-subsets that meet
+    # ``below`` at least twice
+    thirds, spans = _peak_quad_masks(m)
+    low = high = quads = once = twice = 0
+    for c, (mask, third, span) in enumerate(zip(_triple_masks(m)[x - 1], thirds[x - 1], spans)):
+        if below >> c & 1:
+            low |= mask
+            quads |= third
+            twice |= once & span
+            once |= span
+        else:
+            high |= mask
+    return high & ~low | quads & ~twice
+
+
+def _peak_table(m: int) -> list[int]:
+    # no triple ranks either of a ranking's top two last, and no 4-subset
+    # ranks them third
+    return _parts_table(_peak_part, 2, m)
+
+
+@_recognizer(_peak_sig, partial(_or_rule, True, 12), _peak_table)
 def is_single_peaked(e: Election, sigs: tuple) -> Witness:
     """Some candidate axis exists on which every prefix of every voter's
     ranking is an interval.  Decided by Ballester and Haeringer's forbidden

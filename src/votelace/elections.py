@@ -213,7 +213,11 @@ def check_guard(m: int, n: int, guard: int) -> None:
 
 
 def all_elections(m: int, n: int, limit: int = DEFAULT_GUARD) -> Iterator[Election]:
-    """Every ordered tuple of n rankings over [m], in lexicographic order."""
+    """Every ordered tuple of n rankings over [m], in lexicographic order.
+    A ``limit`` below 1 raises ``ValueError``, and more than ``limit``
+    elections ``GuardExceeded``."""
+    if limit < 1:
+        raise ValueError(f"the brute-force guard must be positive, got {limit}")
     check_guard(m, n, limit)
     for prefs in product(_rankings(m, n), repeat=n):
         yield _unchecked_election(m, prefs)

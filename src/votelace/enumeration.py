@@ -109,9 +109,9 @@ def brute_force_count(
     """Count the (m,n)-elections accepted by ``recognizer``, exhaustively.
 
     ``recognizer`` is one of :data:`votelace.domains.DOMAINS` (or a
-    ``functools.wraps`` wrapper of one), and only its ``signature`` and
-    ``rule`` are read.  :func:`votelace.perms.count_accepted` computes the
-    signature once per ranking and runs ``rule(m)`` over the signatures,
+    ``functools.wraps`` wrapper of one), and only its ``table`` and
+    ``rule`` are read.  :func:`votelace.perms.count_accepted` runs
+    ``rule(m)`` over ``table(m)``, the signatures of the m! rankings,
     without building the elections.  Every domain is neutral, so each first
     ranking is accepted with as many elections of the other voters as any
     other: the count fixes the first voter to one ranking and multiplies by
@@ -124,15 +124,15 @@ def brute_force_count(
     """
     if label is None:
         label = getattr(recognizer, "__name__", "recognizer")
-    if not (callable(getattr(recognizer, "signature", None)) and callable(getattr(recognizer, "rule", None))):
-        raise TypeError(f"{label} has no signature and rule; pass a recognizer from DOMAINS")
+    if not (callable(getattr(recognizer, "table", None)) and callable(getattr(recognizer, "rule", None))):
+        raise TypeError(f"{label} has no signature table and rule; pass a recognizer from DOMAINS")
     if m < 1 or n < 1:
         raise ValueError("an election needs at least one candidate and one voter")
     if guard < 1:
         raise ValueError(f"the brute-force guard must be positive, got {guard}")
     check_cap(m, n)  # first, so that a cell past the recognizers' cap is refused by the cap
     check_guard(m, n, guard)
-    count = count_accepted(m, n, recognizer.signature, recognizer.rule(m))
+    count = count_accepted(recognizer.table(m), n, recognizer.rule(m))
     return CountReport(m, n, label, count, "brute-force")
 
 

@@ -7,10 +7,10 @@ of its values at positions 1..n; the empty permutation is legal and is a
 pattern of everything.  Values and positions are 1-indexed throughout.
 The search is ``kernels._pattern_search``; :func:`occurrences` only
 shifts its indices.  :func:`count_accepted` and :func:`verdicts` walk the
-n-tuples of permutations through a per-permutation signature and a
-:class:`FoldRule` or :class:`MultisetRule`: :func:`verdicts` every tuple,
-and :func:`count_accepted` only those of one first permutation, times m!.
-Both walk in the calling process.
+n-tuples of permutations of 1..m through a table of their m! signatures
+and a :class:`FoldRule` or :class:`MultisetRule`: :func:`verdicts` every
+tuple, and :func:`count_accepted` only those of one first permutation,
+times m!.  Both walk in the calling process.
 """
 
 from __future__ import annotations
@@ -259,22 +259,22 @@ def _check_walk(n: int, test) -> None:
         raise TypeError(f"a test is a FoldRule or a MultisetRule, got {type(test).__name__}")
 
 
-def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> Iterator[bool]:
+def verdicts(table: list, n: int, test: Callable[..., bool]) -> Iterator[bool]:
     """The verdict of ``test`` on every n-tuple of permutations of 1..m, in
-    lexicographic order.  A :class:`FoldRule` ORs each (n-1)-tuple prefix
-    once and decides the last signatures in one C-level pass; a
+    lexicographic order, where ``table`` lists the signatures of the m!
+    permutations in that order.  A :class:`FoldRule` ORs each (n-1)-tuple
+    prefix once and decides the last signatures in one C-level pass; a
     :class:`MultisetRule` runs its combine once per sorted signature tuple,
     and every tuple that sorts to it repeats that verdict.  ``n`` below 1
     raises ``ValueError``, and a test of neither kind ``TypeError``.  The
     callers guard the size.
 
-    >>> list(verdicts(2, 2, tuple, MultisetRule(lambda pair: pair[0] < pair[1])))
+    >>> list(verdicts([(1, 2), (2, 1)], 2, MultisetRule(lambda pair: pair[0] < pair[1])))
     [False, True, True, False]
-    >>> list(verdicts(3, 1, lambda values: 1 << values[0], FoldRule(lambda state: state | 0b1010)))
+    >>> list(verdicts([2, 2, 4, 4, 8, 8], 1, FoldRule(lambda state: state | 0b1010)))
     [False, False, True, True, False, False]
     """
     _check_walk(n, test)
-    table = [signature(values) for values in _itertools_permutations(range(1, m + 1))]
     if isinstance(test, MultisetRule):
         memo, combine = {}, test.combine
         keys = map(tuple, map(sorted, product(table, repeat=n)))
@@ -282,8 +282,9 @@ def verdicts(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> 
     return chain.from_iterable(map(test.accepted, product(table, repeat=n - 1), repeat(table)))
 
 
-def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool]) -> int:
-    """Number of n-tuples of permutations of 1..m whose signatures pass ``test``.
+def count_accepted(table: list, n: int, test: Callable[..., bool]) -> int:
+    """Number of n-tuples of permutations of 1..m whose signatures pass
+    ``test``, where ``table`` lists the signatures of the m! permutations.
 
     ``test`` must be voter-symmetric: its verdict may depend only on the
     multiset of the signatures, not on which voter holds which.  A
@@ -294,30 +295,31 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
     the values of every voter's permutation, may change no verdict, as it
     changes none of a domain in :data:`votelace.domains.DOMAINS`.
 
-    ``signature`` maps a permutation (a tuple of values) to what ``test``
-    reads; it runs once per permutation.  By neutrality, every first
-    permutation is accepted with as many (n-1)-tuples of the other voters
-    as any other, so the walk fixes the first voter to one permutation of
-    the least signature and returns m! times its count.  It reads the
-    distinct signatures, sorted, with the number of permutations that share
-    each, and visits each multiset of the other n-1 signatures once: one
-    step per sorted (n-2)-prefix, then one C-level pass of ``test.accepted``
-    over the last signatures, none below the prefix's largest.  It counts
+    The table's entries are what ``test`` reads, one per permutation, in
+    any order.  By neutrality, every first permutation is accepted with as
+    many (n-1)-tuples of the other voters as any other, so the walk fixes
+    the first voter to one permutation of the least signature and returns
+    m! times its count.  It reads the distinct signatures, sorted, with the
+    number of permutations that share each, and visits each multiset of the
+    other n-1 signatures once: one step per sorted (n-2)-prefix, then one
+    C-level pass of ``test.accepted`` over the last signatures, none below
+    the prefix's largest.  It counts
     each accepted multiset with its multinomial coefficient times the
     product of its signatures' weights.  The walk runs in the calling
     process.  ``n`` below 1 raises ``ValueError``, and a test of neither
     kind ``TypeError``.  The callers guard the size.
 
-    >>> count_accepted(3, 2, tuple, MultisetRule(lambda pair: pair[0] < pair[1]))
+    >>> count_accepted([(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)], 2,
+    ...                MultisetRule(lambda pair: pair[0] < pair[1]))
     30
-    >>> count_accepted(3, 2, lambda values: 1 << values[0], FoldRule(lambda state: state))
+    >>> count_accepted([2, 2, 4, 4, 8, 8], 2, FoldRule(lambda state: state))
     24
     """
     _check_walk(n, test)
-    counts = Counter(map(signature, _itertools_permutations(range(1, m + 1))))
+    counts = Counter(table)
     sigs = sorted(counts)
     if n == 1:
-        return math.factorial(m) * test(sigs[:1])
+        return len(table) * test(sigs[:1])
     # each head is ``sigs[0]`` followed by a sorted prefix of the other
     # voters, so it is sorted.  A prefix with multiplicities c gives
     # (others-1)! / prod(c!) orderings; appending signature s, which the
@@ -339,4 +341,4 @@ def count_accepted(m: int, n: int, signature: Callable, test: Callable[..., bool
         if next(accepted):
             total += scale * weights[low] // (index.count(low) + 1)
         total += scale * sum(compress(weights[low + 1 :], accepted))
-    return math.factorial(m) * total
+    return len(table) * total

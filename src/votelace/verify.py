@@ -7,7 +7,7 @@ recurrence vs brute force, strong-order reduction vs generic containment.
 Failures carry the full counterexample; its text is built only when a check
 fails, so a passing suite pays for nothing but its two routes.  Recognizers
 are compared as two verdict streams (:func:`votelace.perms.verdicts`), each
-read from a recognizer's signature table and ``rule(m)``, zipped with the
+read from a recognizer's ``table(m)`` and ``rule(m)``, zipped with the
 elections' rankings in enumeration order; an election object is built only
 to print a failure (or, for prop33, for the configuration containment it
 checks against).  The 3-voter host elections (id, pi, rho) are built once
@@ -91,13 +91,13 @@ def _three_voter_hosts(perms: list[Permutation]) -> list[tuple[Permutation, Perm
 
 def _two_verdict_streams(res: SuiteResult, cells, first, second, names: tuple[str, str]) -> None:
     # one check per election of each (m, n) cell: the verdict streams of two
-    # recognizers, each read as its signature table and rule(m), must agree
+    # recognizers, each read as its table(m) and rule(m), must agree
     for m, n in cells:
         rankings = list(_itertools_permutations(range(1, m + 1)))
         for prefs, a, b in zip(
             product(rankings, repeat=n),
-            verdicts(m, n, first.signature, first.rule(m)),
-            verdicts(m, n, second.signature, second.rule(m)),
+            verdicts(first.table(m), n, first.rule(m)),
+            verdicts(second.table(m), n, second.rule(m)),
         ):
             res.check(a == b, lambda: f"(m,n)=({m},{n}) election {_text(m, prefs)}: {names[0]}={a} {names[1]}={b}")
 
@@ -140,7 +140,7 @@ def suite_prop33(seed: int = DEFAULT_SEED) -> SuiteResult:
     cells = [(m, 2) for m in range(1, 6)] + [(4, 3)]
     for m, n in cells:
         rankings = list(_itertools_permutations(range(1, m + 1)))
-        for prefs, a in zip(product(rankings, repeat=n), verdicts(m, n, em.signature, em.rule(m))):
+        for prefs, a in zip(product(rankings, repeat=n), verdicts(em.table(m), n, em.rule(m))):
             e = _unchecked_election(m, prefs)
             b = not any(
                 contains_configuration(e, cfg) for cfg in domains.ENRICHED_FORBIDDEN_CONFIGURATIONS

@@ -76,3 +76,32 @@ def test_every_cache_made_by_votelace_code_is_a_module_cache():
         if isinstance(obj, functools._lru_cache_wrapper) and _origin(obj).startswith("votelace") and id(obj) not in bound
     ]
     assert not stray, stray
+
+
+def _containers() -> dict:
+    # the size of every plain container bound in a votelace module's
+    # namespace, but the interpreter's shared builtins
+    return {
+        (module.__name__, name): len(value)
+        for module in MODULES
+        for name, value in vars(module).items()
+        if name != "__builtins__" and isinstance(value, (dict, list, set, bytearray))
+    }
+
+
+def test_no_module_container_grows_as_a_memo():
+    # a memo outside functools escapes the benchmark's per-unit clearing and
+    # leaves later units warm: counting every domain, a failing check with
+    # its witness and a verification suite leave every module-level dict,
+    # list, set and bytearray at its size
+    from votelace.verify import run_suite
+
+    before = _containers()
+    assert before, "no containers found"
+    for recognizer in DOMAINS.values():
+        enumeration.brute_force_count(5, 2, recognizer)
+    e = Election.from_rows([(1, 2, 3, 4, 5, 6), (3, 1, 6, 2, 5, 4), (6, 4, 2, 5, 1, 3), (2, 5, 4, 6, 3, 1)])
+    verdict = DOMAINS["single-peaked"](e)
+    assert not verdict.holds and verdict.witness is not None
+    assert run_suite("thm32").passed
+    assert _containers() == before

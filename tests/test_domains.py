@@ -344,9 +344,8 @@ class TestSinglePeaked:
 
     def test_signature_ignores_the_order_of_the_top_two(self):
         # neither of a ranking's top two is last in a triple or third or last
-        # in a 4-subset, so swapping them changes no bit the layout sets;
-        # _peak_sig reads a ranking through the one with its top two in
-        # increasing order, and tells exactly m!/2 rankings apart
+        # in a 4-subset, so swapping them changes no bit the layout sets, and
+        # _peak_sig tells exactly m!/2 rankings apart
         for m in range(2, 8):
             t = math.comb(m, 3)
             orders = list(permutations(range(1, m + 1)))
@@ -359,17 +358,6 @@ class TestSinglePeaked:
                 ), order
                 assert _peak_sig(order) == triples | pairs << 3 * t, order
             assert len(set(map(_peak_sig, orders))) == math.factorial(m) // 2, m
-
-    def test_a_signature_table_builds_each_signature_once(self, monkeypatch):
-        # from cold, the signatures of all m! rankings build m!/2 layouts,
-        # each from a ranking with its top two in increasing order
-        built = []
-        quad_bits = domains._quad_bits
-        monkeypatch.setattr(domains, "_quad_bits", lambda order, *rest: built.append(order) or quad_bits(order, *rest))
-        _peak_sig.cache_clear()
-        for order in permutations(range(1, 6)):
-            _peak_sig(order)
-        assert len(built) == 60 and all(order[0] < order[1] for order in built)
 
     def test_axis_exists(self):
         assert is_single_peaked(election("2134", "3421")).holds
@@ -684,6 +672,23 @@ def test_witnesses_read_the_verdicts_signatures(name):
     assert before.hits + before.misses == e.num_voters
     assert verdict.witness is not None
     assert recognizer.signature.cache_info() == before, name
+
+
+def test_parts_tables_run_no_per_ranking_loop(monkeypatch):
+    # a medium or single-peaked table ORs parts, one per candidate and set
+    # ranked below it, which every ranking shares: from cold it misses its
+    # part cache at most m * 2^(m-1) times, and never runs the per-ranking
+    # loops that decide a single election
+    def refuse(*args):
+        raise AssertionError("a table ran a per-ranking loop")
+
+    monkeypatch.setattr(domains, "_triple_bits", refuse)
+    monkeypatch.setattr(domains, "_quad_bits", refuse)
+    m = 5
+    for name, part in [("medium", domains._medium_part), ("single-peaked", domains._peak_part)]:
+        part.cache_clear()
+        assert len(DOMAINS[name].table(m)) == math.factorial(m), name
+        assert 0 < part.cache_info().misses <= m * 2 ** (m - 1), name
 
 
 def test_domains_do_not_import_the_kernels():

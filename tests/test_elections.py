@@ -283,6 +283,19 @@ class TestAllElections:
         with pytest.raises(GuardExceeded):
             list(all_elections(3, 2, limit=10))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_non_positive_limit_is_refused_at_every_m(self, m, limit):
+        # at m = 1 the guard's product has no factor to compare, so the
+        # limit is checked on its own, as brute_force_count checks its guard
+        with pytest.raises(ValueError, match="must be positive"):
+            next(all_elections(m, 2, limit=limit))
+
+    def test_limit_of_one_yields_the_one_election(self):
+        assert [e.preferences for e in all_elections(1, 3, limit=1)] == [((1,), (1,), (1,))]
+        with pytest.raises(GuardExceeded):
+            next(all_elections(2, 1, limit=1))
+
     def test_guard_past_the_int_to_str_digit_limit(self):
         # (3000!)^2 has more than 4,300 digits, where str() of an int stops
         with pytest.raises(GuardExceeded, match=r"\(m,n\)=\(3000,2\)"):

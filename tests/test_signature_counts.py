@@ -52,7 +52,7 @@ def test_a_recognizer_without_a_rule_is_rejected_by_name():
 
     combine_only.signature = tuple
     combine_only.accepts = lambda sigs: True
-    with pytest.raises(TypeError, match="signature and rule"):
+    with pytest.raises(TypeError, match="table and rule"):
         brute_force_count(3, 2, combine_only)
 
 
@@ -243,9 +243,36 @@ def test_weighted_walk_matches_the_rule_on_every_tuple(domain):
     recognizer = DOMAINS[domain]
     for m, n in SMALL_CELLS:
         rule = recognizer.rule(m)
-        table = [recognizer.signature(order) for order in permutations(range(1, m + 1))]
+        table = _table(recognizer.signature, m)
         oracle = sum(map(rule, product(table, repeat=n)))
-        assert count_accepted(m, n, recognizer.signature, rule) == oracle, (domain, m, n)
+        assert count_accepted(recognizer.table(m), n, rule) == oracle, (domain, m, n)
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_table_lists_the_signatures_in_lexicographic_order(domain):
+    # the walks read table(m), which medium and single-peaked build from
+    # parts and group-separable-bh and enriched from the medium table; the
+    # signatures of single elections are the reference
+    recognizer = DOMAINS[domain]
+    for m in range(1, 8):
+        assert recognizer.table(m) == _table(recognizer.signature, m), (domain, m)
+
+
+@pytest.mark.parametrize("domain", ["medium", "single-peaked"])
+def test_parts_table_matches_the_signatures_at_eight_candidates(domain):
+    # 2,000 seeded rankings of the 8! in the parts-built table
+    recognizer = DOMAINS[domain]
+    rankings = list(permutations(range(1, 9)))
+    table = recognizer.table(8)
+    assert len(table) == len(rankings)
+    for i in random.Random(8).sample(range(len(rankings)), 2000):
+        assert table[i] == recognizer.signature(rankings[i]), (domain, rankings[i])
+
+
+def _table(signature, m):
+    # the signatures of the permutations of 1..m, computed one by one, in
+    # lexicographic order
+    return [signature(values) for values in permutations(range(1, m + 1))]
 
 
 def _top_bit(values):
@@ -312,14 +339,14 @@ def test_shares_of_colliding_rules_sum_to_the_solo_count(name):
     signature, rule = COLLIDING_RULES[name]
     verdicts = set()
     for m in (2, 3, 4):
-        table = [signature(values) for values in permutations(range(1, m + 1))]
+        table = _table(signature, m)
         least = min(table)
         for n in range(1, 5):
             if m == 4 and n == 4:
                 continue
             oracle = [rule(tup) for tup in product(table, repeat=n)]
             verdicts.update(oracle)
-            count = count_accepted(m, n, signature, rule)
+            count = count_accepted(table, n, rule)
             if name in NEUTRAL:
                 assert count == sum(oracle), (name, m, n)
             first = sum(rule(tup) for tup in product(table, repeat=n) if tup[0] == least)
@@ -342,7 +369,7 @@ def test_colliding_rule_counts_the_same_through_the_worker_pool(monkeypatch):
     # 4^3 - 4 * 3 * 2 = 40 of the 64 top triples
     _refuse_pools(monkeypatch)
     signature, rule = COLLIDING_RULES["or-top"]
-    assert count_accepted(4, 3, signature, rule) == 24**3 * 5 // 8
+    assert count_accepted(_table(signature, 4), 3, rule) == 24**3 * 5 // 8
 
 
 def test_colliding_combine_counts_the_same_through_the_worker_pool(monkeypatch):
@@ -351,23 +378,23 @@ def test_colliding_combine_counts_the_same_through_the_worker_pool(monkeypatch):
     _refuse_pools(monkeypatch)
     for name, want in [("distinct-tops", 24**3 * 3 // 8), ("distinct-rankings", 24 * 23 * 22)]:
         signature, rule = COLLIDING_RULES[name]
-        assert count_accepted(4, 3, signature, rule) == want, name
+        assert count_accepted(_table(signature, 4), 3, rule) == want, name
 
 
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("rule", [FoldRule(operator.pos), MultisetRule(_distinct)], ids=["fold", "multiset"])
 def test_walks_refuse_elections_without_voters(n, rule):
     with pytest.raises(ValueError, match="at least one voter"):
-        count_accepted(3, n, _top_bit, rule)
+        count_accepted(_table(_top_bit, 3), n, rule)
     with pytest.raises(ValueError, match="at least one voter"):
-        verdicts(3, n, _top_bit, rule)
+        verdicts(_table(_top_bit, 3), n, rule)
 
 
 def test_walks_refuse_a_plain_combine():
     with pytest.raises(TypeError, match="FoldRule or a MultisetRule"):
-        count_accepted(3, 2, tuple, _distinct)
+        count_accepted(_table(tuple, 3), 2, _distinct)
     with pytest.raises(TypeError, match="FoldRule or a MultisetRule"):
-        verdicts(3, 2, tuple, _distinct)
+        verdicts(_table(tuple, 3), 2, _distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +457,10 @@ def test_walks_run_the_combine_once_per_multiset(domain):
         counted = MultisetRule(lambda sigs: calls.append(sigs) or combine(sigs))
         k = len({recognizer.signature(order) for order in permutations(range(1, m + 1))})
         want = brute_force_count(m, n, recognizer).count
-        assert count_accepted(m, n, recognizer.signature, counted) == want, (domain, m, n)
+        assert count_accepted(recognizer.table(m), n, counted) == want, (domain, m, n)
         assert len(calls) == len(set(calls)) == math.comb(k + n - 2, n - 1), (domain, m, n)
         calls.clear()
-        assert sum(verdicts(m, n, recognizer.signature, counted)) == want, (domain, m, n)
+        assert sum(verdicts(recognizer.table(m), n, counted)) == want, (domain, m, n)
         assert len(calls) == len(set(calls)) == math.comb(k + n - 1, n), (domain, m, n)
 
 
@@ -449,7 +476,7 @@ def test_walk_runs_the_mask_once_per_sorted_prefix(domain):
         counted = FoldRule(lambda state: states.append(state) or mask(state))
         k = len({recognizer.signature(order) for order in permutations(range(1, m + 1))})
         want = brute_force_count(m, n, recognizer).count
-        assert count_accepted(m, n, recognizer.signature, counted) == want, (domain, m, n)
+        assert count_accepted(recognizer.table(m), n, counted) == want, (domain, m, n)
         assert len(states) == math.comb(k + n - 3, n - 2), (domain, m, n)
 
 
@@ -472,21 +499,23 @@ def test_multiset_walk_counts_cells_past_the_small_ones(domain, m, n, want):
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 def test_signature_runs_once_per_permutation_and_share(domain):
-    # the signatures are computed once per count, in process: ``counted`` is
-    # a closure, and its calls are recorded in this process only
+    # a count reads its recognizer's table once, in process, and the table
+    # holds one signature per permutation: ``counted.table`` is a closure,
+    # and its calls are recorded in this process only
     recognizer = DOMAINS[domain]
     calls = []
 
-    def counted(values):
-        calls.append(values)
-        return recognizer.signature(values)
+    @functools.wraps(recognizer)
+    def counted(e):
+        return recognizer(e)
 
+    counted.table = lambda m: calls.append(m) or recognizer.table(m)
     for m, n in [(1, 3), (3, 1), (3, 3), (4, 2)]:
-        rule = recognizer.rule(m)
-        want = count_accepted(m, n, recognizer.signature, rule)
+        want = brute_force_count(m, n, recognizer).count
         calls.clear()
-        assert count_accepted(m, n, counted, rule) == want, (domain, m, n)
-        assert sorted(calls) == sorted(permutations(range(1, m + 1))), (domain, m, n)
+        assert brute_force_count(m, n, counted).count == want, (domain, m, n)
+        assert calls == [m], (domain, m, n)
+        assert len(recognizer.table(m)) == math.factorial(m), (domain, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +528,7 @@ WALK_CELLS = [(m, n) for m in range(1, 9) for n in range(1, 7) if math.factorial
 def test_verdict_walk_matches_recognizing_every_election(domain):
     recognizer = DOMAINS[domain]
     for m, n in WALK_CELLS:
-        walk = verdicts(m, n, recognizer.signature, recognizer.rule(m))
+        walk = verdicts(recognizer.table(m), n, recognizer.rule(m))
         assert list(walk) == [recognizer(e).holds for e in all_elections(m, n)], (domain, m, n)
 
 
@@ -509,5 +538,5 @@ def test_verdict_walk_starts_the_fold_from_its_initial_state(name):
     signature, rule = COLLIDING_RULES[name]
     for m, n in WALK_CELLS:
         oracle = [rule(tuple(map(signature, e.preferences))) for e in all_elections(m, n)]
-        assert list(verdicts(m, n, signature, rule)) == oracle, (name, m, n)
-    assert list(verdicts(4, 1, signature, rule)) == [False] * 12 + [True] * 12
+        assert list(verdicts(_table(signature, m), n, rule)) == oracle, (name, m, n)
+    assert list(verdicts(_table(signature, 4), 1, rule)) == [False] * 12 + [True] * 12

@@ -71,17 +71,19 @@ def _flipped(route, picks, calls=None):
 
 
 def _stand_in(recognizer, wrap):
-    # ``recognizer`` as the suites read it, its signature and rule(m), with
-    # every rule passed through ``wrap`` (which sees one call per election,
-    # in the order the suite checks them, under _per_election_verdicts)
-    return types.SimpleNamespace(signature=recognizer.signature, rule=lambda m: wrap(recognizer.rule(m)))
+    # ``recognizer`` as the suites read it, its signature, table(m) and
+    # rule(m), with every rule passed through ``wrap`` (which sees one call
+    # per election, in the order the suite checks them, under
+    # _per_election_verdicts)
+    return types.SimpleNamespace(
+        signature=recognizer.signature, table=recognizer.table, rule=lambda m: wrap(recognizer.rule(m))
+    )
 
 
-def _per_election_verdicts(m, n, signature, test):
+def _per_election_verdicts(table, n, test):
     # the verdict stream in the order verify.verdicts yields it, with the
     # test called once per election: a stand-in rule is a plain function,
     # which the walks over fold and multiset rules do not take
-    table = [signature(values) for values in itertools.permutations(range(1, m + 1))]
     return map(test, itertools.product(table, repeat=n))
 
 
@@ -131,7 +133,8 @@ def _sampled_digest(monkeypatch, suite, seed):
 
             return recorded
 
-        direct = types.SimpleNamespace(signature=tuple, rule=rule)
+        rankings = lambda m: list(itertools.permutations(range(1, m + 1)))
+        direct = types.SimpleNamespace(signature=tuple, table=rankings, rule=rule)
         monkeypatch.setattr(verify.domains, "is_group_separable_direct", direct)
         monkeypatch.setattr(verify, "verdicts", _per_election_verdicts)
         samples = 10_000
