@@ -111,8 +111,6 @@ def cmd_count(args) -> int:
         enumeration.check_width(args.m, args.n, max(args.n - 1, 0) * (args.m - 1), "the enriched count")
         if args.method == "recurrence":
             count = enumeration.enriched_count(args.m, args.n)
-        elif args.m in (3, 4, 5):
-            count = enumeration.enriched_count_formula(f"m{args.m}", args.n)
         else:
             count = math.factorial(args.m) * enumeration.reduced_enriched_count_closed(args.m, args.n)
         report = enumeration.CountReport(args.m, args.n, "enriched", count, args.method)

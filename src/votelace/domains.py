@@ -24,11 +24,13 @@ counting and the verification suites read ``table(m)`` in process and
 build no election; a count fixes the first voter, tests each multiset of
 the other voters' distinct signatures once and multiplies by m!, as
 :func:`votelace.perms.count_accepted` describes.  A single election's
-signatures come from per-ranking loops, and masks that cost more than a
-lookup, the packed signatures among them, are cached on the ranking; a
-table is cached nowhere, and where the layout allows it is built from
-parts that all m! rankings share (see below).  Each fold rule is cached
-once per number of candidates.
+signatures come from per-ranking loops, and each recognizer caches its
+packed signature on the ranking, in its own cache only: a composite
+signature runs the loops of its fields rather than the other domains'
+cached signatures.  A table fills no per-ranking cache: it maps the
+function under the signature's cache, or where the layout allows it is
+built from parts that all m! rankings share (see below), each computed
+once per table.  Each fold rule is cached once per number of candidates.
 
 * medium, em, group-separable-bh, enriched and single-peaked share one
   signature layout, each deciding its domain by forbidden configurations:
@@ -223,7 +225,9 @@ def _recognizer(
 
         recognize.signature = signature
         recognize.rule = rule
-        recognize.table = table or (lambda m: list(map(signature, permutations(range(1, m + 1)))))
+        # map the function under a signature's cache: a table fills no per-ranking cache
+        per_ranking = getattr(signature, "__wrapped__", signature)
+        recognize.table = table or (lambda m: list(map(per_ranking, permutations(range(1, m + 1)))))
         return recognize
 
     return build
@@ -331,7 +335,6 @@ def _triple_masks(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, masks))
 
 
-@lru_cache(maxsize=None)
 def _medium_part(m: int, below: int, x: int) -> int:
     # x is the middle of each triple with one other member below it and one
     # above: the triples of x that both sets meet
@@ -530,13 +533,14 @@ def _bh_sig(order: tuple[int, ...]) -> int:
     # per order: the first marks the order the ranking gives the subset, the
     # second the orders that would form 2413/3142 with it
     pairs = _quad_bits(order, range(24), _GS_CLASH_ROWS, 24)
-    return _medium_sig(order) | pairs << 3 * comb(len(order), 3)
+    return _triple_bits(order, _MIDDLE) | pairs << 3 * comb(len(order), 3)
 
 
 @lru_cache(maxsize=None)
 def _enriched_sig(order: tuple[int, ...]) -> int:
     # the medium fields, then the em fields
-    return _medium_sig(order) | _em_sig(order) << 3 * comb(len(order), 3)
+    pairs = _quad_bits(order, _EM_SLOTS, _EM_ROWS, 6)
+    return _triple_bits(order, _MIDDLE) | pairs << 3 * comb(len(order), 3)
 
 
 def _medium_with_pairs(m: int, slot_of: Sequence[int], row_of: Sequence[int], slots: int) -> list[int]:
@@ -667,33 +671,29 @@ def _peak_sig(order: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _peak_quad_masks(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    # at [0][x - 1][l - 1], for candidates x and l: the pair-field bits of
+def _peak_quad_masks(m: int) -> tuple[tuple[int, ...], ...]:
+    # at [x - 1][l - 1], for candidates x and l: the pair-field bits of
     # _peak_sig that each 4-subset holding both sets when x is its third
-    # member and l its last; at [1][c - 1]: all 24 pair-field bits of each
-    # 4-subset that holds candidate c
+    # member and l its last
     t, p = comb(m, 3), 12 * comb(m, 4)
     thirds = [[0] * m for _ in range(m)]
-    spans = [0] * m
     for s, quad in enumerate(_subsets(m, 4)):
         base = 3 * t + 12 * s
         for (i, x), (j, l) in permutations(enumerate(quad), 2):
             slot = _THIRD_LAST.index((i, j))
             thirds[x - 1][l - 1] |= (1 << slot | _SP_ROWS[slot] << p) << base
-        for c in quad:
-            spans[c - 1] |= (4095 | 4095 << p) << base
-    return tuple(map(tuple, thirds)), tuple(spans)
+    return tuple(map(tuple, thirds))
 
 
-@lru_cache(maxsize=None)
 def _peak_part(m: int, below: int, x: int) -> int:
     # x is last in each triple whose other two members rank above it, and
     # third in each 4-subset with exactly one other member l below it, which
-    # is then the subset's last.  ``twice`` holds the 4-subsets that meet
-    # ``below`` at least twice
-    thirds, spans = _peak_quad_masks(m)
+    # is then the subset's last.  ``twice`` holds the triples and 4-subsets
+    # that meet ``below`` at least twice, of which only the 4-subsets' pair
+    # bits meet ``quads``
+    thirds, spans = _peak_quad_masks(m)[x - 1], _or_touching(True, 12, m)
     low = high = quads = once = twice = 0
-    for c, (mask, third, span) in enumerate(zip(_triple_masks(m)[x - 1], thirds[x - 1], spans)):
+    for c, (mask, third, span) in enumerate(zip(_triple_masks(m)[x - 1], thirds, spans)):
         if below >> c & 1:
             low |= mask
             quads |= third

@@ -65,7 +65,8 @@ class CountReport(Frozen):
     """One exact count, with the method that produced it recorded truthfully.
 
     Equal reports have equal fields.  The constructor refuses a count that
-    is not an int or is negative, and a method outside :data:`METHODS`.
+    is not an int (a bool included) or is negative, and a method outside
+    :data:`METHODS`.
     """
 
     __slots__ = _fields = ("m", "n", "label", "count", "method")
@@ -76,7 +77,7 @@ class CountReport(Frozen):
     method: str
 
     def __init__(self, m: int, n: int, label: str, count: int, method: str):
-        if not isinstance(count, int):
+        if not isinstance(count, int) or isinstance(count, bool):
             raise TypeError(f"counts are exact integers, got {count!r}")
         if count < 0:
             raise ValueError("counts are nonnegative")

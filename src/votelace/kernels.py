@@ -91,18 +91,14 @@ def _host_size(host, l, h):
     return m
 
 
-def _positions(order):
-    # the 0-based position of each value of a permutation, indexed by value - 1
+def _rank_vector(order):
+    # the 0-based position of each value of a permutation, indexed by value
+    # - 1.  Not cached: a cache would keep an entry for every ranking that a
+    # table or a search reads, for the life of the process
     ranks = [0] * len(order)
     for pos, c in enumerate(order):
         ranks[c - 1] = pos
     return tuple(ranks)
-
-
-@lru_cache(maxsize=None)
-def _rank_vector(order):
-    # _positions of a ranking, cached
-    return _positions(order)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -187,8 +183,8 @@ def _strong_search(big_first, big_second, small_first, small_second):
     # the strong search on checked pairs, refusing only the cap: index v - 1
     # stands for value v, and each component is read by its values' positions
     _refuse_long(big_first, big_second, small_first, small_second)
-    bigs = (_positions(big_first), _positions(big_second))
-    smalls = (_positions(small_first), _positions(small_second))
+    bigs = (_rank_vector(big_first), _rank_vector(big_second))
+    smalls = (_rank_vector(small_first), _rank_vector(small_second))
     for indices in _increasing_matches(len(big_first), bigs, smalls):
         yield tuple(i + 1 for i in indices)
 

@@ -14,7 +14,7 @@ import importlib
 import pkgutil
 
 import votelace
-from votelace import enumeration, pairs
+from votelace import domains, enumeration, kernels, pairs
 from votelace.domains import DOMAINS
 from votelace.elections import Election, contains_configuration
 
@@ -105,3 +105,23 @@ def test_no_module_container_grows_as_a_memo():
     assert not verdict.holds and verdict.witness is not None
     assert run_suite("thm32").passed
     assert _containers() == before
+
+
+def test_bulk_paths_fill_no_per_ranking_cache():
+    # a count and a table of every domain leave each cached signature empty,
+    # and the rank vector is no cache: per-ranking entries come only from
+    # single elections
+    assert not _is_cache(kernels._rank_vector)
+    signatures = [r.signature for r in DOMAINS.values() if _is_cache(r.signature)]
+    assert len(signatures) == 6
+    for signature in signatures:
+        signature.cache_clear()
+    for recognizer in DOMAINS.values():
+        enumeration.brute_force_count(6, 1, recognizer)
+        recognizer.table(6)
+    assert [signature.cache_info().currsize for signature in signatures] == [0] * len(signatures)
+    # one enriched check fills the enriched signature's cache only
+    e = Election.from_rows([(1, 2, 3, 4), (2, 1, 4, 3)])
+    assert not DOMAINS["enriched"](e).holds
+    assert domains._enriched_sig.cache_info().currsize == 2
+    assert domains._medium_sig.cache_info().currsize == domains._em_sig.cache_info().currsize == 0

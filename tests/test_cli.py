@@ -90,9 +90,10 @@ class TestCount:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("m", ["3", "5"])
-    def test_recurrence_refuses_no_voters(self, capsys, m):
-        code, out, err = run(capsys, "count", "--m", m, "--n", "0", "--domain", "enriched", "--method", "recurrence")
+    @pytest.mark.parametrize("method", ["recurrence", "formula"])
+    @pytest.mark.parametrize("m", ["3", "5", "7"])
+    def test_recurrence_and_formula_refuse_no_voters(self, capsys, m, method):
+        code, out, err = run(capsys, "count", "--m", m, "--n", "0", "--domain", "enriched", "--method", method)
         assert code == 2
         assert out == ""
         assert "voter" in err
@@ -105,8 +106,7 @@ class TestCount:
         assert "candidate" in err
 
     def test_formula_covers_every_cell(self, capsys):
-        # the paper's m3/m4/m5 formulas, and the closed form of the reduced
-        # count at every other cell
+        # m! times the closed form of the reduced count, at every cell
         for m in range(1, 9):
             for n in range(1, 7):
                 argv = ["count", "--m", str(m), "--n", str(n), "--domain", "enriched"]

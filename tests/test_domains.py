@@ -676,19 +676,27 @@ def test_witnesses_read_the_verdicts_signatures(name):
 
 def test_parts_tables_run_no_per_ranking_loop(monkeypatch):
     # a medium or single-peaked table ORs parts, one per candidate and set
-    # ranked below it, which every ranking shares: from cold it misses its
-    # part cache at most m * 2^(m-1) times, and never runs the per-ranking
-    # loops that decide a single election
+    # ranked below it, which every ranking shares: it computes each
+    # (lower set, candidate) part once, so at most m * 2^(m-1) of them, and
+    # never runs the per-ranking loops that decide a single election
     def refuse(*args):
         raise AssertionError("a table ran a per-ranking loop")
 
     monkeypatch.setattr(domains, "_triple_bits", refuse)
     monkeypatch.setattr(domains, "_quad_bits", refuse)
     m = 5
-    for name, part in [("medium", domains._medium_part), ("single-peaked", domains._peak_part)]:
-        part.cache_clear()
+    for name, attr in [("medium", "_medium_part"), ("single-peaked", "_peak_part")]:
+        calls = []
+        part = getattr(domains, attr)
+
+        def counted(m, below, x, part=part):
+            calls.append((m, below, x))
+            return part(m, below, x)
+
+        monkeypatch.setattr(domains, attr, counted)
         assert len(DOMAINS[name].table(m)) == math.factorial(m), name
-        assert 0 < part.cache_info().misses <= m * 2 ** (m - 1), name
+        assert 0 < len(calls) <= m * 2 ** (m - 1), name
+        assert len(set(calls)) == len(calls), name
 
 
 def test_domains_do_not_import_the_kernels():

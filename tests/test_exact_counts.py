@@ -43,10 +43,10 @@ def test_cli_formula_at_200_candidates(capsys):
 
 
 def test_cli_maps_arithmetic_errors_to_exit_two(capsys, monkeypatch):
-    def overflow(which, index):
+    def overflow(m, n):
         raise OverflowError("too large")
 
-    monkeypatch.setattr(enumeration, "enriched_count_formula", overflow)
+    monkeypatch.setattr(enumeration, "reduced_enriched_count_closed", overflow)
     code = main(["count", "--method", "formula", "--n", "2", "--m", "5", "--domain", "enriched"])
     assert code == 2
     assert "too large" in capsys.readouterr().err

@@ -196,12 +196,13 @@ def test_suite_result_is_mutable_and_unhashable():
      "components differ in length: 2 vs 3"),
     (lambda: CountReport(3, 2, "x", 1.5, "formula"), TypeError, "counts are exact integers, got 1.5"),
     (lambda: CountReport(3, 2, "x", "36", "formula"), TypeError, "counts are exact integers, got '36'"),
+    (lambda: CountReport(1, 1, "x", True, "formula"), TypeError, "counts are exact integers, got True"),
     (lambda: CountReport(3, 2, "x", -1, "formula"), ValueError, "counts are nonnegative"),
     (lambda: CountReport(3, 2, "x", 36, "guesswork"), ValueError, "unknown method 'guesswork'"),
 ], ids=[
     "perm-repeat", "perm-zero", "perm-gap", "election-empty", "election-no-voter", "election-no-candidate",
-    "election-repeat", "election-long-ranking", "pair-lengths", "count-float", "count-str", "count-negative",
-    "count-method",
+    "election-repeat", "election-long-ranking", "pair-lengths", "count-float", "count-str", "count-bool",
+    "count-negative", "count-method",
 ])
 def test_constructors_refuse(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
