@@ -79,9 +79,10 @@ whose induced sub-election still violates the domain condition; witnesses are
 read in a fixed scan order when first asked for, so bulk counting only pays
 for the verdict.  Witness searches read the signatures the verdict computed.
 Single-peaked, single-crossing and enriched-recursive shrink the election
-greedily, and each trial decides a sub-election without building one.
-Forbidden configurations are hereditary: dropping a candidate only drops
-the configurations that contain it.  So single-peaked and single-crossing
+greedily in one pass, exact by heredity, and each trial decides a
+sub-election without building one.  Forbidden configurations are
+hereditary: dropping a voter or a candidate only drops the configurations
+that contain it.  So single-peaked and single-crossing
 rerun their rule on those signatures with the bits of every triple,
 4-subset or pair that holds a dropped candidate cleared; enriched-recursive
 runs its rule on the kept rankings, relabeled as a sub-election relabels
@@ -773,9 +774,14 @@ def is_single_crossing(e: Election, sigs: tuple) -> Witness:
 
 
 def _minimized_witness(e: Election, fails: Callable[[list, list], bool]) -> Witness:
-    """Greedily shrink a failing election: try dropping each voter in turn,
-    then each candidate, keeping every drop after which ``fails(voters,
-    candidates)`` still holds, until a round drops nothing.
+    """Greedily shrink a failing election in one pass: try dropping each
+    voter in turn, then each candidate, keeping every drop after which
+    ``fails(voters, candidates)`` still holds.
+
+    One pass is exact by heredity: an item is kept because dropping it left
+    a holding sub-election, and any later trial of it would decide a
+    sub-election of that one, which holds too.  So a second pass would drop
+    nothing, and the witness is 1-minimal.
 
     ``fails`` decides the sub-election that the voters (1-based) and the
     candidates, both listed in increasing order, induce; it builds no
@@ -783,21 +789,14 @@ def _minimized_witness(e: Election, fails: Callable[[list, list], bool]) -> Witn
     """
     voters = list(range(1, e.num_voters + 1))
     candidates = list(range(1, e.num_candidates + 1))
-    changed = True
-    while changed:
-        changed = False
-        for v in list(voters):
-            if len(voters) > 1:
-                trial = [x for x in voters if x != v]
-                if fails(trial, candidates):
-                    voters = trial
-                    changed = True
-        for c in list(candidates):
-            if len(candidates) > 1:
-                trial = [x for x in candidates if x != c]
-                if fails(voters, trial):
-                    candidates = trial
-                    changed = True
+    for v in list(voters):
+        trial = [x for x in voters if x != v]
+        if len(voters) > 1 and fails(trial, candidates):
+            voters = trial
+    for c in list(candidates):
+        trial = [x for x in candidates if x != c]
+        if len(candidates) > 1 and fails(voters, trial):
+            candidates = trial
     return Witness(tuple(voters), tuple(candidates))
 
 

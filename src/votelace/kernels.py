@@ -197,46 +197,45 @@ def configuration_embeddings(host, cfg):
     candidate for configuration candidate s+1.  Voter maps come in
     ``itertools.permutations`` order, then candidate maps in lexicographic
     order.
+
+    The search walks the voter prefixes f(1), f(2), ... in that order.  Host
+    voter f(1) admits one candidate map per h-subset of its ranking: the map
+    under which it orders the subset as configuration voter 1 orders 1..h.
+    Each later voter f(i) keeps those of its parent prefix's maps under which
+    it orders the mapped candidates as configuration voter i orders 1..h.
+    Filtering keeps the maps sorted, and a prefix that keeps none is not
+    extended.
     """
     n, l = len(host), len(cfg)
     h = len(cfg[0]) if l else 0
-    m = _host_size(host, l, h)
-    if m is None:
+    if _host_size(host, l, h) is None:
         return
     _check_rankings(cfg, h)
-    # ranks[v][c-1] is the position of candidate c in voter v's ranking
-    host_ranks = tuple(map(_rank_vector, host))
     cfg_ranks = tuple(map(_rank_vector, cfg))
+    agreeing = {}
 
-    assigned = [0] * h  # assigned[s] = host candidate (1-based) for cfg candidate s+1
-    used = [False] * m
+    def agree(v, i):
+        # the maps host voter v admits for configuration voter i: the member
+        # of an h-subset at voter i's position of s maps s
+        if (v, i) not in agreeing:
+            agreeing[v, i] = {tuple(map(subset.__getitem__, cfg_ranks[i])) for subset in combinations(host[v], h)}
+        return agreeing[v, i]
 
-    def place(f, depth):
-        if depth == h:
-            yield tuple(assigned)
+    def extend(f, maps):
+        i = len(f)
+        if i == l:
+            for g in maps:
+                yield f, g
             return
-        for c in range(1, m + 1):
-            if used[c - 1]:
-                continue
-            ok = True
-            for t in range(depth):
-                ct = assigned[t]
-                for i in range(l):
-                    hr = host_ranks[f[i]]
-                    if (cfg_ranks[i][t] < cfg_ranks[i][depth]) != (hr[ct - 1] < hr[c - 1]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                assigned[depth] = c
-                used[c - 1] = True
-                yield from place(f, depth + 1)
-                used[c - 1] = False
+        for v in range(n):
+            if v not in f:
+                admitted = agree(v, i)
+                kept = [g for g in maps if g in admitted] if i else sorted(admitted)
+                if kept:
+                    yield from extend(f + (v,), kept)
 
-    for f in permutations(range(n), l):
-        for g in place(f, 0):
-            yield f, g
+    # with no voter (l = 0, so h = 0) the one embedding maps nothing
+    yield from extend((), [()])
 
 
 # ---------------------------------------------------------------------------

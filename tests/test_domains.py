@@ -436,6 +436,13 @@ def _near_single_crossing(rng: random.Random, m: int, n: int) -> Election:
     return Election.from_rows(rows)
 
 
+def _one_smaller(voters, candidates):
+    # every (voters, candidates) with one of either dropped, where more than
+    # one is left
+    smaller = [(voters, [c for c in candidates if c != x]) for x in candidates if len(candidates) > 1]
+    return smaller + [([v for v in voters if v != x], candidates) for x in voters if len(voters) > 1]
+
+
 def _sigs(recognizer, e):
     # the signatures the recognizer's verdict on e reads
     return tuple(map(recognizer.signature, e.preferences))
@@ -502,6 +509,42 @@ class TestWitnessTrials:
             assert make(e)(voters, candidates) == expected, (e.to_text(), voters, candidates)
             seen.add(expected)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(_TRIALS))
+    def test_witnesses_are_one_minimal_after_one_pass(self, name):
+        # every failing election up to (4,3), and a seeded sample up to
+        # (8,6): the witness still fails, dropping any one of its voters or
+        # candidates (when more than one is left) gives a sub-election the
+        # recognizer accepts, and the minimizer tries each voter and each
+        # candidate once, so it calls its trial at most n + m times
+        recognizer, make = _TRIALS[name]
+        rng = random.Random(3400 + len(name))
+        small = [e for m in range(1, 5) for n in range(1, 4) for e in all_elections(m, n)]
+        sample = [
+            _near_single_crossing(rng, m, n) if k % 2 else Election.from_rows([rng.sample(range(1, m + 1), m) for _ in range(n)])
+            for k in range(300)
+            for m, n in [(rng.randint(5, 8), rng.randint(2, 6))]
+        ]
+        failing = 0
+        for e in small + sample:
+            verdict = recognizer(e)
+            if verdict.holds:
+                continue
+            failing += 1
+            calls = []
+            trial = make(e)
+
+            def counted(voters, candidates, trial=trial):
+                calls.append(1)
+                return trial(voters, candidates)
+
+            witness = domains._minimized_witness(e, counted)
+            assert witness == verdict.witness, e.to_text()
+            assert len(calls) <= e.num_voters + e.num_candidates, e.to_text()
+            assert replay_witness(recognizer, e, verdict), e.to_text()
+            for voters, candidates in _one_smaller(witness.voters, witness.candidates):
+                assert recognizer(sub_election(e, voters, candidates)).holds, (e.to_text(), witness)
+        assert failing > 300
 
     @pytest.mark.parametrize("triples, slots", [(True, 12), (True, 0), (False, 6), (True, 6), (True, 24)])
     def test_or_touching_masks_hold_the_subsets_of_each_candidate(self, triples, slots):
@@ -603,6 +646,26 @@ class TestGenericProperties:
                     seen_false += 1
                     assert replay_witness(recognizer, e, v), (name, e.to_text())
             assert (seen_false > 0) == (name not in ("medium", "single-crossing"))
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_every_domain_is_hereditary(self, name):
+        # the one-pass witness minimizer, and a count that fixes a prefix of
+        # voters, rest on this: dropping one voter or one candidate from an
+        # accepted election leaves an accepted one.  Every election up to
+        # (3,3), and up to (4,3) with voter 1 the identity, which neutrality
+        # makes enough
+        recognizer = DOMAINS[name]
+        elections = [e for m in range(1, 4) for n in range(1, 4) for e in all_elections(m, n)]
+        orders = list(permutations(range(1, 5)))
+        elections += [Election.from_rows((orders[0], *rest)) for n in range(1, 4) for rest in product(orders, repeat=n - 1)]
+        accepted = 0
+        for e in elections:
+            if not recognizer(e).holds:
+                continue
+            accepted += 1
+            for voters, candidates in _one_smaller(range(1, e.num_voters + 1), range(1, e.num_candidates + 1)):
+                assert recognizer(sub_election(e, voters, candidates)).holds, (e.to_text(), voters, candidates)
+        assert accepted > 100
 
     def test_a_holding_verdict_has_no_witness_to_replay(self):
         e = election("123", "123")

@@ -103,6 +103,9 @@ def test_malformed_input_is_refused_as_the_stream_refuses_it():
         ("contains_configuration", (((1, 2), (2, 1)), ((1, 3),))),
         ("contains_configuration", (((1, 2), (2, 1)), ((1, 2), (1,)))),
         ("contains_configuration", (((1, 2), (2, 1)), ((2, 1), (1, 2)))),
+        # no candidate to map, so the host's rankings are neither checked nor read
+        ("contains_configuration", (((3, 1),), ((),))),
+        ("contains_configuration", ((("a", 1.0), (2, 2)), ((),))),
     ]
     outcomes = set()
     for name, args in cases:

@@ -11,6 +11,7 @@ definitions enumerate candidate witnesses with ``itertools`` and test each
 one from scratch: no shared state, no pruning.
 """
 
+import random
 from collections import defaultdict
 from itertools import combinations, permutations, product
 
@@ -64,8 +65,9 @@ def brute_embeddings(host, l, h):
     (0-based) then candidate maps (1-based), both in permutation order, under
     which the host reads exactly that configuration."""
     found = defaultdict(list)
+    m = len(host[0]) if host else 0
     for f in permutations(range(len(host)), l):
-        for g in permutations(range(1, len(host[0]) + 1), h):
+        for g in permutations(range(1, m + 1), h):
             found[_read(host, f, g)].append((f, g))
     return found
 
@@ -128,6 +130,34 @@ def test_configuration_embeddings_exhaustive():
                     _check_embeddings(host_election, cfg_election, expected)
 
 
+def test_configuration_embeddings_sweep_the_query_shapes():
+    # the prefix walk prunes voter maps, so its stream is held to the
+    # definition on the shapes the query benchmark draws (every other host)
+    # and around them: hosts of up to 5 voters and 6 candidates,
+    # configurations of up to 3 voters and 4 candidates, larger than the
+    # host or empty.  Per host, a few configurations that embed and a few
+    # drawn at random
+    rng = random.Random(34)
+    seen = set()
+    for k in range(200):
+        if k % 2:
+            m, n = rng.randint(3, 6), rng.randint(2, 5)
+            h, l = rng.randint(2, min(4, m)), rng.randint(1, min(3, n))
+        else:
+            m, n, l = rng.randint(0, 6), rng.randint(0, 5), rng.randint(0, 3)
+            h = rng.randint(0, 4) if l else 0
+        host = tuple(tuple(rng.sample(range(1, m + 1), m)) for _ in range(n))
+        expected = brute_embeddings(host, l, h)
+        drawn = [tuple(tuple(rng.sample(range(1, h + 1), h)) for _ in range(l)) for _ in range(4)]
+        for cfg in rng.sample(sorted(expected), min(3, len(expected))) + drawn:
+            embeddings = list(kernels.configuration_embeddings(host, cfg))
+            assert embeddings == expected.get(cfg, []), (host, cfg)
+            assert kernels.contains_configuration(host, cfg) == bool(embeddings), (host, cfg)
+            seen.add((l > n, h > m, l == 0, h == 0, bool(embeddings)))
+    for i in range(5):
+        assert {flags[i] for flags in seen} == {True, False}, i
+
+
 def test_configuration_key_is_the_normalization():
     # the key of the configuration (id, tau, sigma) is the pair (tau, sigma)
     for m in (3, 4):
@@ -165,7 +195,7 @@ def test_strong_occurrences_random(data):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    _rankings(st.integers(1, 4), st.integers(1, 5)),
+    _rankings(st.integers(1, 5), st.integers(1, 6)),
     _rankings(st.integers(1, 3), st.integers(1, 4)),
 )
 def test_configuration_embeddings_random(host, cfg):
