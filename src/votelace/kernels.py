@@ -198,44 +198,73 @@ def configuration_embeddings(host, cfg):
     ``itertools.permutations`` order, then candidate maps in lexicographic
     order.
 
-    The search walks the voter prefixes f(1), f(2), ... in that order.  Host
-    voter f(1) admits one candidate map per h-subset of its ranking: the map
-    under which it orders the subset as configuration voter 1 orders 1..h.
-    Each later voter f(i) keeps those of its parent prefix's maps under which
-    it orders the mapped candidates as configuration voter i orders 1..h.
-    Filtering keeps the maps sorted, and a prefix that keeps none is not
-    extended.
+    The search walks the voter prefixes f(1), f(2), ... in that order, and
+    under each the candidate maps depth-first, g[0] first: each voter of the
+    prefix admits for g[s] the candidates it ranks on the side of every g[t],
+    t < s, that its configuration voter ranks s+1 on.  A prefix that admits
+    no candidate map is not extended, and the walk holds only its current
+    prefix and map, never a list of maps.
     """
     n, l = len(host), len(cfg)
     h = len(cfg[0]) if l else 0
-    if _host_size(host, l, h) is None:
+    m = _host_size(host, l, h)
+    if m is None:
         return
     _check_rankings(cfg, h)
+    if not h:
+        # no candidate to map, so the host is not read: every voter map embeds
+        yield from ((f, ()) for f in permutations(range(n), l))
+        return
+    # per host voter, the candidates it ranks below and above candidate c,
+    # as bitmasks with bit c for c
+    full = (2 << m) - 2
+    sides = []
+    for ranking in host:
+        below, above, seen = [0] * (m + 1), [0] * (m + 1), 0
+        for c in ranking:
+            above[c] = seen
+            seen |= 1 << c
+            below[c] = full ^ seen
+        sides.append((below, above))
     cfg_ranks = tuple(map(_rank_vector, cfg))
-    agreeing = {}
 
-    def agree(v, i):
-        # the maps host voter v admits for configuration voter i: the member
-        # of an h-subset at voter i's position of s maps s
-        if (v, i) not in agreeing:
-            agreeing[v, i] = {tuple(map(subset.__getitem__, cfg_ranks[i])) for subset in combinations(host[v], h)}
-        return agreeing[v, i]
+    def maps(steps):
+        # the candidate maps a prefix admits, in lexicographic order: steps[s]
+        # holds (side, t) per voter of the prefix and t < s
+        g, frees, s = [0] * h, [full] * h, 0
+        while s >= 0:
+            free = frees[s]
+            if not free:
+                s -= 1
+                continue
+            bit = free & -free
+            frees[s] = free ^ bit
+            g[s] = bit.bit_length() - 1
+            if s + 1 == h:
+                yield tuple(g)
+                continue
+            s += 1
+            free = full
+            for side, t in steps[s]:
+                free &= side[g[t]]
+            frees[s] = free
 
-    def extend(f, maps):
+    def extend(f, steps):
         i = len(f)
         if i == l:
-            for g in maps:
+            for g in maps(steps):
                 yield f, g
             return
+        rank = cfg_ranks[i]
         for v in range(n):
             if v not in f:
-                admitted = agree(v, i)
-                kept = [g for g in maps if g in admitted] if i else sorted(admitted)
-                if kept:
+                below, above = sides[v]
+                kept = [step + [(below if rank[t] < rank[s] else above, t) for t in range(s)] for s, step in enumerate(steps)]
+                # one voter admits a map per h-subset, and a last voter's maps are the stream
+                if i + 1 in (1, l) or next(maps(kept), None) is not None:
                     yield from extend(f + (v,), kept)
 
-    # with no voter (l = 0, so h = 0) the one embedding maps nothing
-    yield from extend((), [()])
+    yield from extend((), [[]] * h)
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,15 @@ def _near_single_crossing(rng: random.Random, m: int, n: int) -> Election:
     return Election.from_rows(rows)
 
 
+def _up_to_four_three():
+    # every election up to (3,3), and up to (4,3) with voter 1 the identity:
+    # the recognizers are neutral, so these hold every (4,n) verdict up to a
+    # relabeling of the candidates
+    elections = [e for m in range(1, 4) for n in range(1, 4) for e in all_elections(m, n)]
+    orders = list(permutations(range(1, 5)))
+    return elections + [Election.from_rows((orders[0], *rest)) for n in range(1, 4) for rest in product(orders, repeat=n - 1)]
+
+
 def _one_smaller(voters, candidates):
     # every (voters, candidates) with one of either dropped, where more than
     # one is left
@@ -512,25 +521,25 @@ class TestWitnessTrials:
 
     @pytest.mark.parametrize("name", sorted(_TRIALS))
     def test_witnesses_are_one_minimal_after_one_pass(self, name):
-        # every failing election up to (4,3), and a seeded sample up to
-        # (8,6): the witness still fails, dropping any one of its voters or
-        # candidates (when more than one is left) gives a sub-election the
-        # recognizer accepts, and the minimizer tries each voter and each
-        # candidate once, so it calls its trial at most n + m times
+        # every failing election of _up_to_four_three, and a seeded sample
+        # from (5,2) up to (8,6): the witness still fails, dropping any one
+        # of its voters or candidates (when more than one is left) gives a
+        # sub-election the recognizer accepts, and the minimizer tries each
+        # voter and each candidate once, so it calls its trial at most n + m
+        # times
         recognizer, make = _TRIALS[name]
         rng = random.Random(3400 + len(name))
-        small = [e for m in range(1, 5) for n in range(1, 4) for e in all_elections(m, n)]
         sample = [
             _near_single_crossing(rng, m, n) if k % 2 else Election.from_rows([rng.sample(range(1, m + 1), m) for _ in range(n)])
             for k in range(300)
             for m, n in [(rng.randint(5, 8), rng.randint(2, 6))]
         ]
-        failing = 0
-        for e in small + sample:
+        failing = [0, 0]  # up to (4,3), sampled
+        for e in _up_to_four_three() + sample:
             verdict = recognizer(e)
             if verdict.holds:
                 continue
-            failing += 1
+            failing[e.num_candidates > 4] += 1
             calls = []
             trial = make(e)
 
@@ -544,7 +553,7 @@ class TestWitnessTrials:
             assert replay_witness(recognizer, e, verdict), e.to_text()
             for voters, candidates in _one_smaller(witness.voters, witness.candidates):
                 assert recognizer(sub_election(e, voters, candidates)).holds, (e.to_text(), witness)
-        assert failing > 300
+        assert failing[0] > 200 and failing[1] > 100
 
     @pytest.mark.parametrize("triples, slots", [(True, 12), (True, 0), (False, 6), (True, 6), (True, 24)])
     def test_or_touching_masks_hold_the_subsets_of_each_candidate(self, triples, slots):
@@ -651,15 +660,10 @@ class TestGenericProperties:
     def test_every_domain_is_hereditary(self, name):
         # the one-pass witness minimizer, and a count that fixes a prefix of
         # voters, rest on this: dropping one voter or one candidate from an
-        # accepted election leaves an accepted one.  Every election up to
-        # (3,3), and up to (4,3) with voter 1 the identity, which neutrality
-        # makes enough
+        # accepted election of _up_to_four_three leaves an accepted one
         recognizer = DOMAINS[name]
-        elections = [e for m in range(1, 4) for n in range(1, 4) for e in all_elections(m, n)]
-        orders = list(permutations(range(1, 5)))
-        elections += [Election.from_rows((orders[0], *rest)) for n in range(1, 4) for rest in product(orders, repeat=n - 1)]
         accepted = 0
-        for e in elections:
+        for e in _up_to_four_three():
             if not recognizer(e).holds:
                 continue
             accepted += 1

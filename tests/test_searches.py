@@ -12,6 +12,8 @@ one from scratch: no shared state, no pruning.
 """
 
 import random
+import time
+import tracemalloc
 from collections import defaultdict
 from itertools import combinations, permutations, product
 
@@ -156,6 +158,23 @@ def test_configuration_embeddings_sweep_the_query_shapes():
             seen.add((l > n, h > m, l == 0, h == 0, bool(embeddings)))
     for i in range(5):
         assert {flags[i] for flags in seen} == {True, False}, i
+
+
+def test_configuration_search_is_lazy_near_the_cap():
+    # 24 host candidates hold C(24, 12) = 2,704,156 subsets of 12: the
+    # search finds a first embedding, and refuses where a second or third
+    # voter rules every map out, without listing them
+    ident, rev = tuple(range(1, 25)), tuple(range(24, 0, -1))
+    cfg = (tuple(range(1, 13)),) * 3
+    tracemalloc.start()
+    start = time.perf_counter()
+    assert next(kernels.configuration_embeddings((ident, ident), cfg[:2])) == ((0, 1), cfg[0])
+    assert next(kernels.configuration_embeddings((ident, rev), cfg[:2]), None) is None
+    assert next(kernels.configuration_embeddings((ident, ident, rev), cfg), None) is None
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20 and elapsed < 2.0, (peak, elapsed)
 
 
 def test_configuration_key_is_the_normalization():
